@@ -97,7 +97,7 @@ func TestCLIStats(t *testing.T) {
 	buildDemo(t, dir)
 	out := cli(t, dir, "stats", "/bin/demo")
 	for _, want := range []string{"counters:", "kern.syscalls", "ldl.modules_mapped", "mem.frames_live", "gauges:",
-		"vm.tlb_hit", "vm.tlb_miss", "vm.icache_fill", "vm.icache_invalidate",
+		"vm.tlb_hit", "vm.tlb_miss",
 		"vm.block_build", "vm.block_hit", "vm.block_invalidate", "vm.fused_ops"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("stats output missing %q:\n%s", want, out)
@@ -130,21 +130,14 @@ func TestCLIStatsJSON(t *testing.T) {
 	if snap.Counters["kern.syscalls"] == 0 {
 		t.Fatal("kern.syscalls = 0")
 	}
-	// Translation happened either as per-instruction icache fills or as
-	// block builds, depending on which engine batched execution used.
-	if snap.Counters["vm.icache_fill"]+snap.Counters["vm.block_build"] == 0 {
-		t.Fatalf("vm cache counters not live: %v", snap.Counters)
-	}
-	if os.Getenv("HEMLOCK_BLOCK_ENGINE") != "0" {
-		// Golden block-engine assertions: the demo decodes blocks and
-		// executes fused LUI-pair macro-ops (the `la` pseudo-op expands to
-		// lui/ori, which the engine fuses). block_hit stays 0 here — every
-		// block of a run-once program is entered exactly once; the vm unit
-		// tests pin hits and chaining with loops.
-		for _, name := range []string{"vm.block_build", "vm.fused_ops"} {
-			if snap.Counters[name] == 0 {
-				t.Fatalf("%s = 0 with the block engine enabled: %v", name, snap.Counters)
-			}
+	// Golden block-engine assertions: the demo decodes blocks and executes
+	// fused LUI-pair macro-ops (the `la` pseudo-op expands to lui/ori,
+	// which the engine fuses). block_hit stays 0 here — every block of a
+	// run-once program is entered exactly once; the vm unit tests pin hits
+	// and chaining with loops.
+	for _, name := range []string{"vm.block_build", "vm.fused_ops"} {
+		if snap.Counters[name] == 0 {
+			t.Fatalf("%s = 0: %v", name, snap.Counters)
 		}
 	}
 	if _, ok := snap.Gauges["mem.frames_live"]; !ok {

@@ -118,36 +118,30 @@ func launchTotal(t *testing.T, out string) time.Duration {
 func TestCLIProfileGuest(t *testing.T) {
 	dir := t.TempDir()
 	buildDemo(t, dir)
-	folded := filepath.Join(dir, "out.folded")
-	out := cli(t, dir, "-profile", "guest", "-profile-out", folded, "run", "/bin/demo")
-	if !strings.Contains(out, "[exit 1]") {
-		t.Fatalf("run under -profile guest: %q", out)
-	}
-	// The sampler fires at block boundaries, so symbol-level resolution
-	// needs the block engine: with HEMLOCK_BLOCK_ENGINE=0 the whole
-	// 11-instruction demo retires inside one per-instruction batch and
-	// every sample lands on the batch's entry PC (__start). Under that
-	// matrix leg only the profile plumbing is checked, not granularity.
-	wants := []string{"guest profile:", "instructions", "main"}
-	if os.Getenv("HEMLOCK_BLOCK_ENGINE") == "0" {
-		wants = []string{"guest profile:", "instructions", "__start"}
-	}
-	for _, want := range wants {
-		if !strings.Contains(out, want) {
-			t.Fatalf("guest profile missing %q:\n%s", want, out)
+	// Attaching a trace sink must not change which executor runs, so the
+	// traced run attributes every instruction too.
+	for i, global := range [][]string{nil, {"-trace", filepath.Join(dir, "t.jsonl")}} {
+		folded := filepath.Join(dir, "out.folded")
+		args := append(global, "-profile", "guest", "-profile-out", folded, "run", "/bin/demo")
+		out := cli(t, dir, args...)
+		if want := "[exit " + strconv.Itoa(i+1) + "]"; !strings.Contains(out, want) {
+			t.Fatalf("%v: want %s in %q", args, want, out)
 		}
-	}
-	data, err := os.ReadFile(folded)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Folded-stack lines: "module;function count".
-	lines := strings.Split(strings.TrimSpace(string(data)), "\n")
-	if len(lines) == 0 || !strings.Contains(string(data), ";") {
-		t.Fatalf("folded output malformed:\n%s", data)
-	}
-	if os.Getenv("HEMLOCK_BLOCK_ENGINE") != "0" && !strings.Contains(string(data), "main") {
-		t.Fatalf("folded output misses the entry symbol:\n%s", data)
+		// The sampler fires at block boundaries, which resolves the demo's
+		// 11 instructions down to the symbol that ran them.
+		for _, want := range []string{"guest profile: 11 instructions attributed", "main"} {
+			if !strings.Contains(out, want) {
+				t.Fatalf("%v: guest profile missing %q:\n%s", args, want, out)
+			}
+		}
+		data, err := os.ReadFile(folded)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Folded-stack lines: "module;function count".
+		if !strings.Contains(string(data), ";") || !strings.Contains(string(data), "main") {
+			t.Fatalf("%v: folded output misses the entry symbol:\n%s", args, data)
+		}
 	}
 }
 

@@ -109,7 +109,7 @@ func IsFault(err error) (*Fault, bool) {
 
 // pte is a page table entry. prot is the logical protection — what the
 // process asked for and what ProtAt/VisitPages report. cow marks a frame
-// that may be shared with another space via CloneRangeCoW: the page must be
+// that may be shared with another space via ForkInto: the page must be
 // re-backed by a private frame before any store lands, but its logical
 // protection is unchanged, so copy-on-write is invisible to everything that
 // inspects the space (including the differential harness's StateHash).
@@ -421,52 +421,15 @@ func (s *Space) resolveCoW(addr uint32, a Access) (*mem.Frame, *Fault) {
 	return f, nil
 }
 
-// CloneRangeCoW installs every mapped page of s in [start, end) into dst by
-// sharing the frame copy-on-write: both spaces keep the page's logical
-// protection, both mark it cow, and whichever side stores first re-backs its
-// own copy. This is the O(pages-touched) half of fork that makes zygote
-// launches cheap — a clone costs one refcount and one page-table entry per
-// page instead of a frame copy. Both generations bump: the source's cached
-// write-capable translations must die the moment its frames become shared.
-func (s *Space) CloneRangeCoW(dst *Space, start, end uint32) {
-	type ent struct {
-		vpn uint32
-		e   pte
-	}
-	s.mu.Lock()
-	ents := make([]ent, 0, len(s.pages))
-	for p, e := range s.pages {
-		a := p << mem.PageShift
-		if a >= start && a < end {
-			if !e.cow {
-				e.cow = true
-				s.pages[p] = e
-			}
-			e.frame.Retain()
-			ents = append(ents, ent{p, e})
-		}
-	}
-	if len(ents) > 0 {
-		s.gen.Add(1)
-	}
-	s.mu.Unlock()
-	if len(ents) == 0 {
-		return
-	}
-	dst.mu.Lock()
-	for _, it := range ents {
-		dst.pages[it.vpn] = it.e
-	}
-	dst.gen.Add(1)
-	dst.mu.Unlock()
-}
-
-// ForkInto is the fused fork clone: one pass over s's page table installs
-// every user page into dst, copy-on-write for the private windows
+// ForkInto is fork's address-space clone: one pass over s's page table
+// installs every user page into dst, copy-on-write for the private windows
 // ([0, shBase) and [shLimit, kBase)) and shared outright for the public
-// window ([shBase, shLimit)). It is semantically CloneRangeCoW twice plus
-// ShareRange once, but a single traversal with a pre-sized destination
-// table — the difference between a warm zygote launch and three map walks.
+// window ([shBase, shLimit)). A cow page keeps its logical protection on
+// both sides, and whichever side stores first re-backs its own copy, so a
+// clone costs one refcount and one page-table entry per page instead of a
+// frame copy — what makes zygote launches cheap. s's generation bumps when
+// it marks a page cow: its cached write-capable translations must die the
+// moment its frames become shared.
 func (s *Space) ForkInto(dst *Space, shBase, shLimit, kBase uint32) {
 	type ent struct {
 		vpn uint32
@@ -659,78 +622,6 @@ func (s *Space) VisitPages(fn func(vpn uint32, prot Prot, data *[mem.PageSize]by
 		e := s.pages[p]
 		fn(p, e.prot, &e.frame.Data)
 	}
-}
-
-// CloneRange deep-copies every mapped page in [start, end) of s into dst,
-// allocating fresh frames. This is the private half of fork. The frame
-// copies happen outside any lock; dst's lock is taken exactly once to
-// install them all.
-func (s *Space) CloneRange(dst *Space, start, end uint32) error {
-	s.mu.RLock()
-	type ent struct {
-		vpn uint32
-		e   pte
-	}
-	var ents []ent
-	for p, e := range s.pages {
-		a := p << mem.PageShift
-		if a >= start && a < end {
-			ents = append(ents, ent{p, e})
-		}
-	}
-	s.mu.RUnlock()
-	copies := make([]*mem.Frame, len(ents))
-	for i, it := range ents {
-		f, err := it.e.frame.Copy()
-		if err != nil {
-			for _, g := range copies[:i] {
-				g.Release()
-			}
-			return err
-		}
-		copies[i] = f
-	}
-	if len(ents) == 0 {
-		return nil
-	}
-	dst.mu.Lock()
-	for i, it := range ents {
-		dst.pages[it.vpn] = pte{frame: copies[i], prot: it.e.prot}
-	}
-	dst.gen.Add(1)
-	dst.mu.Unlock()
-	return nil
-}
-
-// ShareRange installs s's mappings in [start, end) into dst, retaining the
-// frames so that both spaces see the same bytes. This is the public half of
-// fork. The frames are retained under s's read lock (so none can be
-// released out from under us); dst's lock is taken once for the whole
-// batch rather than once per page.
-func (s *Space) ShareRange(dst *Space, start, end uint32) {
-	s.mu.RLock()
-	type ent struct {
-		vpn uint32
-		e   pte
-	}
-	var ents []ent
-	for p, e := range s.pages {
-		a := p << mem.PageShift
-		if a >= start && a < end {
-			e.frame.Retain()
-			ents = append(ents, ent{p, e})
-		}
-	}
-	s.mu.RUnlock()
-	if len(ents) == 0 {
-		return
-	}
-	dst.mu.Lock()
-	for _, it := range ents {
-		dst.pages[it.vpn] = it.e
-	}
-	dst.gen.Add(1)
-	dst.mu.Unlock()
 }
 
 // Release unmaps everything, releasing all frames. The space must not be

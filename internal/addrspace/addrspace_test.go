@@ -195,34 +195,18 @@ func TestRegionsMerge(t *testing.T) {
 	}
 }
 
-func TestCloneRangeIsDeepCopy(t *testing.T) {
-	phys := mem.NewPhysical(0)
-	parent, child := New(phys), New(phys)
-	if err := parent.MapAnon(0x1000, mem.PageSize, ProtRW); err != nil {
-		t.Fatal(err)
-	}
-	if err := parent.StoreWord(0x1000, 111); err != nil {
-		t.Fatal(err)
-	}
-	if err := parent.CloneRange(child, 0x0, 0x10000000); err != nil {
-		t.Fatal(err)
-	}
-	if err := child.StoreWord(0x1000, 222); err != nil {
-		t.Fatal(err)
-	}
-	v, _ := parent.LoadWord(0x1000)
-	if v != 111 {
-		t.Fatalf("child write leaked into parent: %d", v)
-	}
-}
-
-func TestShareRangeAliases(t *testing.T) {
+// TestForkIntoSharesPublicWindow: pages in the public window are shared
+// outright, never copy-on-write, so a child's store is the parent's store.
+func TestForkIntoSharesPublicWindow(t *testing.T) {
 	phys := mem.NewPhysical(0)
 	parent, child := New(phys), New(phys)
 	if err := parent.MapAnon(0x30000000, mem.PageSize, ProtRW); err != nil {
 		t.Fatal(err)
 	}
-	parent.ShareRange(child, 0x30000000, 0x70000000)
+	parent.ForkInto(child, 0x30000000, 0x70000000, 0x70000000)
+	if child.PageIsCoW(0x30000000) || parent.PageIsCoW(0x30000000) {
+		t.Fatal("public page marked cow")
+	}
 	if err := child.StoreWord(0x30000000, 7); err != nil {
 		t.Fatal(err)
 	}

@@ -7,7 +7,7 @@ import (
 	"hemlock/internal/mem"
 )
 
-func TestCloneRangeCoWIsolatesWrites(t *testing.T) {
+func TestForkIntoCoWIsolatesWrites(t *testing.T) {
 	parent := newSpace()
 	if err := parent.MapAnon(0x1000, 2*mem.PageSize, ProtRW); err != nil {
 		t.Fatal(err)
@@ -16,7 +16,7 @@ func TestCloneRangeCoWIsolatesWrites(t *testing.T) {
 		t.Fatal(err)
 	}
 	child := New(parent.Physical())
-	parent.CloneRangeCoW(child, 0, 1<<31)
+	parent.ForkInto(child, 1<<31, 1<<31, 1<<31)
 
 	// Both see the pre-fork value through the shared frame.
 	for _, s := range []*Space{parent, child} {
@@ -57,7 +57,7 @@ func TestCoWClaimWhenSoleOwner(t *testing.T) {
 		t.Fatal(err)
 	}
 	child := New(parent.Physical())
-	parent.CloneRangeCoW(child, 0, 1<<31)
+	parent.ForkInto(child, 1<<31, 1<<31, 1<<31)
 	before, _ := parent.Translate(0x1000, AccessRead)
 	child.Release()
 	// Child gone: the parent is sole owner again, so its first store should
@@ -83,7 +83,7 @@ func TestCoWPreservesLogicalProt(t *testing.T) {
 		t.Fatal(err)
 	}
 	child := New(parent.Physical())
-	parent.CloneRangeCoW(child, 0, 1<<31)
+	parent.ForkInto(child, 1<<31, 1<<31, 1<<31)
 
 	// ProtAt and VisitPages report the logical protection: CoW must be
 	// invisible to StateHash and the Figure 3 layout printer.
@@ -132,7 +132,7 @@ func TestCoWProtectThenWrite(t *testing.T) {
 		t.Fatal(err)
 	}
 	child := New(parent.Physical())
-	parent.CloneRangeCoW(child, 0, 1<<31)
+	parent.ForkInto(child, 1<<31, 1<<31, 1<<31)
 	if err := child.Protect(0x1000, mem.PageSize, ProtRW); err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +166,7 @@ func TestCoWConcurrentWriters(t *testing.T) {
 	children := make([]*Space, clones)
 	for i := range children {
 		children[i] = New(parent.Physical())
-		parent.CloneRangeCoW(children[i], 0, 1<<31)
+		parent.ForkInto(children[i], 1<<31, 1<<31, 1<<31)
 	}
 	var wg sync.WaitGroup
 	for i, c := range children {

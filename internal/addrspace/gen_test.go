@@ -62,12 +62,12 @@ func TestGenerationBumps(t *testing.T) {
 	step("Protect", func() error { return s.Protect(0x1000, mem.PageSize, ProtRead) })
 	step("Unmap", func() error { s.Unmap(0x1000, mem.PageSize); return nil })
 
-	// ShareRange/CloneRange bump the destination's generation.
+	// ForkInto bumps the destination's generation.
 	src := newSpace()
 	if err := src.MapAnon(0x4000, mem.PageSize, ProtRW); err != nil {
 		t.Fatal(err)
 	}
-	step("ShareRange into", func() error { src.ShareRange(s, 0x4000, 0x4000+mem.PageSize); return nil })
+	step("ForkInto", func() error { src.ForkInto(s, 1<<31, 1<<31, 1<<31); return nil })
 	step("Release", func() error { s.Release(); return nil })
 
 	// Failed mutations must not bump: readers may hold entries tagged with

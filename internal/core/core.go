@@ -9,7 +9,6 @@ package core
 import (
 	"fmt"
 	"io"
-	"os"
 
 	"hemlock/internal/isa"
 	"hemlock/internal/kern"
@@ -30,12 +29,12 @@ type System struct {
 }
 
 // NewSystem boots a fresh machine with an empty shared file system.
-// Stable linking — the persistent link cache and zygote launches — is on by
-// default; set HEMLOCK_LINKCACHE=0 / HEMLOCK_ZYGOTE=0 to opt out.
+// Stable linking — the persistent link cache and zygote launches — is on;
+// SetStableLinking turns it off.
 func NewSystem() *System {
 	k := kern.New()
 	s := &System{K: k, FS: k.FS, LD: lds.New(k.FS), W: ldl.NewWorld(k)}
-	s.W.SetStableLinking(envOn("HEMLOCK_LINKCACHE"), envOn("HEMLOCK_ZYGOTE"))
+	s.W.SetStableLinking(true, true)
 	return s
 }
 
@@ -53,15 +52,6 @@ func NewSystemLite() *System {
 	return &System{FS: fs}
 }
 
-// envOn reads an on-by-default feature toggle from the environment.
-func envOn(name string) bool {
-	switch os.Getenv(name) {
-	case "0", "off", "false", "no":
-		return false
-	}
-	return true
-}
-
 // Load boots a machine from a disk image previously written by Save.
 func Load(r io.Reader) (*System, error) {
 	phys := mem.NewPhysical(0)
@@ -71,12 +61,15 @@ func Load(r io.Reader) (*System, error) {
 	}
 	k := kern.NewWithFS(fs, phys)
 	s := &System{K: k, FS: fs, LD: lds.New(fs), W: ldl.NewWorld(k)}
-	s.W.SetStableLinking(envOn("HEMLOCK_LINKCACHE"), envOn("HEMLOCK_ZYGOTE"))
+	s.W.SetStableLinking(true, true)
 	return s, nil
 }
 
 // SetStableLinking flips the link cache and zygote registry at run time.
-// Disabling zygotes drops every parked template.
+// Disabling zygotes drops every parked template. It is the one switch for
+// stable linking: launchdiff's cold machine and the cold Table 1
+// benchmarks turn both off to check and measure against the plain linker,
+// and BenchmarkLaunchWarm keeps the cache without zygotes.
 func (s *System) SetStableLinking(cache, zygote bool) {
 	s.W.SetStableLinking(cache, zygote)
 	if !zygote {

@@ -14,9 +14,9 @@ import (
 const diffSlotBudget = 4096
 
 // execPath runs c until halt or the slot budget is gone, recording the
-// observable event sequence. fast selects the production path (RunBatch
-// over the TLB + icache); otherwise every instruction goes through the
-// cache-free reference stepper. Traps are serviced the way a minimal
+// observable event sequence. fast selects the production path (RunBatch:
+// the block engine over the D-TLB); otherwise every instruction goes
+// through the cache-free Step. Traps are serviced the way a minimal
 // kernel would: record, skip the faulting instruction, continue.
 func execPath(c *vm.CPU, fast bool, budget uint64) []string {
 	var events []string
@@ -28,7 +28,7 @@ func execPath(c *vm.CPU, fast bool, budget uint64) []string {
 		if fast {
 			ev, err = c.RunBatch(budget - consumed)
 		} else {
-			ev, err = c.ReferenceStep()
+			ev, err = c.Step()
 		}
 		consumed += c.Steps - before
 		if err != nil {
@@ -51,11 +51,11 @@ func execPath(c *vm.CPU, fast bool, budget uint64) []string {
 	return events
 }
 
-// DiffOne generates the program image for progSeed, executes it on the
-// fast path and on the reference path, and fails the scenario on any
-// divergence in the event sequence, step count, registers, PC, or the
-// whole-memory state hash. The failure message names progSeed: replaying
-// just that program is FuzzDiffExec's job (the seed is the fuzz input).
+// DiffOne generates the program image for progSeed, executes it on
+// RunBatch and on Step, and fails the scenario on any divergence in the
+// event sequence, step count, registers, PC, or the whole-memory state
+// hash. The failure message names progSeed: replaying just that program
+// is FuzzDiffExec's job (the seed is the fuzz input).
 func DiffOne(s *Scenario, progSeed int64) {
 	ctrProg := s.Reg.Counter("harness.diff.programs")
 	ctrSteps := s.Reg.Counter("harness.diff.steps")
@@ -74,19 +74,8 @@ func DiffOne(s *Scenario, progSeed int64) {
 		s.Failf("program seed=%d: instantiate ref: %v", progSeed, err)
 		return
 	}
-	// Third machine: batched execution with the block engine forced to the
-	// other setting, so one run always compares block-translated against
-	// per-instruction batching regardless of HEMLOCK_BLOCK_ENGINE.
-	alt, err := im.instantiate()
-	if err != nil {
-		s.Failf("program seed=%d: instantiate alt: %v", progSeed, err)
-		return
-	}
-	alt.SetBlockEngine(!alt.BlockEngineOn())
-
 	fe := execPath(fast, true, diffSlotBudget)
 	re := execPath(ref, false, diffSlotBudget)
-	ae := execPath(alt, true, diffSlotBudget)
 	ctrProg.Inc()
 	ctrSteps.Add(fast.Steps)
 	ctrTraps.Add(fast.Traps)
@@ -119,28 +108,5 @@ func DiffOne(s *Scenario, progSeed int64) {
 	if fh, rh := vm.StateHash(fast), vm.StateHash(ref); fh != rh {
 		s.Failf("program seed=%d: memory diverged (hash fast=%016x ref=%016x)\nfast:\n%s\nref:\n%s",
 			progSeed, fh, rh, vm.DumpState(fast), vm.DumpState(ref))
-		return
-	}
-	// The alternate batched path against the (already reference-verified)
-	// fast path.
-	for i := 0; i < len(ae) || i < len(fe); i++ {
-		a, f := "<none>", "<none>"
-		if i < len(ae) {
-			a = ae[i]
-		}
-		if i < len(fe) {
-			f = fe[i]
-		}
-		if a != f {
-			s.Failf("program seed=%d: event %d diverged between batched engines\n  fast: %s\n  alt:  %s\nfast state:\n%s\nalt state:\n%s",
-				progSeed, i, f, a, vm.DumpState(fast), vm.DumpState(alt))
-			return
-		}
-	}
-	if alt.Steps != fast.Steps || alt.Traps != fast.Traps ||
-		alt.PC != fast.PC || alt.Regs != fast.Regs ||
-		vm.StateHash(alt) != vm.StateHash(fast) {
-		s.Failf("program seed=%d: batched engines diverged\nfast:\n%s\nalt:\n%s",
-			progSeed, vm.DumpState(fast), vm.DumpState(alt))
 	}
 }

@@ -11,9 +11,9 @@ import (
 )
 
 // The generated-program memory image. Text is RWX so stores into it are
-// legal self-modifying code (the icache-invalidation case the fast path
-// must get right); the read-only page provides protection faults; the
-// shared page is frame-backed the way shmfs segments are.
+// legal self-modifying code (the block-invalidation case the engine must
+// get right); the read-only page provides protection faults; the shared
+// page is frame-backed the way shmfs segments are.
 const (
 	genTextBase   = layout.TextBase // 2 pages, RWX
 	genTextPages  = 2

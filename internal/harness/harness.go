@@ -3,8 +3,8 @@
 //
 //   - the program generator + interpreter oracle (gen.go, diff.go):
 //     random-but-valid R3K-lite programs executed twice, once on the
-//     TLB/icache fast path and once on the cache-free reference stepper,
-//     with bit-identical state and trap sequences demanded;
+//     block engine (RunBatch) and once on the cache-free Step, with
+//     bit-identical state and trap sequences demanded;
 //   - the link/load schedule explorer (sched.go): seeded interleavings of
 //     create/map/lazy-link/PLT-patch/fork/exit with the linker invariants
 //     checked after every step;

@@ -1,7 +1,7 @@
 package kern
 
 // Cross-process cache coherence: stores into a shared page by one process
-// must be visible to a sibling CPU's instruction cache on its very next
+// must be visible to a sibling CPU's decoded blocks on its very next
 // fetch. This is the ldl scenario — one domain patches shared text that
 // another domain is executing.
 
@@ -10,27 +10,41 @@ import (
 
 	"hemlock/internal/addrspace"
 	"hemlock/internal/isa"
-	"hemlock/internal/layout"
 	"hemlock/internal/mem"
 	"hemlock/internal/shmfs"
 	"hemlock/internal/vm"
 )
 
+// sharedText creates a shared-fs file and maps one RWX page of it into
+// every given process at the file's fixed address, the way ldl maps a
+// public module into each process that links it. It returns that address.
+func sharedText(t *testing.T, k *Kernel, procs ...*Process) uint32 {
+	t.Helper()
+	if _, err := k.FS.Create("/shtext", shmfs.DefaultFileMode, 0); err != nil {
+		t.Fatal(err)
+	}
+	var addr uint32
+	for _, p := range procs {
+		st, err := k.MapSharedFile(p, "/shtext", mem.PageSize, addrspace.ProtRWX)
+		if err != nil {
+			t.Fatal(err)
+		}
+		addr = st.Addr
+	}
+	return addr
+}
+
+// TestSharedPageStoreVisibleToSiblingCPU: the writer's patch reaches the
+// shared frame through a warm D-TLB entry, and the runner, parked on the
+// victim with its loop hot in the block cache, must execute the patched
+// word as its very next instruction.
 func TestSharedPageStoreVisibleToSiblingCPU(t *testing.T) {
 	k := New()
 	writer := k.Spawn(0)
 	runner := k.Spawn(0)
+	shared := sharedText(t, k, writer, runner)
 
-	// Shared RWX page mapped at the same address in both spaces — segment
-	// discipline per the paper.
-	const shared = layout.SharedBase
-	if err := writer.AS.MapAnon(shared, mem.PageSize, addrspace.ProtRWX); err != nil {
-		t.Fatal(err)
-	}
-	writer.AS.ShareRange(runner.AS, shared, shared+mem.PageSize)
-
-	// Runner spins on the shared page, predecoding it into its icache.
-	const escape = shared + 0x80
+	escape := shared + 0x80
 	loop := []uint32{
 		isa.EncodeI(isa.OpADDIU, 10, 10, 1), // victim: addiu t2, t2, 1
 		isa.EncodeJ(isa.OpJ, shared),        // j victim
@@ -44,47 +58,53 @@ func TestSharedPageStoreVisibleToSiblingCPU(t *testing.T) {
 		t.Fatal(err)
 	}
 	runner.CPU.PC = shared
-	for i := 0; i < 6; i++ {
-		if ev, err := runner.CPU.Step(); err != nil || ev != vm.EventStep {
-			t.Fatalf("runner warmup step %d: ev=%v err=%v", i, ev, err)
-		}
+	// Three trips round the loop end with the runner parked on the victim.
+	if ev, err := runner.CPU.RunBatch(6); err != nil || ev != vm.EventStep || runner.CPU.PC != shared {
+		t.Fatalf("runner warmup: ev=%v err=%v pc=0x%08x", ev, err, runner.CPU.PC)
+	}
+	if runner.CPU.CacheStats().BlockHits == 0 {
+		t.Fatal("runner loop never got hot in the block cache")
 	}
 
-	// Writer executes its own private text: one store that patches the
-	// runner's victim instruction in the shared page.
+	// Writer executes its own private text: two stores to the victim. The
+	// first rewrites the original word and fills the writer's D-TLB; the
+	// second, the patch, goes through that warm entry.
 	const wtext = 0x00001000
 	if err := writer.AS.MapAnon(wtext, mem.PageSize, addrspace.ProtRWX); err != nil {
 		t.Fatal(err)
 	}
-	if err := writer.AS.StoreWord(wtext, isa.EncodeI(isa.OpSW, 8, 9, 0)); err != nil {
-		t.Fatal(err)
-	}
-	writer.CPU.PC = wtext
-	writer.CPU.Regs[8] = isa.EncodeJ(isa.OpJ, escape)
-	writer.CPU.Regs[9] = shared
-	if ev, err := writer.CPU.Step(); err != nil || ev != vm.EventStep {
-		t.Fatalf("writer store: ev=%v err=%v", ev, err)
-	}
-
-	// The runner's very next fetch of the victim must see the patch. Its
-	// PC is mid-loop; step until it re-reaches the victim, then one more.
-	for runner.CPU.PC != shared {
-		if ev, err := runner.CPU.Step(); err != nil || ev != vm.EventStep {
-			t.Fatalf("runner drain: ev=%v err=%v", ev, err)
+	for i, w := range []uint32{
+		isa.EncodeI(isa.OpSW, 11, 9, 0), // sw t3, 0(t1)
+		isa.EncodeI(isa.OpSW, 8, 9, 0),  // sw t0, 0(t1)
+		isa.EncodeI(isa.OpHALT, 0, 0, 0),
+	} {
+		if err := writer.AS.StoreWord(wtext+uint32(4*i), w); err != nil {
+			t.Fatal(err)
 		}
 	}
+	writer.CPU.PC = wtext
+	writer.CPU.Regs[11] = loop[0]
+	writer.CPU.Regs[8] = isa.EncodeJ(isa.OpJ, escape)
+	writer.CPU.Regs[9] = shared
+	if ev, err := writer.CPU.RunBatch(10); err != nil || ev != vm.EventHalt {
+		t.Fatalf("writer stores: ev=%v err=%v", ev, err)
+	}
+	if writer.CPU.CacheStats().TLBHits == 0 {
+		t.Fatal("the patch did not go through a warm D-TLB entry")
+	}
+
 	before := runner.CPU.Regs[10]
-	if ev, err := runner.CPU.Step(); err != nil || ev != vm.EventStep {
+	if ev, err := runner.CPU.RunBatch(1); err != nil || ev != vm.EventStep {
 		t.Fatalf("runner post-patch step: ev=%v err=%v", ev, err)
 	}
 	if runner.CPU.PC != escape {
-		t.Fatalf("sibling executed stale predecode: pc = 0x%08x, want 0x%08x", runner.CPU.PC, escape)
+		t.Fatalf("sibling executed a stale block: pc = 0x%08x, want 0x%08x", runner.CPU.PC, escape)
 	}
 	if runner.CPU.Regs[10] != before {
 		t.Fatal("victim addiu retired after the patch landed")
 	}
-	if st := runner.CPU.CacheStats(); st.ICInvals == 0 {
-		t.Fatal("sibling icache invalidation not recorded")
+	if st := runner.CPU.CacheStats(); st.BlockInvals == 0 {
+		t.Fatal("sibling block invalidation not recorded")
 	}
 }
 
@@ -97,20 +117,12 @@ func TestSharedPageStoreInvalidatesSiblingBlocks(t *testing.T) {
 	k := New()
 	writer := k.Spawn(0)
 	runner := k.Spawn(0)
-	if !runner.CPU.BlockEngineOn() {
-		t.Skip("block engine disabled via HEMLOCK_BLOCK_ENGINE")
-	}
-
-	const shared = layout.SharedBase
-	if err := writer.AS.MapAnon(shared, mem.PageSize, addrspace.ProtRWX); err != nil {
-		t.Fatal(err)
-	}
-	writer.AS.ShareRange(runner.AS, shared, shared+mem.PageSize)
+	shared := sharedText(t, k, writer, runner)
 
 	// Victim loop off the page base so the rebuild registers as a stale
 	// same-address replacement in the direct-mapped block cache.
-	const victim = shared + 0x100
-	const escape = shared + 0x200
+	victim := shared + 0x100
+	escape := shared + 0x200
 	loop := []uint32{
 		isa.EncodeI(isa.OpADDIU, 10, 10, 1), // victim: addiu t2, t2, 1
 		isa.EncodeJ(isa.OpJ, victim),        // j victim
@@ -176,15 +188,10 @@ func TestConcurrentSMCPatchObservedBySibling(t *testing.T) {
 	k := New()
 	writer := k.Spawn(0)
 	runner := k.Spawn(0)
+	shared := sharedText(t, k, writer, runner)
 
-	const shared = layout.SharedBase
-	if err := writer.AS.MapAnon(shared, mem.PageSize, addrspace.ProtRWX); err != nil {
-		t.Fatal(err)
-	}
-	writer.AS.ShareRange(runner.AS, shared, shared+mem.PageSize)
-
-	const victim = shared + 0x100
-	const escape = shared + 0x200
+	victim := shared + 0x100
+	escape := shared + 0x200
 	loop := []uint32{
 		isa.EncodeI(isa.OpADDIU, 10, 10, 1), // victim: addiu t2, t2, 1
 		isa.EncodeJ(isa.OpJ, victim),        // j victim

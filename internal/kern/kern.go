@@ -68,8 +68,6 @@ type Kernel struct {
 	ctrVMTraps   *obsv.Counter
 	ctrTLBHit    *obsv.Counter
 	ctrTLBMiss   *obsv.Counter
-	ctrICFill    *obsv.Counter
-	ctrICInval   *obsv.Counter
 	ctrBlkBuild  *obsv.Counter
 	ctrBlkHit    *obsv.Counter
 	ctrBlkInval  *obsv.Counter
@@ -131,8 +129,6 @@ func newKernel(fs *shmfs.FS, phys *mem.Physical) *Kernel {
 		ctrVMTraps:   o.R.Counter("vm.traps"),
 		ctrTLBHit:    o.R.Counter("vm.tlb_hit"),
 		ctrTLBMiss:   o.R.Counter("vm.tlb_miss"),
-		ctrICFill:    o.R.Counter("vm.icache_fill"),
-		ctrICInval:   o.R.Counter("vm.icache_invalidate"),
 		ctrBlkBuild:  o.R.Counter("vm.block_build"),
 		ctrBlkHit:    o.R.Counter("vm.block_hit"),
 		ctrBlkInval:  o.R.Counter("vm.block_invalidate"),
@@ -226,8 +222,6 @@ func (k *Kernel) Spawn(uid int) *Process {
 	p.CPU.CtrTraps = k.ctrVMTraps
 	p.CPU.CtrTLBHit = k.ctrTLBHit
 	p.CPU.CtrTLBMiss = k.ctrTLBMiss
-	p.CPU.CtrICFill = k.ctrICFill
-	p.CPU.CtrICInval = k.ctrICInval
 	p.CPU.CtrBlockBuild = k.ctrBlkBuild
 	p.CPU.CtrBlockHit = k.ctrBlkHit
 	p.CPU.CtrBlockInval = k.ctrBlkInval
@@ -517,9 +511,6 @@ func (k *Kernel) MapSharedFile(p *Process, path string, size uint32, prot addrsp
 	sp.End(uint64(need))
 	return st, nil
 }
-
-// SlotMapped reports whether the shared slot for inode ino is mapped.
-func (p *Process) SlotMapped(ino int) bool { return p.mappedSlots[ino] }
 
 // UnmapSharedSlot removes the mapping of a shared slot from this process
 // (the file itself persists).

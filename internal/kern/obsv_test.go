@@ -151,3 +151,46 @@ func TestTraceCoversSubsystems(t *testing.T) {
 		}
 	}
 }
+
+// TestTracedRunUsesBlockEngine: attaching a trace sink must not change
+// which executor runs. The traced run builds blocks and retires the same
+// instructions, with the same exit code, as the untraced one.
+func TestTracedRunUsesBlockEngine(t *testing.T) {
+	const src = `
+        .text
+        li      $t0, 20
+loop:   addiu   $t0, $t0, -1
+        li      $v0, 3          # getpid
+        syscall
+        bnez    $t0, loop
+        li      $v0, 1          # exit
+        li      $a0, 7
+        syscall
+`
+	run := func(traced bool) (steps uint64, code int, builds uint64) {
+		k := New()
+		if traced {
+			k.Obs.T.Attach(obsv.NewRing(64))
+		}
+		p := k.Spawn(0)
+		if err := p.Exec(buildImage(t, src)); err != nil {
+			t.Fatal(err)
+		}
+		n, err := k.Run(p, 10_000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n, p.ExitCode, k.Obs.R.Snapshot().Counters["vm.block_build"]
+	}
+	steps, code, _ := run(false)
+	tsteps, tcode, tbuilds := run(true)
+	if tbuilds == 0 {
+		t.Fatal("traced run built no blocks: it bypassed the block engine")
+	}
+	if tsteps != steps || tcode != code {
+		t.Fatalf("traced run retired %d steps, exit %d; untraced %d steps, exit %d", tsteps, tcode, steps, code)
+	}
+	if code != 7 {
+		t.Fatalf("exit code %d, want 7", code)
+	}
+}

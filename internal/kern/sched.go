@@ -21,8 +21,8 @@ import (
 //   - per-CPU run queues: a task (a process plus its remaining step
 //     budget) is submitted to one CPU's queue and preempted back onto the
 //     tail of that same queue, so a process tends to stay on one CPU and
-//     keep its warm D/I-TLBs, icache and block cache (which are all
-//     per-CPU state already).
+//     keep its warm D-TLB and block cache (which are per-CPU state
+//     already).
 //   - preemption: a task runs one quantum (DefaultQuantum retired
 //     instructions) per slice; round-robin within the CPU interleaves
 //     runnable processes.
@@ -52,7 +52,9 @@ const DefaultQuantum = 50_000
 const MaxCPUs = 8
 
 // DefaultCPUs returns the guest CPU count: HEMLOCK_CPUS if set, else the
-// host's CPU count capped at MaxCPUs.
+// host's CPU count capped at MaxCPUs. The variable's users are CI's 4-CPU
+// race step and its differential matrix, which pin the count so a run
+// does not depend on the runner's core count.
 func DefaultCPUs() int {
 	if v := os.Getenv("HEMLOCK_CPUS"); v != "" {
 		if n, err := strconv.Atoi(v); err == nil && n >= 1 {
@@ -183,10 +185,6 @@ func (k *Kernel) AttachScheduler(s *Scheduler) { k.sched.Store(s) }
 // DetachScheduler clears the attached scheduler (the caller still owns
 // stopping it).
 func (k *Kernel) DetachScheduler() { k.sched.Store(nil) }
-
-// Sched returns the attached scheduler, or nil when the kernel runs
-// single-CPU.
-func (k *Kernel) Sched() *Scheduler { return k.sched.Load() }
 
 // Submit queues p to run for at most maxSteps retired instructions and
 // returns a Task to wait on. Each process may be on at most one task at a

@@ -386,7 +386,6 @@ func (p *Process) OpenHostFile(path string, writable bool) (int, error) {
 func (k *Kernel) Run(p *Process, maxSteps uint64) (uint64, error) {
 	span := k.Obs.Tracer().Begin("kern", "run", p.PID, "")
 	n, err := k.runLoop(p, maxSteps)
-	p.CPU.FlushObsv() // single-step (traced) iterations don't flush per step
 	k.ctrSteps.Add(n)
 	k.hRunSteps.Observe(n)
 	span.End(n)
@@ -409,25 +408,16 @@ func (k *Kernel) runLoop(p *Process, maxSteps uint64) (uint64, error) {
 // interleaving other processes between slices.
 func (k *Kernel) runSlice(p *Process, budget uint64) (uint64, bool, error) {
 	start := p.CPU.Steps
-	// Batched fast path: with tracing disabled there is nothing to observe
-	// between instructions, so hand the CPU its whole remaining budget and
-	// only come back here for events, faults and traps. With tracing
-	// enabled, single-step so future per-step instrumentation (and the
-	// tracer's view of fault ordering) stays exact.
-	batched := !k.Obs.Tracer().Enabled()
+	// Hand the CPU its whole remaining budget and only come back here for
+	// events, faults and traps — the points the tracer observes — with or
+	// without a sink attached.
 	for p.CPU.Steps-start < budget {
 		if p.Exited {
 			return p.CPU.Steps - start, true, nil
 		}
-		var ev vm.Event
-		var err error
-		if batched {
-			ev, err = p.CPU.RunBatch(budget - (p.CPU.Steps - start))
-			if ev == vm.EventStep && err == nil {
-				continue // budget exhausted; loop condition reports it
-			}
-		} else {
-			ev, err = p.CPU.Step()
+		ev, err := p.CPU.RunBatch(budget - (p.CPU.Steps - start))
+		if ev == vm.EventStep && err == nil {
+			continue // budget exhausted; loop condition reports it
 		}
 		if err != nil {
 			f, ok := vm.FaultOf(err)

@@ -158,13 +158,6 @@ func fnvU32(h uint64, v uint32) uint64 {
 	return h
 }
 
-func fnvU64(h uint64, v uint64) uint64 {
-	for s := 56; s >= 0; s -= 8 {
-		h = (h ^ uint64(byte(v>>s))) * fnvPrime
-	}
-	return h
-}
-
 // imageHash fingerprints every field of the load image that influences
 // linking. Memoized by image identity: decoded images are immutable, and
 // launch benchmarks re-launch the same *Image thousands of times.
@@ -353,7 +346,7 @@ func (w *World) probeCache(key string) *cacheEntry {
 	for _, d := range deps {
 		cur, derr := w.K.FS.ContentVersion(d.path)
 		if derr != nil || cur != d.cv {
-			w.tracef("ldl: cache %s invalidated by %s", key, d.path)
+			w.emit(obsv.Event{Name: "cache_invalidate", Mod: key + " by " + d.path})
 			w.invalidate(key)
 			return nil
 		}
@@ -701,7 +694,6 @@ func (pr *Proc) replayLink(in *Instance, ev *cacheEvent) (bool, error) {
 		pr.trampNext = ev.trampNext
 	}
 	pr.applyReplayStats(ev)
-	pr.W.tracef("ldl: replayed link of %s (%d store(s))", in.Name, len(ev.stores))
 	pr.W.emit(obsv.Event{Name: "cache_replay", PID: pr.P.PID, Mod: ev.key, Val: uint64(len(ev.stores))})
 	return true, nil
 }

@@ -8,6 +8,7 @@ import (
 	"hemlock/internal/core"
 	"hemlock/internal/lds"
 	"hemlock/internal/objfile"
+	"hemlock/internal/obsv"
 	"hemlock/internal/shmfs"
 )
 
@@ -102,13 +103,26 @@ func TestLinkCacheInvalidateOnModuleMutation(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	ring := obsv.NewRing(256)
+	s.Obs().T.Attach(ring)
 	pg := launchRun(t, s, res.Image, env)
+	s.Obs().T.Detach(ring)
 	if pg.P.ExitCode != 9 {
 		t.Fatalf("post-mutation exit = %d, want 9 (stale cache replayed?)", pg.P.ExitCode)
 	}
 	c := counters(s)
 	if c["ldl.linkcache_invalidate"] != 1 {
 		t.Fatalf("invalidations = %d, want 1", c["ldl.linkcache_invalidate"])
+	}
+	// The trace names the entry and the template that invalidated it.
+	var inval []string
+	for _, e := range ring.Events() {
+		if e.Subsys == "ldl" && e.Name == "cache_invalidate" {
+			inval = append(inval, e.Mod)
+		}
+	}
+	if len(inval) != 1 || !strings.HasSuffix(inval[0], " by /lib/buf.o") {
+		t.Fatalf("cache_invalidate events = %q, want one naming /lib/buf.o", inval)
 	}
 	if c["ldl.linkcache_miss"] != 2 {
 		t.Fatalf("misses = %d, want 2 (initial + post-invalidation)", c["ldl.linkcache_miss"])

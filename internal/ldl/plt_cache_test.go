@@ -1,9 +1,9 @@
 package ldl_test
 
 // The lazy-link/SMC interaction: resolving a jump-table stub patches live
-// text the CPU has already predecoded (the BREAK handler rewinds PC to the
-// stub it just rewrote). The patched word must execute immediately — with
-// a stale predecoded instruction cache the program would spin on the BREAK
+// text the CPU has already decoded into a block (the BREAK handler rewinds
+// PC to the stub it just rewrote). The patched word must execute
+// immediately — with a stale block the program would spin on the BREAK
 // forever or call through the old stub.
 
 import (
@@ -33,17 +33,15 @@ func TestPLTPatchExecutesImmediatelyAfterHandler(t *testing.T) {
 	if s.W.Stats.PLTResolves != 1 {
 		t.Fatalf("PLT resolves = %d, want 1 (patched stub must be executed, not re-trapped)", s.W.Stats.PLTResolves)
 	}
-	// The stub was hot in a predecode cache when the handler patched it:
-	// under the block engine the stale block is rebuilt
-	// (vm.block_invalidate); on the per-instruction path the icache page
-	// refills (vm.icache_invalidate). Either way the invalidation must be
-	// recorded — a silent stale predecode is exactly the bug this test
+	// The stub was hot in a block when the handler patched it, so the
+	// stale block is rebuilt (vm.block_invalidate). The invalidation must
+	// be recorded — a silently stale block is exactly the bug this test
 	// exists to catch.
 	snap := s.Obs().R.Snapshot()
-	if snap.Counters["vm.icache_invalidate"]+snap.Counters["vm.block_invalidate"] == 0 {
-		t.Fatalf("no predecode invalidation recorded; stub patch executed stale text? (counters: %v)", snap.Counters)
+	if snap.Counters["vm.block_invalidate"] == 0 {
+		t.Fatalf("no block invalidation recorded; stub patch executed stale text? (counters: %v)", snap.Counters)
 	}
-	if snap.Counters["vm.icache_fill"]+snap.Counters["vm.block_build"] == 0 {
-		t.Fatalf("cache counters not live: %v", snap.Counters)
+	if snap.Counters["vm.block_build"] == 0 {
+		t.Fatalf("block counters not live: %v", snap.Counters)
 	}
 }

@@ -141,13 +141,12 @@ func (f *Frame) Refs() int { return int(f.refs.Load()) }
 // NoteStore records a mutation of the frame's bytes by bumping the
 // store-version counter. Every writer — the VM's store fast path, the
 // address-space write API, the shared file system — must call it BEFORE
-// the bytes change. Two VM consumers validate against Version: the
-// predecoded instruction cache on every fetch, and the block-translation
-// engine on every block entry (including entries through chain pointers).
-// That one counter is how a store into live text — ldl patching a
-// trampoline or jump-table slot, self-modifying code, a sibling process
-// writing through a shared frame — invalidates stale predecode and stale
-// translated blocks on the very next fetch.
+// the bytes change. The VM's block-translation engine validates against
+// Version on every block entry (including entries through chain
+// pointers). That one counter is how a store into live text — ldl
+// patching a trampoline or jump-table slot, self-modifying code, a sibling
+// process writing through a shared frame — invalidates stale translated
+// blocks on the very next fetch.
 func (f *Frame) NoteStore() { f.ver.Add(1) }
 
 // NoteStoreRange is NoteStore plus the dirty-byte watermark: writers that

@@ -58,6 +58,9 @@ type rng struct {
 
 // page is one page-granularity piece of segment content: either the full
 // page bytes or a set of byte-range deltas against the receiver's copy.
+// Full pages are not only Config.FullPage's encoding: syncs, full
+// resyncs, migration snapshots and pages with no dirty watermark send them
+// too.
 type page struct {
 	idx    uint32
 	gen    uint64 // generation at which this page content is current

@@ -86,9 +86,9 @@ type Config struct {
 	MigrateThreshold int
 
 	// FullPage disables dirty-byte delta encoding: every update carries
-	// full pages, as the pre-v3 protocol did. NewFleet sets it from
-	// HEMLOCK_NETSHM_DELTA=0; kept as a field so differentials can force
-	// either mode.
+	// full pages, as the pre-v3 protocol did. Its users are the reference
+	// side of TestDeltaMatchesFullPage and the full-page side of
+	// BenchmarkNetShmDeltaBytes, which feeds benchcheck's delta gate.
 	FullPage bool
 }
 
@@ -274,11 +274,6 @@ func (n *Node) wire(r *obsv.Registry) {
 	n.ctrWriteFwd = r.Counter("netshm.write_fwd")
 	n.ctrTxnCommits = r.Counter("netshm.txn_commits")
 	n.ctrTxnAborts = r.Counter("netshm.txn_aborts")
-}
-
-// egLess orders (epoch, gen) pairs lexicographically.
-func egLess(e1, g1, e2, g2 uint64) bool {
-	return e1 < e2 || (e1 == e2 && g1 < g2)
 }
 
 // ---- home-side API -----------------------------------------------------------

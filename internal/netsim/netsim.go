@@ -62,9 +62,6 @@ type Stats struct {
 	AllocBytes     uint64
 }
 
-// Lost is the total of both loss modes.
-func (s Stats) Lost() uint64 { return s.Dropped + s.Overflow }
-
 // NodeStats is one node's datagram accounting. Sent counts per-receiver
 // copies originated by the node; the remaining fields count copies
 // addressed to the node (Duplicated/Reordered/Delayed attribute the

@@ -19,13 +19,6 @@ func NewBuilder(name string) *Builder {
 	return &Builder{o: &Object{Name: name}}
 }
 
-// SetUsesGP marks the module as compiled with the global-pointer register
-// enabled (which ldl must reject for shared linking).
-func (b *Builder) SetUsesGP(v bool) *Builder {
-	b.o.UsesGP = v
-	return b
-}
-
 func (b *Builder) errf(format string, args ...interface{}) {
 	b.errs = append(b.errs, fmt.Errorf(format, args...))
 }
@@ -130,22 +123,6 @@ func (b *Builder) PointerAt(off uint32, target string, addend int32) *Builder {
 	return b
 }
 
-// RawData appends raw bytes to the data section without a symbol and
-// returns their offset.
-func (b *Builder) RawData(data []byte) uint32 {
-	b.padData(4)
-	off := uint32(len(b.o.Data))
-	b.o.Data = append(b.o.Data, data...)
-	return off
-}
-
-// DataLabel defines a symbol at the current end of the data section.
-func (b *Builder) DataLabel(name string, global bool) *Builder {
-	b.padData(4)
-	b.define(name, SecData, uint32(len(b.o.Data)), 0, global)
-	return b
-}
-
 // Text appends instruction words with a label at their start.
 func (b *Builder) Text(label string, words []uint32, global bool) *Builder {
 	off := uint32(len(b.o.Text))
@@ -155,12 +132,6 @@ func (b *Builder) Text(label string, words []uint32, global bool) *Builder {
 		b.o.Text = append(b.o.Text, enc[:]...)
 	}
 	b.define(label, SecText, off, uint32(4*len(words)), global)
-	return b
-}
-
-// TextReloc records a relocation against the text section.
-func (b *Builder) TextReloc(off uint32, target string, typ RelType, addend int32) *Builder {
-	b.o.Relocs = append(b.o.Relocs, Reloc{Section: SecText, Offset: off, Sym: b.symIndex(target), Type: typ, Addend: addend})
 	return b
 }
 

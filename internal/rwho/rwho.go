@@ -293,9 +293,6 @@ func Open(pg *core.Program) (*SharedDB, error) {
 	return &SharedDB{pg: pg, table: table, slots: slots, cache: map[string]int{}}, nil
 }
 
-// Slots returns the table capacity.
-func (d *SharedDB) Slots() int { return int(d.slots) }
-
 func encodeSlot(st Status) []byte {
 	buf := make([]byte, SlotSize)
 	copy(buf[:hostBytes], st.Host)

@@ -792,7 +792,7 @@ func (fs *FS) writeAtInode(nd *inode, off uint32, buf []byte) (int, error) {
 		fo := pos % mem.PageSize
 		// Writes may land in frames mapped executable elsewhere (ldl's
 		// filePatcher patches shared text this way); the version bump is
-		// what invalidates any predecoded instructions.
+		// what invalidates any block decoded from them.
 		n := len(buf) - done
 		if room := int(mem.PageSize - fo); n > room {
 			n = room
@@ -917,27 +917,6 @@ func (fs *FS) Truncate(p string, size uint32, uid int) error {
 	}
 	nd.size = size
 	nd.mtime = fs.tick()
-	return nil
-}
-
-// SetSize grows the logical size without zeroing (used by the linkers after
-// writing a module image through a mapping).
-func (fs *FS) SetSize(p string, size uint32) error {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	nd, err := fs.walk(p, true, 0)
-	if err != nil {
-		return err
-	}
-	if nd.typ != TypeFile {
-		return ErrIsDir
-	}
-	if err := fs.ensureFrames(nd, size); err != nil {
-		return err
-	}
-	if size > nd.size {
-		nd.size = size
-	}
 	return nil
 }
 
@@ -1161,9 +1140,6 @@ type Usage struct {
 	LargestFile uint32 // size of the fullest slot
 	LargestIno  int    // its inode (-1 when there are no files)
 }
-
-// SlotFill reports how full the fullest slot is, in [0,1].
-func (u Usage) SlotFill() float64 { return float64(u.LargestFile) / float64(MaxFile) }
 
 // InodeFill reports the allocated fraction of the inode table, in [0,1].
 func (u Usage) InodeFill() float64 { return float64(u.InodesInUse) / float64(u.InodesTotal) }

@@ -7,7 +7,7 @@ import (
 )
 
 // aluCases and immCases are package-level so ref_test.go can replay the
-// same vectors through ReferenceStep and assert fast/reference agreement.
+// same vectors through Step and assert RunBatch/Step agreement.
 var aluCases = []struct {
 	name string
 	word uint32

@@ -1,9 +1,8 @@
 package vm_test
 
 // Dispatch microbenchmarks: the cost of retiring one instruction, isolated
-// from linking, syscalls and fault handling. BENCH_3.json records the
-// before/after numbers for the software-TLB + predecoded-icache change;
-// scripts/bench.sh regenerates them.
+// from linking, syscalls and fault handling. scripts/bench.sh records them
+// in BENCH_<n>.json.
 
 import (
 	"testing"
@@ -65,8 +64,10 @@ func BenchmarkDispatch(b *testing.B) {
 	}
 }
 
-// BenchmarkDispatchStep measures the single-step entry point (what pdcall
-// and debugger-style callers pay).
+// BenchmarkDispatchStep measures Step, the cache-free reference the
+// differential harness compares RunBatch against and the block engine
+// retires budget tails with: every fetch, load and store goes through the
+// address space.
 func BenchmarkDispatchStep(b *testing.B) {
 	c := benchCPU(b)
 	b.ReportAllocs()

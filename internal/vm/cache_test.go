@@ -1,8 +1,9 @@
 package vm_test
 
-// Tests for the software TLB and predecoded instruction cache: every way a
-// cached translation or predecoded word can go stale must fault or refill
-// correctly on the very next access.
+// Tests for the D-TLB and the block engine's invalidation: every way a
+// cached translation or decoded block can go stale must fault or rebuild
+// correctly on the very next access. All of them drive RunBatch, the path
+// that owns the caches; Step has none.
 
 import (
 	"testing"
@@ -36,10 +37,12 @@ func putCode(t *testing.T, as *addrspace.Space, base uint32, words []uint32) {
 	}
 }
 
-func stepOK(t *testing.T, c *vm.CPU) {
+// runOK retires exactly n instructions through RunBatch.
+func runOK(t *testing.T, c *vm.CPU, n uint64) {
 	t.Helper()
-	if ev, err := c.Step(); err != nil || ev != vm.EventStep {
-		t.Fatalf("step at pc 0x%08x: ev=%v err=%v", c.PC, ev, err)
+	before := c.Steps
+	if ev, err := c.RunBatch(n); err != nil || ev != vm.EventStep || c.Steps-before != n {
+		t.Fatalf("batch of %d at pc 0x%08x: ev=%v err=%v retired=%d", n, c.PC, ev, err, c.Steps-before)
 	}
 }
 
@@ -55,15 +58,15 @@ func TestProtectDowngradeFaultsAfterTLBHit(t *testing.T) {
 	c := vm.New(as)
 	c.PC = benchTextBase
 	c.Regs[15] = benchDataBase
-	stepOK(t, c) // sw: fills the D-TLB with a write-capable entry
-	stepOK(t, c) // j
+	runOK(t, c, 2) // sw fills the D-TLB with a write-capable entry; j
+	runOK(t, c, 2) // sw hits it
 	if c.CacheStats().TLBHits == 0 {
 		t.Fatal("no TLB hits recorded on the warm path")
 	}
 	if err := as.Protect(benchDataBase, mem.PageSize, addrspace.ProtRead); err != nil {
 		t.Fatal(err)
 	}
-	_, err := c.Step() // sw again: cached entry must NOT be honoured
+	_, err := c.RunBatch(2) // sw again: cached entry must NOT be honoured
 	f, ok := vm.FaultOf(err)
 	if !ok {
 		t.Fatalf("expected write fault after downgrade, got %v", err)
@@ -78,7 +81,7 @@ func TestProtectDowngradeFaultsAfterTLBHit(t *testing.T) {
 	if err := as.Protect(benchDataBase, mem.PageSize, addrspace.ProtRW); err != nil {
 		t.Fatal(err)
 	}
-	stepOK(t, c)
+	runOK(t, c, 1)
 }
 
 // TestUnmapThenTouchFaults: a load with a warm D-TLB entry faults as
@@ -92,10 +95,12 @@ func TestUnmapThenTouchFaults(t *testing.T) {
 	c := vm.New(as)
 	c.PC = benchTextBase
 	c.Regs[15] = benchDataBase
-	stepOK(t, c)
-	stepOK(t, c)
+	runOK(t, c, 4)
+	if c.CacheStats().TLBHits == 0 {
+		t.Fatal("no TLB hits recorded on the warm path")
+	}
 	as.Unmap(benchDataBase, mem.PageSize)
-	_, err := c.Step()
+	_, err := c.RunBatch(2)
 	f, ok := vm.FaultOf(err)
 	if !ok || !f.Unmapped || f.Access != addrspace.AccessRead {
 		t.Fatalf("expected unmapped read fault, got %v", err)
@@ -103,9 +108,9 @@ func TestUnmapThenTouchFaults(t *testing.T) {
 }
 
 // TestSelfModifyingTextNextFetch is the core SMC guarantee: a store into a
-// page whose instructions are already predecoded must be visible on the
-// very next fetch. The program overwrites an instruction it has already
-// executed with a J and immediately jumps back to it.
+// page whose instructions are already decoded into a block must be visible
+// on the very next fetch. The program overwrites an instruction it has
+// already executed with a J and immediately jumps back to it.
 func TestSelfModifyingTextNextFetch(t *testing.T) {
 	const escape = benchTextBase + 0x40
 	as := newSpace(t)
@@ -119,27 +124,28 @@ func TestSelfModifyingTextNextFetch(t *testing.T) {
 	c.PC = benchTextBase
 	c.Regs[8] = isa.EncodeJ(isa.OpJ, escape) // t0: the replacement J word
 	c.Regs[9] = benchTextBase                // t1: victim address
-	stepOK(t, c)                             // victim executes (and is predecoded)
-	stepOK(t, c)                             // store patches the victim in live text
-	stepOK(t, c)                             // jump back
-	if c.PC != benchTextBase {
-		t.Fatalf("pc = 0x%08x, want victim address", c.PC)
+	// victim, store, jump back, then the patched J, then HALT.
+	ev, err := c.RunBatch(100)
+	if err != nil || ev != vm.EventHalt {
+		t.Fatalf("ev=%v err=%v at pc 0x%08x, want halt", ev, err, c.PC)
 	}
-	stepOK(t, c) // very next step: must run the patched J, not stale predecode
 	if c.PC != escape {
-		t.Fatalf("patched instruction not executed: pc = 0x%08x, want 0x%08x (stale predecode?)", c.PC, escape)
+		t.Fatalf("patched instruction not executed: pc = 0x%08x, want 0x%08x (stale block?)", c.PC, escape)
 	}
 	if c.Regs[10] != 1 {
 		t.Fatalf("victim retired %d times, want exactly 1", c.Regs[10])
 	}
-	if st := c.CacheStats(); st.ICInvals == 0 {
-		t.Fatal("icache invalidation not recorded for store-to-text")
+	if c.Steps != 5 {
+		t.Fatalf("steps = %d, want 5", c.Steps)
+	}
+	if st := c.CacheStats(); st.BlockInvals == 0 {
+		t.Fatal("block invalidation not recorded for store-to-text")
 	}
 }
 
 // TestHostPatchVisibleToCachedText: patches applied through the Space API
 // (how ldl rewrites trampolines and image relocations) also invalidate
-// predecode via the frame version.
+// decoded blocks via the frame version.
 func TestHostPatchVisibleToCachedText(t *testing.T) {
 	const escape = benchTextBase + 0x40
 	as := newSpace(t)
@@ -149,15 +155,17 @@ func TestHostPatchVisibleToCachedText(t *testing.T) {
 	})
 	c := vm.New(as)
 	c.PC = benchTextBase
-	stepOK(t, c)
-	stepOK(t, c)
+	runOK(t, c, 4)
 	// Host-side patch (the ldl path) while the loop is hot.
 	if err := as.StoreWord(benchTextBase, isa.EncodeJ(isa.OpJ, escape)); err != nil {
 		t.Fatal(err)
 	}
-	stepOK(t, c)
+	runOK(t, c, 1)
 	if c.PC != escape {
 		t.Fatalf("host patch not picked up: pc = 0x%08x, want 0x%08x", c.PC, escape)
+	}
+	if st := c.CacheStats(); st.BlockInvals == 0 {
+		t.Fatal("block invalidation not recorded for a host patch")
 	}
 }
 
@@ -173,8 +181,10 @@ func TestSnapshotDropsCaches(t *testing.T) {
 	c := vm.New(as)
 	c.PC = benchTextBase
 	c.Regs[15] = benchDataBase
-	stepOK(t, c)
-	stepOK(t, c)
+	runOK(t, c, 4)
+	if c.CacheStats().TLBHits == 0 {
+		t.Fatal("no TLB hits recorded on the warm path")
+	}
 
 	// The "child": same architectural state, different space with its own
 	// data page contents.
@@ -194,7 +204,7 @@ func TestSnapshotDropsCaches(t *testing.T) {
 	}
 	child := c.Snapshot()
 	child.AS = as2
-	stepOK(t, &child)
+	runOK(t, &child, 1)
 	if child.Regs[12] != 0xDEADBEEF {
 		t.Fatalf("child read 0x%08x through a stale cache, want its own 0xDEADBEEF", child.Regs[12])
 	}

@@ -1,11 +1,8 @@
 package vm
 
-// The reference interpreter: the cache-free twin the differential-testing
-// harness (internal/harness) races against the TLB + icache fast path.
-// ReferenceStep shares the exec switch with Step — the point of the
-// comparison is the translation and predecode caching added in PR 3, not
-// the ALU — but every fetch, load and store goes through the canonical
-// addrspace paths, so no cached state can leak into the oracle run.
+// State digests for the differential-testing harness (internal/harness),
+// which runs each program on RunBatch and on the cache-free Step and
+// compares the two runs' final states.
 
 import (
 	"fmt"
@@ -15,19 +12,6 @@ import (
 	"hemlock/internal/addrspace"
 	"hemlock/internal/mem"
 )
-
-// ReferenceStep fetches, decodes and executes one instruction with every
-// memory access routed through the address space directly: no TLB probe,
-// no predecoded icache, no generation or frame-version shortcuts. Trap
-// semantics are identical to Step (PC and registers untouched on a trap).
-// Mixing ReferenceStep and Step on one CPU is safe: the caches simply see
-// no traffic while the reference path runs.
-func (c *CPU) ReferenceStep() (Event, error) {
-	c.uncached = true
-	ev, err := c.Step()
-	c.uncached = false
-	return ev, err
-}
 
 // StateHash digests the CPU's architectural state — registers, PC, and
 // every mapped page's address, protection and content — into one 64-bit

@@ -4,11 +4,11 @@ import (
 	"testing"
 )
 
-// runRef executes up to limit steps through ReferenceStep, mirroring the
+// runRef executes up to limit instructions through Step, mirroring the
 // Run loop's stop conditions.
 func runRef(c *CPU, limit int) (Event, error) {
 	for i := 0; i < limit; i++ {
-		ev, err := c.ReferenceStep()
+		ev, err := c.Step()
 		if err != nil || ev != EventStep {
 			return ev, err
 		}
@@ -17,8 +17,8 @@ func runRef(c *CPU, limit int) (Event, error) {
 }
 
 // TestReferenceAgreesOnALUVectors replays the alu_test.go case tables on
-// both the cached fast path and the cache-free reference stepper and
-// demands bit-identical final state (registers, PC, memory hash).
+// both the block engine (RunBatch) and the cache-free Step and demands
+// bit-identical final state (registers, PC, memory hash).
 func TestReferenceAgreesOnALUVectors(t *testing.T) {
 	for _, c := range aluCases {
 		fast := loadProgram(t, ".text\n nop\n halt\n", 0x1000)
@@ -72,17 +72,17 @@ func TestReferenceAgreesOnImmediateVectors(t *testing.T) {
 	}
 }
 
-// TestReferenceSeesSMCWithoutInvalidation: the reference path must never
-// consult the icache, so a store into text is visible on the very next
-// reference fetch even if the cached predecode were stale.
+// TestReferenceSeesSMCWithoutInvalidation: Step must never consult the
+// block cache, so a store into text is visible on the very next Step even
+// if a cached block were stale.
 func TestReferenceSeesSMCWithoutInvalidation(t *testing.T) {
 	c := loadProgram(t, ".text\n nop\n nop\n halt\n", 0x1000)
-	// Warm the fast-path icache over the whole program first.
+	// Warm the block cache over the whole program first.
 	if _, err := c.Run(10); err != nil {
 		t.Fatal(err)
 	}
 	// Rewind and patch the second nop into `ori $t3, $zero, 0x55`
-	// behind the interpreter's back, then run on the reference path.
+	// behind the interpreter's back, then run through Step.
 	c.PC = 0x1000
 	c.AS.StoreWord(0x1004, 0x340B0055)
 	if _, err := runRef(c, 10); err != nil {

@@ -8,20 +8,21 @@
 // lazy linking and map-on-pointer-dereference depend on ("It then restarts
 // the faulting instruction").
 //
-// # Translation and dispatch caches
+// # Two executors
 //
-// Like the R3000 the paper ran on, the interpreter amortises translation
-// through a TLB. Each CPU carries a private direct-mapped D-TLB and I-TLB
-// (no locking on a hit) validated against the address space's mapping
-// generation (addrspace.Space.Gen): any map/unmap/protect bumps the
-// generation and every cached entry goes stale at once. On top of the
-// I-TLB sits a per-page predecoded instruction cache, validated against
-// the backing frame's store version (mem.Frame.Version), so straight-line
-// code skips both FetchWord and Decode. Because ldl patches live text —
-// trampolines and jump-table slots are the paper's core mechanism — every
-// store bumps the frame version, and a store into cached text is picked up
-// on the very next fetch, even when the store came from a different
-// process sharing the frame.
+// RunBatch is the one production executor: the basic-block engine
+// (block.go) decodes straight-line runs once, chains and fuses them, and
+// reaches data through a per-CPU direct-mapped D-TLB validated against the
+// address space's mapping generation (addrspace.Space.Gen). Blocks are
+// validated against the backing frame's store version (mem.Frame.Version),
+// so a store into live text — ldl patching a trampoline or jump-table
+// slot, self-modifying code, a store from another process sharing the
+// frame — is picked up on the very next fetch.
+//
+// Step is the cache-free reference: every fetch, load and store goes
+// straight through the address space. The differential harness holds
+// RunBatch bit-identical to it, and the block engine uses it to retire a
+// batch's last few instructions when the budget ends inside a fused op.
 package vm
 
 import (
@@ -85,16 +86,13 @@ var ErrIllegal = errors.New("illegal instruction")
 // ErrDivZero is wrapped by traps on division by zero.
 var ErrDivZero = errors.New("integer divide by zero")
 
-// Cache geometry. Direct-mapped: the low index bits of the VPN pick the
+// D-TLB geometry. Direct-mapped: the low index bits of the VPN pick the
 // slot, the full VPN is the tag. Sized for the working sets the linkers
 // produce (an image, a few shared modules, a stack) rather than for
 // associativity games.
 const (
 	tlbBits = 6
-	tlbSize = 1 << tlbBits // I-TLB and D-TLB entries per CPU
-
-	icBits = 4
-	icSize = 1 << icBits // predecoded text pages per CPU
+	tlbSize = 1 << tlbBits // D-TLB entries per CPU
 
 	pageWords = mem.PageSize / 4
 )
@@ -108,10 +106,8 @@ type tlbEnt struct {
 	prot  addrspace.Prot
 }
 
-// pinst is the icache's compact predecode: the same fields isa.Inst
-// carries, packed into 12 bytes instead of 64 so an icPage costs 12 KB
-// rather than 64 KB — short-lived processes allocate these per executed
-// text page, so the size shows up in launch cost.
+// pinst is one decoded instruction word: the fields isa.Inst carries,
+// packed into 12 bytes.
 type pinst struct {
 	word      uint32
 	imm       uint16
@@ -133,28 +129,11 @@ func predecode(w uint32) pinst {
 	}
 }
 
-// icPage is one predecoded text page. Words decode lazily (the decoded
-// bitmap) so the cache never reads bytes the program did not execute —
-// predecoding a whole page eagerly would read words a concurrently running
-// sibling might be writing. fver pins the backing frame's store version:
-// any store to the frame (self-modifying code, an ldl patch, a store from
-// a process sharing the page) makes the entry stale.
-type icPage struct {
-	frame   *mem.Frame
-	fver    uint64
-	vpn     uint32
-	valid   bool
-	decoded [pageWords / 64]uint64
-	code    [pageWords]pinst
-}
-
-// CacheStats is the cumulative TLB/icache/block-engine accounting for one
+// CacheStats is the cumulative D-TLB and block-engine accounting for one
 // CPU.
 type CacheStats struct {
-	TLBHits   uint64 // I- or D-TLB hit: no lock, no map lookup
+	TLBHits   uint64 // D-TLB hit: no lock, no map lookup
 	TLBMisses uint64 // slow-path Translate (fills a slot, or builds a block)
-	ICFills   uint64 // predecoded page (re)filled
-	ICInvals  uint64 // fill that replaced a stale entry for the same page
 
 	BlockBuilds uint64 // basic blocks decoded (vm.block_build)
 	BlockHits   uint64 // block entries served without a build (vm.block_hit)
@@ -174,11 +153,10 @@ type CPU struct {
 	// kernel-wide vm.traps counter. Nil-safe; fork shares the pointer.
 	CtrTraps *obsv.Counter
 
-	// Cache counters (vm.tlb_hit, vm.tlb_miss, vm.icache_fill,
-	// vm.icache_invalidate), wired by kern.Spawn. The hot path accumulates
-	// in the plain per-CPU stats fields; FlushObsv folds the deltas into
-	// these shared atomics at batch boundaries.
-	CtrTLBHit, CtrTLBMiss, CtrICFill, CtrICInval *obsv.Counter
+	// Cache counters (vm.tlb_hit, vm.tlb_miss), wired by kern.Spawn. The
+	// hot path accumulates in the plain per-CPU stats fields; FlushObsv
+	// folds the deltas into these shared atomics at batch boundaries.
+	CtrTLBHit, CtrTLBMiss *obsv.Counter
 
 	// Block-engine counters (vm.block_build, vm.block_hit,
 	// vm.block_invalidate, vm.fused_ops), wired by kern.Spawn and folded
@@ -188,25 +166,12 @@ type CPU struct {
 	stats   CacheStats
 	flushed CacheStats
 
-	// uncached routes every fetch, load and store through the canonical
-	// addrspace paths, bypassing the TLBs and the icache entirely. It is
-	// the reference-interpreter mode the differential-testing harness
-	// compares the cached fast path against (ReferenceStep).
-	uncached bool
-	refInst  pinst // scratch predecode slot for uncached fetches
-
-	// blocksOff disables the basic-block engine for batched execution
-	// (SetBlockEngine, or HEMLOCK_BLOCK_ENGINE=0 at process level).
-	blocksOff bool
-
 	// sampler, when installed via SetSampler, receives guest-PC samples at
 	// batch and block boundaries. Nil (the default) costs one comparison
 	// per boundary.
 	sampler Sampler
 
 	dtlb [tlbSize]tlbEnt
-	itlb [tlbSize]tlbEnt
-	ic   [icSize]*icPage
 
 	// bc is the basic-block cache, allocated on first use: the 4 KB
 	// pointer array would otherwise dominate the size of a CPU that never
@@ -216,7 +181,7 @@ type CPU struct {
 
 // New returns a CPU bound to the given address space.
 func New(as *addrspace.Space) *CPU {
-	return &CPU{AS: as, blocksOff: !blockEngineDefault}
+	return &CPU{AS: as}
 }
 
 func (c *CPU) set(r uint8, v uint32) {
@@ -232,7 +197,7 @@ func (c *CPU) trap(pc uint32, err error) (Event, error) {
 	return EventStep, &Trap{PC: pc, Err: err}
 }
 
-// CacheStats returns the CPU's cumulative TLB/icache statistics.
+// CacheStats returns the CPU's cumulative D-TLB and block statistics.
 func (c *CPU) CacheStats() CacheStats { return c.stats }
 
 // FlushObsv folds cache statistics accumulated since the last flush into
@@ -242,24 +207,11 @@ func (c *CPU) CacheStats() CacheStats { return c.stats }
 func (c *CPU) FlushObsv() {
 	c.CtrTLBHit.Add(c.stats.TLBHits - c.flushed.TLBHits)
 	c.CtrTLBMiss.Add(c.stats.TLBMisses - c.flushed.TLBMisses)
-	c.CtrICFill.Add(c.stats.ICFills - c.flushed.ICFills)
-	c.CtrICInval.Add(c.stats.ICInvals - c.flushed.ICInvals)
 	c.CtrBlockBuild.Add(c.stats.BlockBuilds - c.flushed.BlockBuilds)
 	c.CtrBlockHit.Add(c.stats.BlockHits - c.flushed.BlockHits)
 	c.CtrBlockInval.Add(c.stats.BlockInvals - c.flushed.BlockInvals)
 	c.CtrFusedOps.Add(c.stats.FusedOps - c.flushed.FusedOps)
 	c.flushed = c.stats
-}
-
-// FlushCaches drops every TLB, icache and block-cache entry. Required
-// after pointing the CPU at a different address space; never required for
-// mapping changes (the generation check catches those) or stores (the
-// frame version check catches those).
-func (c *CPU) FlushCaches() {
-	c.dtlb = [tlbSize]tlbEnt{}
-	c.itlb = [tlbSize]tlbEnt{}
-	c.ic = [icSize]*icPage{}
-	c.bc = nil
 }
 
 // dentry returns a valid D-TLB entry for addr with the needed right,
@@ -282,8 +234,8 @@ func (c *CPU) dentry(addr uint32, a addrspace.Access) (*tlbEnt, *addrspace.Fault
 }
 
 func (c *CPU) loadWord(addr uint32) (uint32, error) {
-	if addr&3 != 0 || c.uncached {
-		return c.AS.LoadWord(addr) // canonical path (also the unaligned error)
+	if addr&3 != 0 {
+		return c.AS.LoadWord(addr) // canonical unaligned error
 	}
 	e, flt := c.dentry(addr, addrspace.AccessRead)
 	if flt != nil {
@@ -293,9 +245,6 @@ func (c *CPU) loadWord(addr uint32) (uint32, error) {
 }
 
 func (c *CPU) loadByte(addr uint32) (byte, error) {
-	if c.uncached {
-		return c.AS.LoadByte(addr)
-	}
 	e, flt := c.dentry(addr, addrspace.AccessRead)
 	if flt != nil {
 		return 0, flt
@@ -304,27 +253,24 @@ func (c *CPU) loadByte(addr uint32) (byte, error) {
 }
 
 func (c *CPU) storeWord(addr, val uint32) error {
-	if addr&3 != 0 || c.uncached {
-		return c.AS.StoreWord(addr, val) // canonical path (also the unaligned error)
+	if addr&3 != 0 {
+		return c.AS.StoreWord(addr, val) // canonical unaligned error
 	}
 	e, flt := c.dentry(addr, addrspace.AccessWrite)
 	if flt != nil {
 		return flt
 	}
 	// Self-modifying-code protocol: StoreWordBE bumps the frame version
-	// before the bytes change, so any icache entry predecoded from this
-	// frame — ours or a sibling CPU's — fails its version check on next
-	// fetch. The store itself is host-atomic: a sibling CPU concurrently
-	// loading or fetching this word sees the old word or the new one,
-	// never a torn mix.
+	// before the bytes change, so any block decoded from this frame — ours
+	// or a sibling CPU's — fails its version check on next entry. The
+	// store itself is host-atomic: a sibling CPU concurrently loading or
+	// fetching this word sees the old word or the new one, never a torn
+	// mix.
 	e.frame.StoreWordBE(addr&(mem.PageSize-1), val)
 	return nil
 }
 
 func (c *CPU) storeByte(addr uint32, val byte) error {
-	if c.uncached {
-		return c.AS.StoreByte(addr, val)
-	}
 	e, flt := c.dentry(addr, addrspace.AccessWrite)
 	if flt != nil {
 		return flt
@@ -334,72 +280,22 @@ func (c *CPU) storeByte(addr uint32, val byte) error {
 	return nil
 }
 
-// fetch returns the predecoded instruction at pc. The fast path is an
-// I-TLB probe (generation check), an icache probe (frame version check)
-// and a bitmap test; the slow paths fill the missing level and retry.
-func (c *CPU) fetch(pc uint32) (*pinst, error) {
-	if c.uncached {
-		w, err := c.AS.FetchWord(pc)
-		if err != nil {
-			return nil, err
-		}
-		c.refInst = predecode(w)
-		return &c.refInst, nil
-	}
-	if pc&3 != 0 {
-		_, err := c.AS.FetchWord(pc) // canonical unaligned-fetch error
-		return nil, err
-	}
-	vp := pc >> mem.PageShift
-	e := &c.itlb[vp&(tlbSize-1)]
-	if e.frame != nil && e.vpn == vp && e.gen == c.AS.Gen() {
-		c.stats.TLBHits++
-	} else {
-		ent, flt := c.AS.Translate(pc, addrspace.AccessExec)
-		if flt != nil {
-			return nil, flt
-		}
-		c.stats.TLBMisses++
-		e.frame, e.gen, e.vpn, e.prot = ent.Frame, ent.Gen, vp, ent.Prot
-	}
-	pg := c.ic[vp&(icSize-1)]
-	if pg == nil {
-		pg = new(icPage)
-		c.ic[vp&(icSize-1)] = pg
-	}
-	// Read the frame version BEFORE any instruction bytes: a store racing
-	// past this point leaves us with predecode at least as old as fver, so
-	// the next fetch's version check refills.
-	fv := e.frame.Version()
-	if !pg.valid || pg.vpn != vp || pg.frame != e.frame || pg.fver != fv {
-		if pg.valid && pg.vpn == vp && pg.frame == e.frame {
-			c.stats.ICInvals++ // stale predecode: text was stored into
-		}
-		pg.frame, pg.fver, pg.vpn, pg.valid = e.frame, fv, vp, true
-		pg.decoded = [pageWords / 64]uint64{}
-		c.stats.ICFills++
-	}
-	wi := (pc & (mem.PageSize - 1)) >> 2
-	if pg.decoded[wi>>6]&(1<<(wi&63)) == 0 {
-		pg.code[wi] = predecode(e.frame.LoadWordBE(pc & (mem.PageSize - 1)))
-		pg.decoded[wi>>6] |= 1 << (wi & 63)
-	}
-	return &pg.code[wi], nil
-}
-
-// Step fetches, decodes and executes one instruction. On a memory fault it
+// Step fetches, decodes and executes one instruction with every memory
+// access routed through the address space directly: no D-TLB probe, no
+// block, no generation or frame-version shortcut. It is the reference the
+// differential harness holds RunBatch against. On a memory fault it
 // returns a *Trap and leaves PC/registers untouched so the instruction can
 // be restarted after the fault is serviced.
 func (c *CPU) Step() (Event, error) {
-	in, err := c.fetch(c.PC)
+	w, err := c.AS.FetchWord(c.PC)
 	if err != nil {
 		return c.trap(c.PC, err)
 	}
-	return c.exec(in)
+	return c.exec(predecode(w))
 }
 
-// exec retires one predecoded instruction.
-func (c *CPU) exec(in *pinst) (Event, error) {
+// exec retires one decoded instruction.
+func (c *CPU) exec(in pinst) (Event, error) {
 	next := c.PC + 4
 	switch in.op {
 	case isa.OpSpecial:
@@ -509,33 +405,33 @@ func (c *CPU) exec(in *pinst) (Event, error) {
 		c.set(in.rt, uint32(in.imm)<<16)
 	case isa.OpLW:
 		addr := c.Regs[in.rs] + isa.SignExt(in.imm)
-		v, err := c.loadWord(addr)
+		v, err := c.AS.LoadWord(addr)
 		if err != nil {
 			return c.trap(c.PC, err)
 		}
 		c.set(in.rt, v)
 	case isa.OpLB:
 		addr := c.Regs[in.rs] + isa.SignExt(in.imm)
-		b, err := c.loadByte(addr)
+		b, err := c.AS.LoadByte(addr)
 		if err != nil {
 			return c.trap(c.PC, err)
 		}
 		c.set(in.rt, uint32(int32(int8(b))))
 	case isa.OpLBU:
 		addr := c.Regs[in.rs] + isa.SignExt(in.imm)
-		b, err := c.loadByte(addr)
+		b, err := c.AS.LoadByte(addr)
 		if err != nil {
 			return c.trap(c.PC, err)
 		}
 		c.set(in.rt, uint32(b))
 	case isa.OpSW:
 		addr := c.Regs[in.rs] + isa.SignExt(in.imm)
-		if err := c.storeWord(addr, c.Regs[in.rt]); err != nil {
+		if err := c.AS.StoreWord(addr, c.Regs[in.rt]); err != nil {
 			return c.trap(c.PC, err)
 		}
 	case isa.OpSB:
 		addr := c.Regs[in.rs] + isa.SignExt(in.imm)
-		if err := c.storeByte(addr, byte(c.Regs[in.rt])); err != nil {
+		if err := c.AS.StoreByte(addr, byte(c.Regs[in.rt])); err != nil {
 			return c.trap(c.PC, err)
 		}
 	case isa.OpHALT:
@@ -546,42 +442,6 @@ func (c *CPU) exec(in *pinst) (Event, error) {
 	}
 	c.PC = next
 	c.Steps++
-	return EventStep, nil
-}
-
-// RunBatch retires up to max instructions, stopping early at the first
-// non-step event or trap (EventStep with a nil error means the budget ran
-// out). This is the kernel's fast path: the block engine decodes, chains
-// and fuses straight-line runs (block.go), and cache statistics are
-// flushed to the obsv counters once per batch rather than once per
-// instruction. With the engine off it falls back to the per-instruction
-// icache path.
-func (c *CPU) RunBatch(max uint64) (Event, error) {
-	if c.blocksOff || c.uncached {
-		return c.runBatchSlow(max)
-	}
-	return c.runBlockEngine(max)
-}
-
-// runBatchSlow is the per-instruction batch loop (the PR-3 fast path):
-// fetch through the I-TLB + predecoded icache, execute, repeat. The block
-// engine delegates budget tails to it so a batch never over-retires.
-func (c *CPU) runBatchSlow(max uint64) (Event, error) {
-	c.sample(0)
-	for n := uint64(0); n < max; n++ {
-		in, err := c.fetch(c.PC)
-		if err != nil {
-			ev, terr := c.trap(c.PC, err)
-			c.FlushObsv()
-			return ev, terr
-		}
-		ev, err := c.exec(in)
-		if err != nil || ev != EventStep {
-			c.FlushObsv()
-			return ev, err
-		}
-	}
-	c.FlushObsv()
 	return EventStep, nil
 }
 
@@ -597,17 +457,16 @@ func (c *CPU) Run(maxSteps uint64) (Event, error) {
 }
 
 // AdoptArchState copies from's architectural state — registers, PC,
-// retired-instruction and trap counts, block-engine mode, sampler — into c,
-// keeping c's own address space, wired counters and (cold) caches. fork
-// uses it to reuse the CPU Spawn already allocated instead of paying for a
-// second ~8 KB CPU per clone; cache state is deliberately not copied for
-// the same reason Snapshot omits it.
+// retired-instruction and trap counts, sampler — into c, keeping c's own
+// address space, wired counters and (cold) caches. fork uses it to reuse
+// the CPU Spawn already allocated instead of paying for a second CPU per
+// clone; cache state is deliberately not copied for the same reason
+// Snapshot omits it.
 func (c *CPU) AdoptArchState(from *CPU) {
 	c.Regs = from.Regs
 	c.PC = from.PC
 	c.Steps = from.Steps
 	c.Traps = from.Traps
-	c.blocksOff = from.blocksOff
 	c.sampler = from.sampler
 }
 
@@ -625,13 +484,10 @@ func (c *CPU) Snapshot() CPU {
 		CtrTraps:      c.CtrTraps,
 		CtrTLBHit:     c.CtrTLBHit,
 		CtrTLBMiss:    c.CtrTLBMiss,
-		CtrICFill:     c.CtrICFill,
-		CtrICInval:    c.CtrICInval,
 		CtrBlockBuild: c.CtrBlockBuild,
 		CtrBlockHit:   c.CtrBlockHit,
 		CtrBlockInval: c.CtrBlockInval,
 		CtrFusedOps:   c.CtrFusedOps,
-		blocksOff:     c.blocksOff,
 		sampler:       c.sampler,
 	}
 }
