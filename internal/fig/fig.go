@@ -70,6 +70,11 @@ func Decode(data []byte) ([]Shape, error) {
 	if _, err := fmt.Sscanf(lines[1], "objects %d", &count); err != nil {
 		return nil, fmt.Errorf("%w: bad object count", ErrBadFigure)
 	}
+	// One object per line: a count the lines cannot hold is a lie, and
+	// must not size the allocation.
+	if count < 0 || count > len(lines)-2 {
+		return nil, fmt.Errorf("%w: header says %d objects in %d lines", ErrBadFigure, count, len(lines)-2)
+	}
 	shapes := make([]Shape, 0, count)
 	for _, line := range lines[2:] {
 		if strings.TrimSpace(line) == "" {
@@ -80,8 +85,12 @@ func Decode(data []byte) ([]Shape, error) {
 			return nil, fmt.Errorf("%w: %q", ErrBadFigure, line)
 		}
 		var s Shape
+		kind, err := strconv.ParseUint(parts[0], 10, 32)
+		if err != nil {
+			return nil, fmt.Errorf("%w: %q", ErrBadFigure, line)
+		}
 		vals := make([]int64, 5)
-		for i := 0; i < 5; i++ {
+		for i := 1; i < 5; i++ {
 			v, err := strconv.ParseInt(parts[i], 10, 32)
 			if err != nil {
 				return nil, fmt.Errorf("%w: %q", ErrBadFigure, line)
@@ -92,7 +101,7 @@ func Decode(data []byte) ([]Shape, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%w: label %q", ErrBadFigure, parts[5])
 		}
-		s.Kind, s.X, s.Y, s.W, s.H = uint32(vals[0]), int32(vals[1]), int32(vals[2]), int32(vals[3]), int32(vals[4])
+		s.Kind, s.X, s.Y, s.W, s.H = uint32(kind), int32(vals[1]), int32(vals[2]), int32(vals[3]), int32(vals[4])
 		s.Label = label
 		shapes = append(shapes, s)
 	}

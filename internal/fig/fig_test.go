@@ -31,6 +31,9 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 		[]byte("#FIG-lite 1.0\nobjects 1\n1 2 3\n"),
 		[]byte("#FIG-lite 1.0\nobjects 2\n1 0 0 1 1 \"x\"\n"),
 		[]byte("#FIG-lite 1.0\nobjects 1\n1 0 0 1 1 unquoted\n"),
+		[]byte("#FIG-lite 1.0\nobjects -1\n"),       // panicked sizing the slice
+		[]byte("#FIG-lite 1.0\nobjects 20000000\n"), // allocated 781 MB
+		[]byte("#FIG-lite 1.0\nobjects 1\n-1 0 0 1 1 \"x\"\n"),
 	}
 	for _, c := range cases {
 		if _, err := Decode(c); !errors.Is(err, ErrBadFigure) {

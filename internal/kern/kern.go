@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"hemlock/internal/addrspace"
 	"hemlock/internal/layout"
@@ -80,12 +79,6 @@ type Kernel struct {
 	hRunSteps    *obsv.Histogram
 
 	pdServices []*pdService
-
-	// sched is the attached SMP scheduler, nil until a client (the serve
-	// daemon, a test harness) brings one up. Kernel.Run keeps working
-	// without one — a single-CPU world is just the machine with no
-	// scheduler attached.
-	sched atomic.Pointer[Scheduler]
 
 	// Zygote registry: parked, fully linked template processes keyed by
 	// launch content hash (see zygote.go). Templates live outside the

@@ -179,13 +179,6 @@ func NewScheduler(k *Kernel, cfg SchedConfig) *Scheduler {
 // CPUs returns the number of guest CPUs.
 func (s *Scheduler) CPUs() int { return s.ncpu }
 
-// AttachScheduler publishes s as the kernel's scheduler (see Kernel.Sched).
-func (k *Kernel) AttachScheduler(s *Scheduler) { k.sched.Store(s) }
-
-// DetachScheduler clears the attached scheduler (the caller still owns
-// stopping it).
-func (k *Kernel) DetachScheduler() { k.sched.Store(nil) }
-
 // Submit queues p to run for at most maxSteps retired instructions and
 // returns a Task to wait on. Each process may be on at most one task at a
 // time — a process is a single guest CPU's worth of architectural state.

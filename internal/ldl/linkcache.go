@@ -38,6 +38,7 @@ import (
 	"hemlock/internal/objfile"
 	"hemlock/internal/obsv"
 	"hemlock/internal/shmfs"
+	"hemlock/internal/wire"
 )
 
 // CacheDir is where link-cache entries live in the shared file system.
@@ -548,10 +549,15 @@ func (pr *Proc) writeCache() {
 	}
 	entry.mu.Lock()
 	entry.deps = deps
-	data := encodeCache(entry)
+	data, err := encodeCache(entry)
 	oldSize := entry.size
-	entry.size = len(data)
+	if err == nil {
+		entry.size = len(data)
+	}
 	entry.mu.Unlock()
+	if err != nil {
+		return // a string past the u16 limit: the launch stays uncached
+	}
 
 	fs := w.K.FS
 	path := cachePath(entry.key)
@@ -700,185 +706,115 @@ func (pr *Proc) replayLink(in *Instance, ev *cacheEvent) (bool, error) {
 
 // ---- codec -----------------------------------------------------------------
 
-type cacheEnc struct{ b []byte }
-
-func (e *cacheEnc) u8(v byte)    { e.b = append(e.b, v) }
-func (e *cacheEnc) u16(v uint16) { e.b = append(e.b, byte(v>>8), byte(v)) }
-func (e *cacheEnc) u32(v uint32) {
-	e.b = append(e.b, byte(v>>24), byte(v>>16), byte(v>>8), byte(v))
-}
-func (e *cacheEnc) u64(v uint64) {
-	e.u32(uint32(v >> 32))
-	e.u32(uint32(v))
-}
-func (e *cacheEnc) str(s string) {
-	e.u16(uint16(len(s)))
-	e.b = append(e.b, s...)
-}
+// An entry is encoded with the internal/wire primitives: big-endian
+// integers, strings as u16 length + bytes, lists as a u32 count +
+// elements, flags as one 0/1 byte.
+//
+//	"HLC1" | key string | deps: (path string | cv u64)* | startMapped u32 |
+//	events: (key string | stores: (file u8 | path string | addr u32 | val u32)* |
+//	         pendBase u32 | pendKeep: u32* | imageBase u32 | imageKeep: u32* |
+//	         trampStart u32 | trampNext u32 | relocs u32 | lazy u32)*
 
 // encodeCache serialises an entry. Caller holds entry.mu.
-func encodeCache(e *cacheEntry) []byte {
-	enc := &cacheEnc{}
-	enc.b = append(enc.b, CacheMagic...)
-	enc.str(e.key)
-	enc.u32(uint32(len(e.deps)))
+func encodeCache(e *cacheEntry) ([]byte, error) {
+	enc := wire.NewEncoder(nil)
+	enc.Raw([]byte(CacheMagic))
+	enc.Str(e.key)
+	enc.Count32(len(e.deps))
 	for _, d := range e.deps {
-		enc.str(d.path)
-		enc.u64(d.cv)
+		enc.Str(d.path)
+		enc.U64(d.cv)
 	}
-	enc.u32(uint32(e.startMapped))
+	enc.U32(uint32(e.startMapped))
 	var done []*cacheEvent
 	for _, k := range e.order {
 		if ev := e.events[k]; ev != nil && ev.done {
 			done = append(done, ev)
 		}
 	}
-	enc.u32(uint32(len(done)))
+	enc.Count32(len(done))
 	for _, ev := range done {
-		enc.str(ev.key)
-		enc.u32(uint32(len(ev.stores)))
+		enc.Str(ev.key)
+		enc.Count32(len(ev.stores))
 		for _, s := range ev.stores {
-			kind := byte(0)
-			if s.file {
-				kind = 1
-			}
-			enc.u8(kind)
-			enc.str(s.path)
-			enc.u32(s.addr)
-			enc.u32(s.val)
+			enc.Bool(s.file)
+			enc.Str(s.path)
+			enc.U32(s.addr)
+			enc.U32(s.val)
 		}
-		enc.u32(uint32(ev.pendBase))
-		enc.u32(uint32(len(ev.pendKeep)))
-		for _, i := range ev.pendKeep {
-			enc.u32(i)
-		}
-		enc.u32(uint32(ev.imageBase))
-		enc.u32(uint32(len(ev.imageKeep)))
-		for _, i := range ev.imageKeep {
-			enc.u32(i)
-		}
-		enc.u32(ev.trampStart)
-		enc.u32(ev.trampNext)
-		enc.u32(uint32(ev.relocs))
-		enc.u32(uint32(ev.lazy))
+		enc.U32(uint32(ev.pendBase))
+		encodeKeep(enc, ev.pendKeep)
+		enc.U32(uint32(ev.imageBase))
+		encodeKeep(enc, ev.imageKeep)
+		enc.U32(ev.trampStart)
+		enc.U32(ev.trampNext)
+		enc.U32(uint32(ev.relocs))
+		enc.U32(uint32(ev.lazy))
 	}
-	return enc.b
+	return enc.Bytes()
 }
 
-type cacheDec struct {
-	b   []byte
-	off int
-	err bool
-}
-
-func (d *cacheDec) u8() byte {
-	if d.off+1 > len(d.b) {
-		d.err = true
-		return 0
+func encodeKeep(enc *wire.Encoder, keep []uint32) {
+	enc.Count32(len(keep))
+	for _, i := range keep {
+		enc.U32(i)
 	}
-	v := d.b[d.off]
-	d.off++
-	return v
-}
-func (d *cacheDec) u16() uint16 {
-	if d.off+2 > len(d.b) {
-		d.err = true
-		return 0
-	}
-	v := uint16(d.b[d.off])<<8 | uint16(d.b[d.off+1])
-	d.off += 2
-	return v
-}
-func (d *cacheDec) u32() uint32 {
-	if d.off+4 > len(d.b) {
-		d.err = true
-		return 0
-	}
-	v := uint32(d.b[d.off])<<24 | uint32(d.b[d.off+1])<<16 | uint32(d.b[d.off+2])<<8 | uint32(d.b[d.off+3])
-	d.off += 4
-	return v
-}
-func (d *cacheDec) u64() uint64 {
-	hi := d.u32()
-	lo := d.u32()
-	return uint64(hi)<<32 | uint64(lo)
-}
-func (d *cacheDec) str() string {
-	n := int(d.u16())
-	if d.err || d.off+n > len(d.b) {
-		d.err = true
-		return ""
-	}
-	s := string(d.b[d.off : d.off+n])
-	d.off += n
-	return s
-}
-func (d *cacheDec) count(max int) int {
-	n := int(d.u32())
-	if n < 0 || n > max {
-		d.err = true
-		return 0
-	}
-	return n
 }
 
 // decodeCache parses an encoded entry, rejecting anything malformed: a
 // corrupt cache file must read as "no cache", never as wrong patches.
 func decodeCache(data []byte) (*cacheEntry, error) {
-	if len(data) < len(CacheMagic) || string(data[:len(CacheMagic)]) != CacheMagic {
-		return nil, errCacheCorrupt
+	d := wire.NewDecoder(data)
+	if string(d.Raw(len(CacheMagic))) != CacheMagic {
+		d.Fail(errors.New("bad magic"))
 	}
-	d := &cacheDec{b: data, off: len(CacheMagic)}
-	e := newCacheEntry(d.str())
-	nd := d.count(1 << 16)
-	for i := 0; i < nd && !d.err; i++ {
-		dep := cacheDep{path: d.str(), cv: d.u64()}
-		e.deps = append(e.deps, dep)
+	e := newCacheEntry(d.Str())
+	if n := d.Count32(10); n > 0 {
+		e.deps = make([]cacheDep, n)
+		for i := range e.deps {
+			e.deps[i] = cacheDep{path: d.Str(), cv: d.U64()}
+		}
 	}
-	e.startMapped = int(d.u32())
-	ne := d.count(1 << 16)
-	for i := 0; i < ne && !d.err; i++ {
-		ev := &cacheEvent{key: d.str()}
-		ns := d.count(1 << 22)
-		for j := 0; j < ns && !d.err; j++ {
-			s := cacheStore{file: d.u8() == 1, path: d.str(), addr: d.u32(), val: d.u32()}
-			ev.stores = append(ev.stores, s)
-		}
-		ev.pendBase = int(d.u32())
-		np := d.count(1 << 20)
-		for j := 0; j < np && !d.err; j++ {
-			ev.pendKeep = append(ev.pendKeep, d.u32())
-		}
-		ev.imageBase = int(d.u32())
-		ni := d.count(1 << 20)
-		for j := 0; j < ni && !d.err; j++ {
-			ev.imageKeep = append(ev.imageKeep, d.u32())
-		}
-		ev.trampStart = d.u32()
-		ev.trampNext = d.u32()
-		ev.relocs = int(d.u32())
-		ev.lazy = int(d.u32())
-		// Indices must address the baselines they claim.
-		for _, k := range ev.pendKeep {
-			if int(k) >= ev.pendBase {
-				d.err = true
+	e.startMapped = int(d.U32())
+	for n := d.Count32(38); n > 0 && d.Err() == nil; n-- {
+		ev := &cacheEvent{key: d.Str(), done: true}
+		if ns := d.Count32(11); ns > 0 {
+			ev.stores = make([]cacheStore, ns)
+			for i := range ev.stores {
+				ev.stores[i] = cacheStore{file: d.Bool(), path: d.Str(), addr: d.U32(), val: d.U32()}
 			}
 		}
-		for _, k := range ev.imageKeep {
-			if int(k) >= ev.imageBase {
-				d.err = true
-			}
-		}
-		if d.err {
-			break
-		}
-		ev.done = true
+		ev.pendBase = int(d.U32())
+		ev.pendKeep = decodeKeep(d, ev.pendBase)
+		ev.imageBase = int(d.U32())
+		ev.imageKeep = decodeKeep(d, ev.imageBase)
+		ev.trampStart = d.U32()
+		ev.trampNext = d.U32()
+		ev.relocs = int(d.U32())
+		ev.lazy = int(d.U32())
 		e.put(ev)
 	}
-	if d.err || d.off != len(data) {
-		return nil, errCacheCorrupt
+	if err := d.Finish(); err != nil {
+		return nil, fmt.Errorf("%w: %v", errCacheCorrupt, err)
 	}
 	return e, nil
+}
+
+// decodeKeep reads a list of indices, each of which must address the
+// baseline of base entries it claims.
+func decodeKeep(d *wire.Decoder, base int) []uint32 {
+	n := d.Count32(4)
+	if n == 0 {
+		return nil
+	}
+	keep := make([]uint32, n)
+	for i := range keep {
+		if keep[i] = d.U32(); int(keep[i]) >= base {
+			d.Fail(fmt.Errorf("index %d beyond baseline %d", keep[i], base))
+			break
+		}
+	}
+	return keep
 }
 
 // ---- inspection (doctor) ----------------------------------------------------

@@ -1,8 +1,9 @@
 package netshm
 
 import (
-	"encoding/binary"
 	"fmt"
+
+	"hemlock/internal/wire"
 )
 
 // Wire format: a fixed four-byte header (magic, version, type, flag)
@@ -10,8 +11,17 @@ import (
 // size, the (epoch, gen) version pair, the transactional version clock,
 // a trace context (origin machine + send tick), a home claim, a lease
 // grant, a transaction id, a page list, and an opaque payload. Types
-// simply leave unused fields empty. Everything is big-endian, like the
-// simulated machines themselves.
+// simply leave unused fields empty. The fields are internal/wire
+// primitives: big-endian integers like the simulated machines themselves,
+// strings as u16 length + bytes, byte blobs as u32 length + bytes.
+//
+//	magic 'S' | version u8 | type u8 | flag u8 | path string | base u32 |
+//	size u32 | epoch u64 | gen u64 | tv u64 | origin string | stick u64 |
+//	home string | lease u64 | txid u64 |
+//	pages: u32 count + (idx u32 | gen u64 | kind u8 |
+//	                    kind 0: full blob
+//	                    kind 1: u16 count + (off u32 | data blob)*)* |
+//	payload blob
 //
 // Version history: v1 had no trace context; v2 inserted origin and stick
 // between gen and the page list so fleet runs can draw causal flow arrows
@@ -87,6 +97,10 @@ type msg struct {
 	payload []byte // msgApp / msgTxnFwd
 }
 
+// encode returns the datagram for m. Its strings (a segment path, machine
+// names) and delta lists come from inside the fleet and fit their u16
+// limits; one that did not would leave the encoding empty, and receivers
+// drop an empty datagram as they drop a runt.
 func (m *msg) encode() []byte {
 	n := 4 + 2 + len(m.path) + 4 + 4 + 8 + 8 + 8 + 2 + len(m.origin) + 8 +
 		2 + len(m.home) + 8 + 8 + 4 + 4 + len(m.payload)
@@ -96,42 +110,40 @@ func (m *msg) encode() []byte {
 			n += 4 + 4 + len(r.data)
 		}
 	}
-	b := make([]byte, 0, n)
-	b = append(b, wireMagic, wireVersion, m.typ, m.flag)
-	b = binary.BigEndian.AppendUint16(b, uint16(len(m.path)))
-	b = append(b, m.path...)
-	b = binary.BigEndian.AppendUint32(b, m.base)
-	b = binary.BigEndian.AppendUint32(b, m.size)
-	b = binary.BigEndian.AppendUint64(b, m.epoch)
-	b = binary.BigEndian.AppendUint64(b, m.gen)
-	b = binary.BigEndian.AppendUint64(b, m.tv)
-	b = binary.BigEndian.AppendUint16(b, uint16(len(m.origin)))
-	b = append(b, m.origin...)
-	b = binary.BigEndian.AppendUint64(b, m.stick)
-	b = binary.BigEndian.AppendUint16(b, uint16(len(m.home)))
-	b = append(b, m.home...)
-	b = binary.BigEndian.AppendUint64(b, m.lease)
-	b = binary.BigEndian.AppendUint64(b, m.txid)
-	b = binary.BigEndian.AppendUint32(b, uint32(len(m.pages)))
+	e := wire.NewEncoder(make([]byte, 0, n))
+	e.U8(wireMagic)
+	e.U8(wireVersion)
+	e.U8(m.typ)
+	e.U8(m.flag)
+	e.Str(m.path)
+	e.U32(m.base)
+	e.U32(m.size)
+	e.U64(m.epoch)
+	e.U64(m.gen)
+	e.U64(m.tv)
+	e.Str(m.origin)
+	e.U64(m.stick)
+	e.Str(m.home)
+	e.U64(m.lease)
+	e.U64(m.txid)
+	e.Count32(len(m.pages))
 	for _, p := range m.pages {
-		b = binary.BigEndian.AppendUint32(b, p.idx)
-		b = binary.BigEndian.AppendUint64(b, p.gen)
+		e.U32(p.idx)
+		e.U64(p.gen)
 		if p.full != nil {
-			b = append(b, 0) // kind: full page
-			b = binary.BigEndian.AppendUint32(b, uint32(len(p.full)))
-			b = append(b, p.full...)
+			e.U8(0) // kind: full page
+			e.Blob(p.full)
 			continue
 		}
-		b = append(b, 1) // kind: deltas
-		b = binary.BigEndian.AppendUint16(b, uint16(len(p.deltas)))
+		e.U8(1) // kind: deltas
+		e.Count16(len(p.deltas))
 		for _, r := range p.deltas {
-			b = binary.BigEndian.AppendUint32(b, r.off)
-			b = binary.BigEndian.AppendUint32(b, uint32(len(r.data)))
-			b = append(b, r.data...)
+			e.U32(r.off)
+			e.Blob(r.data)
 		}
 	}
-	b = binary.BigEndian.AppendUint32(b, uint32(len(m.payload)))
-	b = append(b, m.payload...)
+	e.Blob(m.payload)
+	b, _ := e.Bytes()
 	return b
 }
 
@@ -147,122 +159,44 @@ func decodeMsg(b []byte) (*msg, error) {
 	if m.typ == 0 || m.typ > msgTxnResult {
 		return nil, fmt.Errorf("netshm: unknown message type %d", m.typ)
 	}
-	d := decoder{b: b, off: 4}
-	m.path = d.str()
-	m.base = d.u32()
-	m.size = d.u32()
-	m.epoch = d.u64()
-	m.gen = d.u64()
-	m.tv = d.u64()
-	m.origin = d.str()
-	m.stick = d.u64()
-	m.home = d.str()
-	m.lease = d.u64()
-	m.txid = d.u64()
-	npages := d.u32()
-	if npages > uint32(len(b)/17+1) { // each page costs >= 17 header bytes
-		return nil, fmt.Errorf("netshm: implausible page count %d", npages)
-	}
-	for i := uint32(0); i < npages && d.err == nil; i++ {
-		p := page{idx: d.u32(), gen: d.u64()}
-		switch kind := d.u8(); kind {
-		case 0:
-			p.full = d.bytes()
-			if p.full == nil && d.err == nil {
-				p.full = []byte{} // keep the full-vs-delta distinction for empty pages
-			}
-		case 1:
-			nd := d.u16()
-			if int(nd) > len(b)/8+1 { // each delta costs >= 8 header bytes
-				return nil, fmt.Errorf("netshm: implausible delta count %d", nd)
-			}
-			for j := uint16(0); j < nd && d.err == nil; j++ {
-				p.deltas = append(p.deltas, rng{off: d.u32(), data: d.bytes()})
-			}
-		default:
-			if d.err == nil {
-				return nil, fmt.Errorf("netshm: unknown page kind %d", kind)
+	d := wire.NewDecoder(b[4:])
+	m.path = d.Str()
+	m.base = d.U32()
+	m.size = d.U32()
+	m.epoch = d.U64()
+	m.gen = d.U64()
+	m.tv = d.U64()
+	m.origin = d.Str()
+	m.stick = d.U64()
+	m.home = d.Str()
+	m.lease = d.U64()
+	m.txid = d.U64()
+	if n := d.Count32(15); n > 0 { // a page is at least idx, gen, kind and a delta count
+		m.pages = make([]page, n)
+		for i := range m.pages {
+			p := &m.pages[i]
+			p.idx = d.U32()
+			p.gen = d.U64()
+			switch kind := d.U8(); kind {
+			case 0:
+				if p.full = d.Blob(); p.full == nil {
+					p.full = []byte{} // keep the full-vs-delta distinction for empty pages
+				}
+			case 1:
+				if nd := d.Count16(8); nd > 0 {
+					p.deltas = make([]rng, nd)
+					for j := range p.deltas {
+						p.deltas[j] = rng{off: d.U32(), data: d.Blob()}
+					}
+				}
+			default:
+				d.Fail(fmt.Errorf("unknown page kind %d", kind))
 			}
 		}
-		m.pages = append(m.pages, p)
 	}
-	m.payload = d.bytes()
-	if d.err != nil {
-		return nil, d.err
-	}
-	if d.off != len(b) {
-		return nil, fmt.Errorf("netshm: %d trailing bytes", len(b)-d.off)
+	m.payload = d.Blob()
+	if err := d.Finish(); err != nil {
+		return nil, fmt.Errorf("netshm: %w", err)
 	}
 	return m, nil
-}
-
-type decoder struct {
-	b   []byte
-	off int
-	err error
-}
-
-func (d *decoder) take(n int) []byte {
-	if d.err != nil {
-		return nil
-	}
-	if d.off+n > len(d.b) {
-		d.err = fmt.Errorf("netshm: truncated message (want %d bytes at %d of %d)", n, d.off, len(d.b))
-		return nil
-	}
-	out := d.b[d.off : d.off+n]
-	d.off += n
-	return out
-}
-
-func (d *decoder) u8() byte {
-	b := d.take(1)
-	if b == nil {
-		return 0xFF
-	}
-	return b[0]
-}
-
-func (d *decoder) u16() uint16 {
-	b := d.take(2)
-	if b == nil {
-		return 0
-	}
-	return binary.BigEndian.Uint16(b)
-}
-
-func (d *decoder) u32() uint32 {
-	b := d.take(4)
-	if b == nil {
-		return 0
-	}
-	return binary.BigEndian.Uint32(b)
-}
-
-func (d *decoder) u64() uint64 {
-	b := d.take(8)
-	if b == nil {
-		return 0
-	}
-	return binary.BigEndian.Uint64(b)
-}
-
-func (d *decoder) str() string {
-	lb := d.take(2)
-	if lb == nil {
-		return ""
-	}
-	return string(d.take(int(binary.BigEndian.Uint16(lb))))
-}
-
-func (d *decoder) bytes() []byte {
-	n := d.u32()
-	if d.err != nil {
-		return nil
-	}
-	b := d.take(int(n))
-	if b == nil {
-		return nil
-	}
-	return append([]byte(nil), b...)
 }

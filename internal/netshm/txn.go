@@ -7,6 +7,7 @@ import (
 	"sort"
 
 	"hemlock/internal/kern"
+	"hemlock/internal/wire"
 )
 
 // Transactional writes: a TL2-style optimistic protocol over the
@@ -390,58 +391,55 @@ func (n *Node) recvTxnResultLocked(from string, m *msg) {
 // ---- payload sub-encoding ----------------------------------------------------
 
 // encodeTxnPayload packs the read and write sets into the msgTxnFwd
-// payload: read entries sorted by path for determinism.
+// payload, read entries sorted by path for determinism. The payload uses
+// the internal/wire primitives:
+//
+//	reads:  u16 count + (path string | epoch u64 | gen u64 | tv u64)* |
+//	writes: u16 count + (path string | off u32 | data blob)*
+//
+// A set past the u16 count limit leaves the payload empty, which the home
+// rejects as malformed.
 func encodeTxnPayload(reads map[string]txnRead, writes []txnWrite) []byte {
 	paths := make([]string, 0, len(reads))
 	for p := range reads {
 		paths = append(paths, p)
 	}
 	sort.Strings(paths)
-	var b []byte
-	b = binary.BigEndian.AppendUint16(b, uint16(len(paths)))
+	e := wire.NewEncoder(nil)
+	e.Count16(len(paths))
 	for _, p := range paths {
 		r := reads[p]
-		b = binary.BigEndian.AppendUint16(b, uint16(len(p)))
-		b = append(b, p...)
-		b = binary.BigEndian.AppendUint64(b, r.epoch)
-		b = binary.BigEndian.AppendUint64(b, r.gen)
-		b = binary.BigEndian.AppendUint64(b, r.tv)
+		e.Str(p)
+		e.U64(r.epoch)
+		e.U64(r.gen)
+		e.U64(r.tv)
 	}
-	b = binary.BigEndian.AppendUint16(b, uint16(len(writes)))
+	e.Count16(len(writes))
 	for _, w := range writes {
-		b = binary.BigEndian.AppendUint16(b, uint16(len(w.path)))
-		b = append(b, w.path...)
-		b = binary.BigEndian.AppendUint32(b, w.off)
-		b = binary.BigEndian.AppendUint32(b, uint32(len(w.data)))
-		b = append(b, w.data...)
+		e.Str(w.path)
+		e.U32(w.off)
+		e.Blob(w.data)
 	}
+	b, _ := e.Bytes()
 	return b
 }
 
 func decodeTxnPayload(b []byte) (map[string]txnRead, []txnWrite, error) {
-	d := decoder{b: b}
+	d := wire.NewDecoder(b)
 	reads := map[string]txnRead{}
-	nr := d.u16()
-	if int(nr) > len(b)/26+1 { // each read entry costs >= 26 bytes
-		return nil, nil, fmt.Errorf("netshm: implausible txn read count %d", nr)
-	}
-	for i := uint16(0); i < nr && d.err == nil; i++ {
-		p := d.str()
-		reads[p] = txnRead{epoch: d.u64(), gen: d.u64(), tv: d.u64()}
-	}
-	nw := d.u16()
-	if int(nw) > len(b)/10+1 { // each write entry costs >= 10 bytes
-		return nil, nil, fmt.Errorf("netshm: implausible txn write count %d", nw)
+	for n := d.Count16(26); n > 0; n-- {
+		p := d.Str()
+		reads[p] = txnRead{epoch: d.U64(), gen: d.U64(), tv: d.U64()}
 	}
 	var writes []txnWrite
-	for i := uint16(0); i < nw && d.err == nil; i++ {
-		writes = append(writes, txnWrite{path: d.str(), off: d.u32(), data: d.bytes()})
+	if n := d.Count16(10); n > 0 {
+		writes = make([]txnWrite, n)
+		for i := range writes {
+			writes[i] = txnWrite{path: d.Str(), off: d.U32(), data: d.Blob()}
+		}
 	}
-	if d.err != nil {
-		return nil, nil, d.err
-	}
-	if d.off != len(b) {
-		return nil, nil, fmt.Errorf("netshm: %d trailing txn payload bytes", len(b)-d.off)
+	if err := d.Finish(); err != nil {
+		return nil, nil, fmt.Errorf("netshm: txn payload: %w", err)
 	}
 	return reads, writes, nil
 }

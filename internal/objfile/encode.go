@@ -1,16 +1,31 @@
 package objfile
 
 import (
-	"bufio"
-	"bytes"
-	"encoding/binary"
 	"fmt"
-	"io"
+
+	"hemlock/internal/wire"
 )
 
-// Binary encoding of HEMO objects and HEMX images. Big-endian throughout,
-// matching the simulated machine. Strings are u16 length + bytes; byte
-// blobs are u32 length + bytes.
+// Binary encoding of HEMO objects and HEMX images, built from the
+// internal/wire primitives: big-endian integers like the simulated
+// machine, strings as u16 length + bytes, blobs as u32 length + bytes,
+// lists as a u32 count + elements, flags as one 0/1 byte.
+//
+//	HEMO: "HEMO" | version u32 | name string | usesGP u8 | text blob |
+//	      data blob | bss u32 |
+//	      symbols: (name string | section u8 | value u32 | global u8 | size u32)* |
+//	      relocs:  (section u8 | offset u32 | sym u32 | type u8 | addend i32)* |
+//	      deps:    (name string | class u8)* | search path: string*
+//
+//	HEMX: "HEMX" | version u32 | name string | entry u32 | text base u32 |
+//	      text blob | data base u32 | data blob | bss base u32 | bss u32 |
+//	      tramp base u32 | tramp size u32 |
+//	      symbols: (name string | addr u32 | size u32)* |
+//	      relocs:  (addr u32 | name string | type u8 | addend i32)* |
+//	      dyn modules: (name string | class u8)* |
+//	      static public: (name string | path string | template string | addr u32)* |
+//	      link dir string | cmd path: string* | env path: string* |
+//	      default path: string* | plt: (name string | addr u32 | size u32)*
 
 const (
 	objMagic   = "HEMO"
@@ -18,255 +33,78 @@ const (
 	objVersion = 1
 )
 
-type writer struct {
-	w   *bufio.Writer
-	err error
-}
-
-func (w *writer) str(s string) {
-	if w.err != nil {
-		return
-	}
-	if len(s) > 0xFFFF {
-		w.err = fmt.Errorf("objfile: string too long (%d bytes)", len(s))
-		return
-	}
-	var b [2]byte
-	binary.BigEndian.PutUint16(b[:], uint16(len(s)))
-	w.w.Write(b[:])
-	_, w.err = w.w.WriteString(s)
-}
-
-func (w *writer) u8(v uint8) {
-	if w.err != nil {
-		return
-	}
-	w.err = w.w.WriteByte(v)
-}
-
-func (w *writer) u32(v uint32) {
-	if w.err != nil {
-		return
-	}
-	var b [4]byte
-	binary.BigEndian.PutUint32(b[:], v)
-	_, w.err = w.w.Write(b[:])
-}
-
-func (w *writer) i32(v int32) { w.u32(uint32(v)) }
-
-func (w *writer) blob(b []byte) {
-	w.u32(uint32(len(b)))
-	if w.err != nil {
-		return
-	}
-	_, w.err = w.w.Write(b)
-}
-
-func (w *writer) strs(ss []string) {
-	w.u32(uint32(len(ss)))
-	for _, s := range ss {
-		w.str(s)
-	}
-}
-
-type reader struct {
-	r   *bufio.Reader
-	err error
-}
-
-func (r *reader) str() string {
-	if r.err != nil {
-		return ""
-	}
-	var b [2]byte
-	if _, r.err = io.ReadFull(r.r, b[:]); r.err != nil {
-		return ""
-	}
-	n := binary.BigEndian.Uint16(b[:])
-	buf := make([]byte, n)
-	if _, r.err = io.ReadFull(r.r, buf); r.err != nil {
-		return ""
-	}
-	return string(buf)
-}
-
-func (r *reader) u8() uint8 {
-	if r.err != nil {
-		return 0
-	}
-	var v byte
-	v, r.err = r.r.ReadByte()
-	return v
-}
-
-func (r *reader) u32() uint32 {
-	if r.err != nil {
-		return 0
-	}
-	var b [4]byte
-	if _, r.err = io.ReadFull(r.r, b[:]); r.err != nil {
-		return 0
-	}
-	return binary.BigEndian.Uint32(b[:])
-}
-
-func (r *reader) i32() int32 { return int32(r.u32()) }
-
-const maxBlob = 64 << 20 // sanity cap on decoded blob sizes
-
-func (r *reader) blob() []byte {
-	n := r.u32()
-	if r.err != nil {
-		return nil
-	}
-	if n > maxBlob {
-		r.err = fmt.Errorf("objfile: blob of %d bytes exceeds sanity limit", n)
-		return nil
-	}
-	if n == 0 {
-		return nil
-	}
-	buf := make([]byte, n)
-	if _, r.err = io.ReadFull(r.r, buf); r.err != nil {
-		return nil
-	}
-	return buf
-}
-
-func (r *reader) strs() []string {
-	n := r.u32()
-	if r.err != nil {
-		return nil
-	}
-	if n > 1<<20 {
-		r.err = fmt.Errorf("objfile: string list of %d entries exceeds sanity limit", n)
-		return nil
-	}
-	if n == 0 {
-		return nil
-	}
-	out := make([]string, 0, n)
-	for i := uint32(0); i < n; i++ {
-		out = append(out, r.str())
-	}
-	return out
-}
-
-// Encode writes the object to w in HEMO format.
-func (o *Object) Encode(out io.Writer) error {
-	w := &writer{w: bufio.NewWriter(out)}
-	w.w.WriteString(objMagic)
-	w.u32(objVersion)
-	w.str(o.Name)
-	gp := uint8(0)
-	if o.UsesGP {
-		gp = 1
-	}
-	w.u8(gp)
-	w.blob(o.Text)
-	w.blob(o.Data)
-	w.u32(o.BssSize)
-	w.u32(uint32(len(o.Symbols)))
-	for i := range o.Symbols {
-		s := &o.Symbols[i]
-		w.str(s.Name)
-		w.u8(uint8(s.Section))
-		w.u32(s.Value)
-		g := uint8(0)
-		if s.Global {
-			g = 1
-		}
-		w.u8(g)
-		w.u32(s.Size)
-	}
-	w.u32(uint32(len(o.Relocs)))
-	for _, r := range o.Relocs {
-		w.u8(uint8(r.Section))
-		w.u32(r.Offset)
-		w.u32(uint32(r.Sym))
-		w.u8(uint8(r.Type))
-		w.i32(r.Addend)
-	}
-	w.u32(uint32(len(o.Deps)))
-	for _, d := range o.Deps {
-		w.str(d.Name)
-		w.u8(uint8(d.Class))
-	}
-	w.strs(o.SearchPath)
-	if w.err != nil {
-		return w.err
-	}
-	return w.w.Flush()
-}
-
 // Bytes returns the HEMO encoding of the object.
 func (o *Object) Bytes() ([]byte, error) {
-	var buf bytes.Buffer
-	if err := o.Encode(&buf); err != nil {
-		return nil, err
+	e := wire.NewEncoder(nil)
+	e.Raw([]byte(objMagic))
+	e.U32(objVersion)
+	e.Str(o.Name)
+	e.Bool(o.UsesGP)
+	e.Blob(o.Text)
+	e.Blob(o.Data)
+	e.U32(o.BssSize)
+	e.Count32(len(o.Symbols))
+	for _, s := range o.Symbols {
+		e.Str(s.Name)
+		e.U8(uint8(s.Section))
+		e.U32(s.Value)
+		e.Bool(s.Global)
+		e.U32(s.Size)
 	}
-	return buf.Bytes(), nil
+	e.Count32(len(o.Relocs))
+	for _, r := range o.Relocs {
+		e.U8(uint8(r.Section))
+		e.U32(r.Offset)
+		e.U32(uint32(r.Sym))
+		e.U8(uint8(r.Type))
+		e.U32(uint32(r.Addend))
+	}
+	encodeModuleRefs(e, o.Deps)
+	e.Strs(o.SearchPath)
+	return e.Bytes()
 }
 
-// Decode reads a HEMO object from in.
-func Decode(in io.Reader) (*Object, error) {
-	r := &reader{r: bufio.NewReader(in)}
-	magic := make([]byte, 4)
-	if _, err := io.ReadFull(r.r, magic); err != nil {
-		return nil, fmt.Errorf("objfile: reading magic: %w", err)
+// DecodeBytes decodes a HEMO object.
+func DecodeBytes(b []byte) (*Object, error) {
+	d := wire.NewDecoder(b)
+	if err := decodeHeader(d, objMagic, "HEMO object"); err != nil {
+		return nil, err
 	}
-	if string(magic) != objMagic {
-		return nil, fmt.Errorf("objfile: bad magic %q (not a HEMO object)", magic)
+	o := &Object{
+		Name:    d.Str(),
+		UsesGP:  d.Bool(),
+		Text:    d.Blob(),
+		Data:    d.Blob(),
+		BssSize: d.U32(),
 	}
-	if v := r.u32(); r.err == nil && v != objVersion {
-		return nil, fmt.Errorf("objfile: unsupported version %d", v)
+	if n := d.Count32(12); n > 0 {
+		o.Symbols = make([]Symbol, n)
+		for i := range o.Symbols {
+			o.Symbols[i] = Symbol{
+				Name:    d.Str(),
+				Section: Section(d.U8()),
+				Value:   d.U32(),
+				Global:  d.Bool(),
+				Size:    d.U32(),
+			}
+		}
 	}
-	o := &Object{}
-	o.Name = r.str()
-	o.UsesGP = r.u8() != 0
-	o.Text = r.blob()
-	o.Data = r.blob()
-	o.BssSize = r.u32()
-	nsym := r.u32()
-	if r.err == nil && nsym > 1<<20 {
-		return nil, fmt.Errorf("objfile: %d symbols exceeds sanity limit", nsym)
+	if n := d.Count32(14); n > 0 {
+		o.Relocs = make([]Reloc, n)
+		for i := range o.Relocs {
+			o.Relocs[i] = Reloc{
+				Section: Section(d.U8()),
+				Offset:  d.U32(),
+				Sym:     int(d.U32()),
+				Type:    RelType(d.U8()),
+				Addend:  int32(d.U32()),
+			}
+		}
 	}
-	for i := uint32(0); i < nsym && r.err == nil; i++ {
-		var s Symbol
-		s.Name = r.str()
-		s.Section = Section(r.u8())
-		s.Value = r.u32()
-		s.Global = r.u8() != 0
-		s.Size = r.u32()
-		o.Symbols = append(o.Symbols, s)
-	}
-	nrel := r.u32()
-	if r.err == nil && nrel > 1<<20 {
-		return nil, fmt.Errorf("objfile: %d relocs exceeds sanity limit", nrel)
-	}
-	for i := uint32(0); i < nrel && r.err == nil; i++ {
-		var rel Reloc
-		rel.Section = Section(r.u8())
-		rel.Offset = r.u32()
-		rel.Sym = int(r.u32())
-		rel.Type = RelType(r.u8())
-		rel.Addend = r.i32()
-		o.Relocs = append(o.Relocs, rel)
-	}
-	ndep := r.u32()
-	if r.err == nil && ndep > 1<<20 {
-		return nil, fmt.Errorf("objfile: %d deps exceeds sanity limit", ndep)
-	}
-	for i := uint32(0); i < ndep && r.err == nil; i++ {
-		var d ModuleRef
-		d.Name = r.str()
-		d.Class = Class(r.u8())
-		o.Deps = append(o.Deps, d)
-	}
-	o.SearchPath = r.strs()
-	if r.err != nil {
-		return nil, fmt.Errorf("objfile: decoding %q: %w", o.Name, r.err)
+	o.Deps = decodeModuleRefs(d)
+	o.SearchPath = d.Strs()
+	if err := d.Finish(); err != nil {
+		return nil, fmt.Errorf("objfile: decoding %q: %w", o.Name, err)
 	}
 	if err := o.Validate(); err != nil {
 		return nil, err
@@ -274,148 +112,154 @@ func Decode(in io.Reader) (*Object, error) {
 	return o, nil
 }
 
-// DecodeBytes decodes a HEMO object from a byte slice.
-func DecodeBytes(b []byte) (*Object, error) { return Decode(bytes.NewReader(b)) }
-
-// EncodeImage writes the load image to out in HEMX format.
-func (im *Image) EncodeImage(out io.Writer) error {
-	w := &writer{w: bufio.NewWriter(out)}
-	w.w.WriteString(imgMagic)
-	w.u32(objVersion)
-	w.str(im.Name)
-	w.u32(im.Entry)
-	w.u32(im.TextBase)
-	w.blob(im.Text)
-	w.u32(im.DataBase)
-	w.blob(im.Data)
-	w.u32(im.BssBase)
-	w.u32(im.BssSize)
-	w.u32(im.TrampBase)
-	w.u32(im.TrampSize)
-	w.u32(uint32(len(im.Symbols)))
-	for _, s := range im.Symbols {
-		w.str(s.Name)
-		w.u32(s.Addr)
-		w.u32(s.Size)
-	}
-	w.u32(uint32(len(im.Relocs)))
-	for _, r := range im.Relocs {
-		w.u32(r.Addr)
-		w.str(r.Name)
-		w.u8(uint8(r.Type))
-		w.i32(r.Addend)
-	}
-	w.u32(uint32(len(im.Dyn.DynModules)))
-	for _, d := range im.Dyn.DynModules {
-		w.str(d.Name)
-		w.u8(uint8(d.Class))
-	}
-	w.u32(uint32(len(im.Dyn.StaticPublic)))
-	for _, sp := range im.Dyn.StaticPublic {
-		w.str(sp.Name)
-		w.str(sp.Path)
-		w.str(sp.Template)
-		w.u32(sp.Addr)
-	}
-	w.str(im.Dyn.LinkDir)
-	w.strs(im.Dyn.CmdPath)
-	w.strs(im.Dyn.EnvPath)
-	w.strs(im.Dyn.DefaultPath)
-	w.u32(uint32(len(im.PLT)))
-	for _, s := range im.PLT {
-		w.str(s.Name)
-		w.u32(s.Addr)
-		w.u32(s.Size)
-	}
-	if w.err != nil {
-		return w.err
-	}
-	return w.w.Flush()
-}
-
 // ImageBytes returns the HEMX encoding of the image.
 func (im *Image) ImageBytes() ([]byte, error) {
-	var buf bytes.Buffer
-	if err := im.EncodeImage(&buf); err != nil {
-		return nil, err
+	e := wire.NewEncoder(nil)
+	e.Raw([]byte(imgMagic))
+	e.U32(objVersion)
+	e.Str(im.Name)
+	e.U32(im.Entry)
+	e.U32(im.TextBase)
+	e.Blob(im.Text)
+	e.U32(im.DataBase)
+	e.Blob(im.Data)
+	e.U32(im.BssBase)
+	e.U32(im.BssSize)
+	e.U32(im.TrampBase)
+	e.U32(im.TrampSize)
+	encodeImageSyms(e, im.Symbols)
+	e.Count32(len(im.Relocs))
+	for _, r := range im.Relocs {
+		e.U32(r.Addr)
+		e.Str(r.Name)
+		e.U8(uint8(r.Type))
+		e.U32(uint32(r.Addend))
 	}
-	return buf.Bytes(), nil
+	encodeModuleRefs(e, im.Dyn.DynModules)
+	e.Count32(len(im.Dyn.StaticPublic))
+	for _, sp := range im.Dyn.StaticPublic {
+		e.Str(sp.Name)
+		e.Str(sp.Path)
+		e.Str(sp.Template)
+		e.U32(sp.Addr)
+	}
+	e.Str(im.Dyn.LinkDir)
+	e.Strs(im.Dyn.CmdPath)
+	e.Strs(im.Dyn.EnvPath)
+	e.Strs(im.Dyn.DefaultPath)
+	encodeImageSyms(e, im.PLT)
+	return e.Bytes()
 }
 
-// DecodeImage reads a HEMX load image from in.
-func DecodeImage(in io.Reader) (*Image, error) {
-	r := &reader{r: bufio.NewReader(in)}
-	magic := make([]byte, 4)
-	if _, err := io.ReadFull(r.r, magic); err != nil {
-		return nil, fmt.Errorf("objfile: reading image magic: %w", err)
+// DecodeImageBytes decodes a HEMX load image.
+func DecodeImageBytes(b []byte) (*Image, error) {
+	d := wire.NewDecoder(b)
+	if err := decodeHeader(d, imgMagic, "HEMX image"); err != nil {
+		return nil, err
 	}
-	if string(magic) != imgMagic {
-		return nil, fmt.Errorf("objfile: bad magic %q (not a HEMX image)", magic)
+	im := &Image{
+		Name:      d.Str(),
+		Entry:     d.U32(),
+		TextBase:  d.U32(),
+		Text:      d.Blob(),
+		DataBase:  d.U32(),
+		Data:      d.Blob(),
+		BssBase:   d.U32(),
+		BssSize:   d.U32(),
+		TrampBase: d.U32(),
+		TrampSize: d.U32(),
 	}
-	if v := r.u32(); r.err == nil && v != objVersion {
-		return nil, fmt.Errorf("objfile: unsupported image version %d", v)
+	im.Symbols = decodeImageSyms(d)
+	if n := d.Count32(11); n > 0 {
+		im.Relocs = make([]ImageReloc, n)
+		for i := range im.Relocs {
+			im.Relocs[i] = ImageReloc{
+				Addr:   d.U32(),
+				Name:   d.Str(),
+				Type:   RelType(d.U8()),
+				Addend: int32(d.U32()),
+			}
+		}
 	}
-	im := &Image{}
-	im.Name = r.str()
-	im.Entry = r.u32()
-	im.TextBase = r.u32()
-	im.Text = r.blob()
-	im.DataBase = r.u32()
-	im.Data = r.blob()
-	im.BssBase = r.u32()
-	im.BssSize = r.u32()
-	im.TrampBase = r.u32()
-	im.TrampSize = r.u32()
-	nsym := r.u32()
-	for i := uint32(0); i < nsym && r.err == nil; i++ {
-		var s ImageSym
-		s.Name = r.str()
-		s.Addr = r.u32()
-		s.Size = r.u32()
-		im.Symbols = append(im.Symbols, s)
+	im.Dyn.DynModules = decodeModuleRefs(d)
+	if n := d.Count32(10); n > 0 {
+		im.Dyn.StaticPublic = make([]StaticPublicRef, n)
+		for i := range im.Dyn.StaticPublic {
+			im.Dyn.StaticPublic[i] = StaticPublicRef{
+				Name:     d.Str(),
+				Path:     d.Str(),
+				Template: d.Str(),
+				Addr:     d.U32(),
+			}
+		}
 	}
-	nrel := r.u32()
-	for i := uint32(0); i < nrel && r.err == nil; i++ {
-		var rel ImageReloc
-		rel.Addr = r.u32()
-		rel.Name = r.str()
-		rel.Type = RelType(r.u8())
-		rel.Addend = r.i32()
-		im.Relocs = append(im.Relocs, rel)
-	}
-	ndyn := r.u32()
-	for i := uint32(0); i < ndyn && r.err == nil; i++ {
-		var d ModuleRef
-		d.Name = r.str()
-		d.Class = Class(r.u8())
-		im.Dyn.DynModules = append(im.Dyn.DynModules, d)
-	}
-	nsp := r.u32()
-	for i := uint32(0); i < nsp && r.err == nil; i++ {
-		var sp StaticPublicRef
-		sp.Name = r.str()
-		sp.Path = r.str()
-		sp.Template = r.str()
-		sp.Addr = r.u32()
-		im.Dyn.StaticPublic = append(im.Dyn.StaticPublic, sp)
-	}
-	im.Dyn.LinkDir = r.str()
-	im.Dyn.CmdPath = r.strs()
-	im.Dyn.EnvPath = r.strs()
-	im.Dyn.DefaultPath = r.strs()
-	nplt := r.u32()
-	for i := uint32(0); i < nplt && r.err == nil; i++ {
-		var s ImageSym
-		s.Name = r.str()
-		s.Addr = r.u32()
-		s.Size = r.u32()
-		im.PLT = append(im.PLT, s)
-	}
-	if r.err != nil {
-		return nil, fmt.Errorf("objfile: decoding image %q: %w", im.Name, r.err)
+	im.Dyn.LinkDir = d.Str()
+	im.Dyn.CmdPath = d.Strs()
+	im.Dyn.EnvPath = d.Strs()
+	im.Dyn.DefaultPath = d.Strs()
+	im.PLT = decodeImageSyms(d)
+	if err := d.Finish(); err != nil {
+		return nil, fmt.Errorf("objfile: decoding image %q: %w", im.Name, err)
 	}
 	return im, nil
 }
 
-// DecodeImageBytes decodes a HEMX image from a byte slice.
-func DecodeImageBytes(b []byte) (*Image, error) { return DecodeImage(bytes.NewReader(b)) }
+// decodeHeader checks the magic and version that open both formats.
+func decodeHeader(d *wire.Decoder, magic, what string) error {
+	m := d.Raw(len(magic))
+	if err := d.Err(); err != nil {
+		return fmt.Errorf("objfile: reading %s magic: %w", what, err)
+	}
+	if string(m) != magic {
+		return fmt.Errorf("objfile: bad magic %q (not a %s)", m, what)
+	}
+	if v := d.U32(); d.Err() == nil && v != objVersion {
+		return fmt.Errorf("objfile: unsupported %s version %d", what, v)
+	}
+	return nil
+}
+
+func encodeModuleRefs(e *wire.Encoder, refs []ModuleRef) {
+	e.Count32(len(refs))
+	for _, r := range refs {
+		e.Str(r.Name)
+		e.U8(uint8(r.Class))
+	}
+}
+
+func decodeModuleRefs(d *wire.Decoder) []ModuleRef {
+	n := d.Count32(3)
+	if n == 0 {
+		return nil
+	}
+	refs := make([]ModuleRef, n)
+	for i := range refs {
+		refs[i] = ModuleRef{Name: d.Str(), Class: Class(d.U8())}
+	}
+	return refs
+}
+
+func encodeImageSyms(e *wire.Encoder, syms []ImageSym) {
+	e.Count32(len(syms))
+	for _, s := range syms {
+		e.Str(s.Name)
+		e.U32(s.Addr)
+		e.U32(s.Size)
+	}
+}
+
+func decodeImageSyms(d *wire.Decoder) []ImageSym {
+	n := d.Count32(10)
+	if n == 0 {
+		return nil
+	}
+	syms := make([]ImageSym, n)
+	for i := range syms {
+		syms[i] = ImageSym{
+			Name: d.Str(),
+			Addr: d.U32(),
+			Size: d.U32(),
+		}
+	}
+	return syms
+}

@@ -263,10 +263,9 @@ func TestSectionStrings(t *testing.T) {
 
 func TestEncodeIsDeterministic(t *testing.T) {
 	o := sampleObject(t)
-	var b1, b2 bytes.Buffer
-	o.Encode(&b1)
-	o.Encode(&b2)
-	if !bytes.Equal(b1.Bytes(), b2.Bytes()) {
+	b1, _ := o.Bytes()
+	b2, _ := o.Bytes()
+	if !bytes.Equal(b1, b2) {
 		t.Fatal("encoding not deterministic")
 	}
 }

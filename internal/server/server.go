@@ -122,7 +122,6 @@ func New(sys *core.System, cfg Config) *Server {
 	s.ctrExp = r.Counter("server.deadline_expired")
 	s.gPrograms = r.Gauge("server.programs")
 	s.sch = kern.NewScheduler(sys.K, kern.SchedConfig{CPUs: s.cfg.CPUs})
-	sys.K.AttachScheduler(s.sch)
 	go s.worldLoop()
 	return s
 }
@@ -205,7 +204,6 @@ func (s *Server) Close() error {
 	s.mu.Unlock()
 	close(s.quit)
 	<-s.loopDone
-	s.sys.K.DetachScheduler()
 	s.sch.Stop()
 	return s.sys.Obs().Tracer().Close()
 }

@@ -1,13 +1,12 @@
 package shmfs
 
 import (
-	"bufio"
-	"encoding/binary"
 	"fmt"
 	"io"
 	"sort"
 
 	"hemlock/internal/mem"
+	"hemlock/internal/wire"
 )
 
 // Disk-image serialisation. The CLI (cmd/hemlock) keeps the whole shared
@@ -15,15 +14,14 @@ import (
 // public module in one command and a later run can map it, exactly as the
 // persistent shared file system survives across processes in the paper.
 //
-// Format (big-endian throughout):
+// Format, in internal/wire primitives (big-endian integers, strings as
+// u16 length + bytes):
 //
 //	magic "HSFS" | version u32 | inode count u32
 //	per inode: ino u32 | type u8 | mode u16 | uid u32 | mtime u64
 //	           file: size u32 | (frame store-version u64 | data bytes)*
 //	           dir : entry count u32 | (name, ino u32)*
 //	           sym : target string
-//
-// Strings are u16 length + bytes.
 //
 // Version 2 added the per-frame store-version counters. They are what
 // ContentVersion fingerprints are built from, so a reboot must restore
@@ -38,222 +36,165 @@ const (
 	imageVersion = 2
 )
 
-func writeString(w io.Writer, s string) error {
-	if len(s) > 0xFFFF {
-		return fmt.Errorf("shmfs: string too long (%d)", len(s))
-	}
-	if err := binary.Write(w, binary.BigEndian, uint16(len(s))); err != nil {
-		return err
-	}
-	_, err := io.WriteString(w, s)
-	return err
-}
-
-func readString(r io.Reader) (string, error) {
-	var n uint16
-	if err := binary.Read(r, binary.BigEndian, &n); err != nil {
-		return "", err
-	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return "", err
-	}
-	return string(buf), nil
-}
-
-// Save serialises the file system to w.
+// Save serialises the file system to w, one inode at a time.
 func (fs *FS) Save(w io.Writer) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(imageMagic); err != nil {
+	e := wire.NewEncoder(nil)
+	flush := func() error {
+		b, err := e.Bytes()
+		if err != nil {
+			return fmt.Errorf("shmfs: %w", err)
+		}
+		_, err = w.Write(b)
+		e = wire.NewEncoder(b[:0])
 		return err
 	}
-	if err := binary.Write(bw, binary.BigEndian, uint32(imageVersion)); err != nil {
-		return err
-	}
-	if err := binary.Write(bw, binary.BigEndian, uint32(fs.nAlloc)); err != nil {
-		return err
-	}
-	for i := 0; i < NumInodes; i++ {
-		nd := fs.inodes[i]
+	e.Raw([]byte(imageMagic))
+	e.U32(imageVersion)
+	e.U32(uint32(fs.nAlloc))
+	for _, nd := range fs.inodes {
 		if nd == nil {
 			continue
 		}
-		if err := binary.Write(bw, binary.BigEndian, uint32(nd.ino)); err != nil {
-			return err
-		}
-		if err := bw.WriteByte(byte(nd.typ)); err != nil {
-			return err
-		}
-		if err := binary.Write(bw, binary.BigEndian, uint16(nd.mode)); err != nil {
-			return err
-		}
-		if err := binary.Write(bw, binary.BigEndian, uint32(nd.uid)); err != nil {
-			return err
-		}
-		if err := binary.Write(bw, binary.BigEndian, nd.mtime); err != nil {
-			return err
-		}
+		e.U32(uint32(nd.ino))
+		e.U8(uint8(nd.typ))
+		e.U16(uint16(nd.mode))
+		e.U32(uint32(nd.uid))
+		e.U64(nd.mtime)
 		switch nd.typ {
 		case TypeFile:
-			if err := binary.Write(bw, binary.BigEndian, nd.size); err != nil {
-				return err
-			}
-			remain := nd.size
-			for fi := 0; remain > 0; fi++ {
-				n := uint32(mem.PageSize)
-				if remain < n {
-					n = remain
-				}
-				if err := binary.Write(bw, binary.BigEndian, nd.frames[fi].Version()); err != nil {
-					return err
-				}
-				if _, err := bw.Write(nd.frames[fi].Data[:n]); err != nil {
-					return err
-				}
+			e.U32(nd.size)
+			for fi, remain := 0, nd.size; remain > 0; fi++ {
+				n := min(remain, mem.PageSize)
+				e.U64(nd.frames[fi].Version())
+				e.Raw(nd.frames[fi].Data[:n])
 				remain -= n
 			}
 		case TypeDir:
-			if err := binary.Write(bw, binary.BigEndian, uint32(len(nd.entries))); err != nil {
-				return err
-			}
+			e.Count32(len(nd.entries))
 			names := make([]string, 0, len(nd.entries))
 			for name := range nd.entries {
 				names = append(names, name)
 			}
 			sort.Strings(names)
 			for _, name := range names {
-				if err := writeString(bw, name); err != nil {
-					return err
-				}
-				if err := binary.Write(bw, binary.BigEndian, uint32(nd.entries[name])); err != nil {
-					return err
-				}
+				e.Str(name)
+				e.U32(uint32(nd.entries[name]))
 			}
 		case TypeSymlink:
-			if err := writeString(bw, nd.target); err != nil {
-				return err
-			}
+			e.Str(nd.target)
+		}
+		if err := flush(); err != nil {
+			return err
 		}
 	}
-	return bw.Flush()
+	return flush()
 }
 
 // Load deserialises a file system image produced by Save, backing file
-// contents with frames from phys. The address lookup table is rebuilt by a
-// boot scan, matching the paper's crash-recovery story.
+// contents with frames from phys. It reads the whole image first: the
+// decoder bounds every allocation by the bytes actually present. The
+// address lookup table is rebuilt by a boot scan, matching the paper's
+// crash-recovery story.
 func Load(r io.Reader, phys *mem.Physical) (*FS, error) {
-	br := bufio.NewReader(r)
-	magic := make([]byte, 4)
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, fmt.Errorf("shmfs: reading image magic: %w", err)
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, err
 	}
-	if string(magic) != imageMagic {
+	d := wire.NewDecoder(data)
+	if magic := d.Raw(len(imageMagic)); string(magic) != imageMagic {
 		return nil, fmt.Errorf("shmfs: bad image magic %q", magic)
 	}
-	var version, count uint32
-	if err := binary.Read(br, binary.BigEndian, &version); err != nil {
-		return nil, err
-	}
-	if version < 1 || version > imageVersion {
+	version := d.U32()
+	if d.Err() == nil && (version < 1 || version > imageVersion) {
 		return nil, fmt.Errorf("shmfs: unsupported image version %d", version)
 	}
-	if err := binary.Read(br, binary.BigEndian, &count); err != nil {
-		return nil, err
-	}
+	count := d.Count32(21) // the smallest inode record: a symlink or empty file
 	if count > NumInodes {
 		return nil, fmt.Errorf("shmfs: image claims %d inodes (max %d)", count, NumInodes)
 	}
 	fs := &FS{phys: phys, Lookup: LookupLinear}
 	fs.resetIndex()
-	for i := uint32(0); i < count; i++ {
-		var ino uint32
-		if err := binary.Read(br, binary.BigEndian, &ino); err != nil {
-			return nil, err
+	for i := 0; i < count && d.Err() == nil; i++ {
+		ino := d.U32()
+		nd := &inode{ino: int(ino), typ: FileType(d.U8()), mode: Mode(d.U16()), uid: int(d.U32()), mtime: d.U64()}
+		if d.Err() != nil {
+			break
 		}
-		if ino >= NumInodes {
-			return nil, fmt.Errorf("shmfs: inode %d out of range", ino)
+		if ino >= NumInodes || fs.inodes[ino] != nil {
+			return nil, fmt.Errorf("shmfs: inode %d out of range or repeated", ino)
 		}
-		typB, err := br.ReadByte()
-		if err != nil {
-			return nil, err
-		}
-		var mode uint16
-		if err := binary.Read(br, binary.BigEndian, &mode); err != nil {
-			return nil, err
-		}
-		var uid uint32
-		if err := binary.Read(br, binary.BigEndian, &uid); err != nil {
-			return nil, err
-		}
-		var mtime uint64
-		if err := binary.Read(br, binary.BigEndian, &mtime); err != nil {
-			return nil, err
-		}
-		nd := &inode{ino: int(ino), typ: FileType(typB), mode: Mode(mode), uid: int(uid), mtime: mtime}
 		switch nd.typ {
 		case TypeFile:
-			if err := binary.Read(br, binary.BigEndian, &nd.size); err != nil {
-				return nil, err
-			}
-			if nd.size > MaxFile {
+			if nd.size = d.U32(); nd.size > MaxFile {
 				return nil, fmt.Errorf("shmfs: inode %d size %d exceeds limit", ino, nd.size)
 			}
-			if err := fs.ensureFrames(nd, nd.size); err != nil {
-				return nil, err
-			}
-			remain := nd.size
-			for fi := 0; remain > 0; fi++ {
-				n := uint32(mem.PageSize)
-				if remain < n {
-					n = remain
-				}
+			// Each frame is allocated only once its bytes are in hand.
+			for remain := nd.size; remain > 0; {
+				n := min(remain, mem.PageSize)
+				var ver uint64
 				if version >= 2 {
-					var fver uint64
-					if err := binary.Read(br, binary.BigEndian, &fver); err != nil {
-						return nil, err
-					}
-					nd.frames[fi].RestoreVersion(fver)
+					ver = d.U64()
 				}
-				if _, err := io.ReadFull(br, nd.frames[fi].Data[:n]); err != nil {
-					return nil, err
+				content := d.Raw(int(n))
+				if content == nil {
+					break
 				}
-				remain -= n
-			}
-		case TypeDir:
-			nd.entries = map[string]int{}
-			var n uint32
-			if err := binary.Read(br, binary.BigEndian, &n); err != nil {
-				return nil, err
-			}
-			for j := uint32(0); j < n; j++ {
-				name, err := readString(br)
+				f, err := phys.Alloc()
 				if err != nil {
 					return nil, err
 				}
-				var child uint32
-				if err := binary.Read(br, binary.BigEndian, &child); err != nil {
-					return nil, err
-				}
-				nd.entries[name] = int(child)
+				f.RestoreVersion(ver)
+				copy(f.Data[:], content)
+				nd.frames = append(nd.frames, f)
+				remain -= n
+			}
+		case TypeDir:
+			n := d.Count32(6)
+			nd.entries = make(map[string]int, n)
+			for j := 0; j < n; j++ {
+				name := d.Str()
+				nd.entries[name] = int(d.U32())
 			}
 		case TypeSymlink:
-			if nd.target, err = readString(br); err != nil {
-				return nil, err
-			}
+			nd.target = d.Str()
 		default:
-			return nil, fmt.Errorf("shmfs: inode %d has unknown type %d", ino, typB)
+			return nil, fmt.Errorf("shmfs: inode %d has unknown type %d", ino, nd.typ)
 		}
 		fs.inodes[ino] = nd
 		fs.nAlloc++
-		if nd.mtime > fs.clock {
-			fs.clock = nd.mtime
-		}
+		fs.clock = max(fs.clock, nd.mtime)
+	}
+	if err := d.Finish(); err != nil {
+		return nil, fmt.Errorf("shmfs: reading image: %w", err)
 	}
 	if fs.inodes[0] == nil || fs.inodes[0].typ != TypeDir {
 		return nil, fmt.Errorf("shmfs: image has no root directory")
 	}
+	if err := fs.checkTree(); err != nil {
+		return nil, err
+	}
 	fs.BootScan()
 	return fs, nil
+}
+
+// checkTree rejects directory entries that do not form a tree under the
+// root. shmfs has no hard links, so every entry must name a loaded inode,
+// no inode may be named twice, and no entry may name the root. That also
+// rules out cycles, which would send BootScan into endless recursion.
+func (fs *FS) checkTree() error {
+	var named [NumInodes]bool
+	for _, dir := range fs.inodes {
+		if dir == nil {
+			continue
+		}
+		for name, ino := range dir.entries {
+			if ino <= 0 || ino >= NumInodes || fs.inodes[ino] == nil || named[ino] {
+				return fmt.Errorf("shmfs: directory inode %d entry %q names inode %d, which is missing, the root, or named twice", dir.ino, name, ino)
+			}
+			named[ino] = true
+		}
+	}
+	return nil
 }

@@ -8,9 +8,10 @@ import (
 	"testing/quick"
 
 	"hemlock/internal/mem"
+	"hemlock/internal/wire"
 )
 
-func newFS(t *testing.T) *FS {
+func newFS(t testing.TB) *FS {
 	t.Helper()
 	fs, err := New(mem.NewPhysical(0))
 	if err != nil {
@@ -439,6 +440,42 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	p, _, err := fs2.AddrToPath(orig.Addr)
 	if err != nil || p != "/lib/app/mod.o" {
 		t.Fatalf("AddrToPath after load = %q, %v", p, err)
+	}
+}
+
+// TestLoadVersion1Image: images from before the per-frame store-version
+// counters still load, with their content intact.
+func TestLoadVersion1Image(t *testing.T) {
+	payload := bytes.Repeat([]byte{0x5A}, mem.PageSize+10) // two frames
+	e := wire.NewEncoder(nil)
+	e.Raw([]byte("HSFS"))
+	e.U32(1) // version
+	e.U32(2) // inodes
+	e.U32(0) // root directory
+	e.U8(uint8(TypeDir))
+	e.U16(uint16(DefaultDirMode))
+	e.U32(0)
+	e.U64(1)
+	e.Count32(1)
+	e.Str("f")
+	e.U32(5)
+	e.U32(5) // the file: size, then bare page contents
+	e.U8(uint8(TypeFile))
+	e.U16(uint16(DefaultFileMode))
+	e.U32(0)
+	e.U64(2)
+	e.U32(uint32(len(payload)))
+	e.Raw(payload)
+	img, err := e.Bytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs, err := Load(bytes.NewReader(img), mem.NewPhysical(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := fs.ReadFile("/f", 0); err != nil || !bytes.Equal(got, payload) {
+		t.Fatalf("v1 file content: %d bytes, %v", len(got), err)
 	}
 }
 
