@@ -198,22 +198,40 @@ func checkFiles(fs *shmfs.FS, opt Options) []Finding {
 			out = append(out, Finding{Check: "slot-fill", Severity: Warn, Subject: p,
 				Detail: fmt.Sprintf("%d of %d slot bytes used (%.0f%%)", st.Size, shmfs.MaxFile, fill*100)})
 		}
-		if st.Size < 4 {
-			return nil
-		}
-		var head [4]byte
-		if n, err := fs.ReadAt(p, 0, head[:], 0); err != nil || n < 4 {
-			return nil
-		}
+		var head [4]byte // a short read leaves zeros, which match no magic
+		_, _ = fs.ReadAt(p, 0, head[:], 0)
 		switch string(head[:]) {
 		case "SHAL":
 			out = append(out, checkHeap(fs, p, st, opt)...)
 		case "HEMX":
 			out = append(out, checkImage(fs, p, st, publicAt)...)
+			return nil // an executable linked next to its own .o is no instance
 		}
+		out = append(out, checkInstance(fs, p, st)...)
 		return nil
 	})
 	return out
+}
+
+// checkInstance applies lds.CheckInstance to a public module instance: a
+// file named like a template (X.o) with the ".o" dropped. An instance whose
+// size is not what its template lays out to was written under another
+// layout, and the next cold link of it fails.
+func checkInstance(fs *shmfs.FS, p string, st shmfs.Stat) []Finding {
+	tmpl := p + ".o"
+	b, err := fs.ReadFile(tmpl, 0)
+	if err != nil {
+		return nil
+	}
+	obj, err := objfile.DecodeBytes(b)
+	if err != nil {
+		return nil
+	}
+	if _, err := lds.CheckInstance(p, st, tmpl, obj); err != nil {
+		return []Finding{{Check: "instance-layout", Severity: Critical, Subject: p,
+			Detail: fmt.Sprintf("%v; remove it, then re-link the images that link it static-public before they run again (they keep its old offsets)", err)}}
+	}
+	return nil
 }
 
 // fsMem adapts one shared-fs file to shalloc's Mem so the doctor can walk

@@ -197,6 +197,55 @@ func TestImageChecks(t *testing.T) {
 	}
 }
 
+// TestInstanceLayoutMismatch: a public module instance whose size is not
+// what its template lays out to (here a 20-byte instance in the contiguous
+// layout of earlier linkers, where the template now lays out to 4100) is
+// critical, through the same check the next cold link would fail.
+func TestInstanceLayoutMismatch(t *testing.T) {
+	sys := core.NewSystem()
+	if _, err := server.InstallDemo(sys); err != nil {
+		t.Fatal(err)
+	}
+	im, err := sys.LoadExecutable(server.DemoExe)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sys.Launch(im, 0, nil); err != nil {
+		t.Fatal(err)
+	}
+	// A correctly laid-out instance (the kv module ldl just created) and
+	// an executable next to its own template are both clean.
+	if fs := CheckSystem(sys, Options{}); len(fs) != 0 {
+		t.Fatalf("demo world with its kv instance has findings:\n%s", Render(fs))
+	}
+	lib, err := sys.Asm("/lib/lib.o", `
+        .text
+        .globl  get
+get:    la      $t0, val
+        lw      $v0, 0($t0)
+        jr      $ra
+        .data
+        .globl  val
+val:    .word   42
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sys.FS.Create("/lib/lib", shmfs.DefaultFileMode, 0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sys.FS.WriteAt("/lib/lib", 0, append(append([]byte(nil), lib.Text...), lib.Data...), 0); err != nil {
+		t.Fatal(err)
+	}
+	fs := findingsOf(CheckSystem(sys, Options{}), "instance-layout")
+	if len(fs) != 1 || fs[0].Severity != Critical || fs[0].Subject != "/lib/lib" {
+		t.Fatalf("instance-layout findings: %v, want one critical finding for /lib/lib", fs)
+	}
+	if !strings.Contains(fs[0].Detail, "/lib/lib is 20 bytes but /lib/lib.o lays out to 4100") {
+		t.Fatalf("detail %q does not name both sizes", fs[0].Detail)
+	}
+}
+
 func TestAddrWindowConflict(t *testing.T) {
 	sys := core.NewSystem()
 	// Two programs, each statically binding its own public module. Doctor

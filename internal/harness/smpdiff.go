@@ -54,7 +54,7 @@ func buildSMPImage(name, src string) (*objfile.Image, error) {
 	if len(pending) != 0 {
 		return nil, fmt.Errorf("unresolved refs: %v", pending)
 	}
-	dataOff, _ := o.Layout()
+	dataOff := p.DataAddr() - p.Base
 	return &objfile.Image{
 		Name:     name,
 		Entry:    layout.TextBase,

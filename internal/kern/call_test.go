@@ -56,7 +56,7 @@ func buildImageSyms(t *testing.T, src string) *objfile.Image {
 	if len(pending) != 0 {
 		t.Fatalf("test image has unresolved refs: %v", pending)
 	}
-	dataOff, _ := o.Layout()
+	dataOff := pl.DataAddr() - pl.Base
 	return &objfile.Image{
 		Name:     "a.out",
 		Entry:    layout.TextBase,

@@ -267,11 +267,12 @@ func (p *Process) Exec(im *objfile.Image) error {
 	if p.Exited {
 		return ErrExited
 	}
-	// Map the whole image span as one RWX region. Text, data and bss may
-	// share pages (the linkers lay modules out contiguously), and the
-	// trampoline area past bss must be executable, so per-section
-	// protection is not possible at page granularity. Shared modules get
-	// real per-slot protection via MapSharedFile and ldl.
+	// Map the whole image span as one RWX region. The linkers keep each
+	// module's data off its code pages, but an image interleaves code and
+	// data module by module, ldl writes trampolines and patches jump-table
+	// stubs in it at run time, and guest code may store to its own text
+	// (the block engine rebuilds what such a store changes). Shared
+	// modules get real per-slot protection via MapSharedFile and ldl.
 	lo := addrspace.PageBase(im.TextBase)
 	hi := im.TextBase + uint32(len(im.Text))
 	if e := im.DataBase + uint32(len(im.Data)); len(im.Data) > 0 && e > hi {
@@ -283,7 +284,7 @@ func (p *Process) Exec(im *objfile.Image) error {
 	if dlo := addrspace.PageBase(im.DataBase); len(im.Data) > 0 && dlo < lo {
 		lo = dlo
 	}
-	hi = pageCeil(hi)
+	hi = mem.PageCeil(hi)
 	t := p.K.Obs.Tracer()
 	execSpan := t.Begin("kern", "exec", p.PID, im.Name)
 	mapSpan := t.Begin("kern", "map_pages", p.PID, im.Name)
@@ -315,14 +316,12 @@ func (p *Process) Exec(im *objfile.Image) error {
 	execSpan.End(0)
 	p.CPU.Regs[29] = layout.StackTop - 16 // $sp
 	p.CPU.PC = im.Entry
-	p.brk = pageCeil(im.BssBase + im.BssSize)
+	p.brk = mem.PageCeil(im.BssBase + im.BssSize)
 	if p.brk < layout.PrivDataBase {
 		p.brk = layout.PrivDataBase
 	}
 	return nil
 }
-
-func pageCeil(v uint32) uint32 { return (v + mem.PageSize - 1) &^ (mem.PageSize - 1) }
 
 // Sbrk grows the heap by n bytes and returns the previous break.
 func (p *Process) Sbrk(n uint32) (uint32, error) {
@@ -330,7 +329,7 @@ func (p *Process) Sbrk(n uint32) (uint32, error) {
 	if n == 0 {
 		return old, nil
 	}
-	newBrk := pageCeil(old + n)
+	newBrk := mem.PageCeil(old + n)
 	if newBrk > layout.PrivDataLimit {
 		return 0, fmt.Errorf("kern: sbrk beyond private data region")
 	}
@@ -347,7 +346,7 @@ func (p *Process) Sbrk(n uint32) (uint32, error) {
 // private module instance and returns its base.
 func (p *Process) AllocPrivate(size uint32) (uint32, error) {
 	base := p.privBase
-	end := pageCeil(base + size)
+	end := mem.PageCeil(base + size)
 	if end > layout.PrivDataLimit {
 		return 0, fmt.Errorf("kern: private module region exhausted")
 	}

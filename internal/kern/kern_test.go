@@ -33,7 +33,7 @@ func buildImage(t *testing.T, src string) *objfile.Image {
 	if len(pending) != 0 {
 		t.Fatalf("test image has unresolved refs: %v", pending)
 	}
-	dataOff, _ := o.Layout()
+	dataOff := p.DataAddr() - p.Base
 	im := &objfile.Image{
 		Name:     "a.out",
 		Entry:    layout.TextBase,

@@ -445,19 +445,13 @@ func (pr *Proc) bringInPublic(name string, class objfile.Class, tmplPath string,
 	sh, known := w.public[instPath]
 	w.mu.Unlock()
 	if !known {
-		createSpan := w.tracer().Begin("ldl", "create_instance", pr.P.PID, tmplPath)
-		_, addr, created, err := w.LD.CreatePublicInstance(tmplPath, pr.P.UID)
-		createSpan.End(0)
-		if err != nil {
-			return nil, err
-		}
 		obj, err := pr.loadTemplate(tmplPath)
 		if err != nil {
 			return nil, err
 		}
-		placeSpan := w.tracer().Begin("linker", "place", pr.P.PID, tmplPath)
-		placed, err := linker.Place(obj, addr)
-		placeSpan.End(0)
+		createSpan := w.tracer().Begin("ldl", "create_instance", pr.P.PID, tmplPath)
+		_, placed, created, err := w.LD.CreatePublicInstance(tmplPath, obj, pr.P.UID)
+		createSpan.End(0)
 		if err != nil {
 			return nil, err
 		}

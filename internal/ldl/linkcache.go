@@ -5,7 +5,7 @@
 // come in, the same symbols resolve to the same public addresses, the same
 // words get patched. The cache records that work once, keyed by a content
 // hash over the whole module set (image bytes + search strategy + uid +
-// environment), and replays it on repeat launches as a bulk application of
+// environment + the linker's layout version), and replays it on repeat launches as a bulk application of
 // pre-resolved patch words.
 //
 // Layout: one file per launch key under /var/ldl/cache/<key-hex>, holding a
@@ -160,8 +160,9 @@ func fnvU32(h uint64, v uint32) uint64 {
 }
 
 // imageHash fingerprints every field of the load image that influences
-// linking. Memoized by image identity: decoded images are immutable, and
-// launch benchmarks re-launch the same *Image thousands of times.
+// linking, and the layout linker.Place gives the modules it brings in.
+// Memoized by image identity: decoded images are immutable, and launch
+// benchmarks re-launch the same *Image thousands of times.
 func (w *World) imageHash(im *objfile.Image) uint64 {
 	w.cmu.Lock()
 	if h, ok := w.keyMemo[im]; ok {
@@ -170,7 +171,7 @@ func (w *World) imageHash(im *objfile.Image) uint64 {
 	}
 	w.cmu.Unlock()
 
-	h := uint64(fnvOffset)
+	h := fnvU32(fnvOffset, linker.LayoutVersion)
 	h = fnvStr(h, im.Name)
 	h = fnvU32(h, im.Entry)
 	h = fnvU32(h, im.TextBase)

@@ -2,10 +2,12 @@ package ldl_test
 
 import (
 	"bytes"
+	"os"
 	"strings"
 	"testing"
 
 	"hemlock/internal/core"
+	"hemlock/internal/ldl"
 	"hemlock/internal/lds"
 	"hemlock/internal/objfile"
 	"hemlock/internal/obsv"
@@ -279,6 +281,46 @@ func TestLinkCacheReplayAcrossReboot(t *testing.T) {
 	}
 	if c := counters(s2); c["ldl.linkcache_invalidate"] != 1 {
 		t.Fatalf("invalidations after mutation = %d, want 1", c["ldl.linkcache_invalidate"])
+	}
+}
+
+// TestLinkCacheEntryFromOlderLayoutMisses loads testdata/layout1-world.hsfs,
+// a world saved by the linker that laid each module out contiguously (text,
+// data, bss, trampoline area). In it /bin/demo reads val (.word 42) with
+// la/lw from /lib/lib.o, a dynamic-private module with text and data, and
+// exits with it; its one launch there recorded a link-cache entry. Place
+// now puts lib's data a page higher, so replaying that entry would point
+// main at zeroed bytes. The layout version in the launch key makes the
+// entry miss: the launch links cold and exits 42, and the entry it records
+// serves the next launch.
+func TestLinkCacheEntryFromOlderLayoutMisses(t *testing.T) {
+	f, err := os.Open("testdata/layout1-world.hsfs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	s, err := core.Load(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if names, _ := s.FS.ReadDir(ldl.CacheDir); len(names) != 1 {
+		t.Fatalf("saved world holds %d link-cache entries, want 1", len(names))
+	}
+	im, err := s.LoadExecutable("/bin/demo")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pg := launchRun(t, s, im, nil); pg.P.ExitCode != 42 {
+		t.Fatalf("first launch exit = %d, want 42 (older layout's entry replayed)", pg.P.ExitCode)
+	}
+	if c := counters(s); c["ldl.linkcache_hit"] != 0 || c["ldl.linkcache_miss"] != 1 {
+		t.Fatalf("first launch: hit=%d miss=%d, want 0/1", c["ldl.linkcache_hit"], c["ldl.linkcache_miss"])
+	}
+	if pg := launchRun(t, s, im, nil); pg.P.ExitCode != 42 {
+		t.Fatalf("second launch exit = %d, want 42", pg.P.ExitCode)
+	}
+	if c := counters(s); c["ldl.linkcache_hit"] == 0 || c["ldl.linkcache_miss"] != 1 {
+		t.Fatalf("second launch: hit=%d miss=%d, want a hit and no new miss", c["ldl.linkcache_hit"], c["ldl.linkcache_miss"])
 	}
 }
 

@@ -30,6 +30,7 @@ import (
 	"hemlock/internal/isa"
 	"hemlock/internal/layout"
 	"hemlock/internal/linker"
+	"hemlock/internal/mem"
 	"hemlock/internal/objfile"
 	"hemlock/internal/shmfs"
 )
@@ -39,6 +40,7 @@ var (
 	ErrStaticModuleMissing = errors.New("lds: cannot find static module")
 	ErrPrivateIntoPublic   = errors.New("lds: public module references a private symbol")
 	ErrImageTooLarge       = errors.New("lds: image exceeds private text region")
+	ErrInstanceLayout      = errors.New("lds: public module instance does not match its template's layout")
 )
 
 // Input names one module argument with its sharing class.
@@ -151,44 +153,67 @@ func (l *Linker) loadTemplate(path string, uid int) (*objfile.Object, error) {
 	return o, nil
 }
 
-// CreatePublicInstance creates (if absent) the persistent instance of a
-// public module from its template: a file next to the template named by
-// dropping ".o", internally relocated to the address of its inode slot.
-// It returns the instance path, its base address, and whether it was
-// created by this call.
-func (l *Linker) CreatePublicInstance(templatePath string, uid int) (string, uint32, bool, error) {
+// CheckInstance places the template obj, read from templatePath, at the
+// existing public instance inst (whose stat is st). An instance must be
+// exactly as large as its template lays out to at its address. One that is
+// not was written under another layout (by an older linker, or from a
+// template since re-assembled with other section sizes), so its bytes are
+// not where obj's symbols say: CheckInstance returns ErrInstanceLayout,
+// naming both sizes. The check sees sizes only, so an instance written
+// under another layout that happens to have the same size passes it. An
+// empty layout places nothing, so any instance matches it; mapping an
+// empty instance grows its file to one page.
+func CheckInstance(inst string, st shmfs.Stat, templatePath string, obj *objfile.Object) (*linker.Placed, error) {
+	p, err := linker.Place(obj, st.Addr)
+	if err != nil {
+		return nil, err
+	}
+	if st.Size != p.Size() && p.Size() > 0 {
+		return nil, fmt.Errorf("%w: %s is %d bytes but %s lays out to %d",
+			ErrInstanceLayout, inst, st.Size, templatePath, p.Size())
+	}
+	return p, nil
+}
+
+// CreatePublicInstance returns the persistent instance of a public module,
+// placed at the address of its inode slot, creating it if absent: a file
+// next to the template named by dropping ".o", made from obj (the decoded
+// template) and internally relocated to that address. It also reports
+// whether this call created the instance. An existing instance that fails
+// CheckInstance is an error, and the file is left as it is.
+func (l *Linker) CreatePublicInstance(templatePath string, obj *objfile.Object, uid int) (string, *linker.Placed, bool, error) {
 	inst := InstancePath(templatePath)
 	if st, err := l.FS.StatPath(inst); err == nil {
-		return inst, st.Addr, false, nil
-	}
-	obj, err := l.loadTemplate(templatePath, uid)
-	if err != nil {
-		return "", 0, false, err
+		p, err := CheckInstance(inst, st, templatePath, obj)
+		if err != nil {
+			return "", nil, false, err
+		}
+		return inst, p, false, nil
 	}
 	st, err := l.FS.Create(inst, shmfs.DefaultFileMode|shmfs.ModeOtherWrite, uid)
 	if err != nil {
-		return "", 0, false, fmt.Errorf("lds: creating public module %s: %w", inst, err)
+		return "", nil, false, fmt.Errorf("lds: creating public module %s: %w", inst, err)
 	}
 	p, err := linker.Place(obj, st.Addr)
 	if err != nil {
 		l.FS.Unlink(inst, uid)
-		return "", 0, false, err
+		return "", nil, false, err
 	}
 	if p.Size() > shmfs.MaxFile {
 		l.FS.Unlink(inst, uid)
-		return "", 0, false, fmt.Errorf("lds: module %s (%d bytes) exceeds the 1 MB segment limit", obj.Name, p.Size())
+		return "", nil, false, fmt.Errorf("lds: module %s (%d bytes) exceeds the 1 MB segment limit", obj.Name, p.Size())
 	}
 	img := make([]byte, p.Size())
 	copy(img, p.Image())
 	if _, err := p.RelocateInternal(&linker.BytesPatcher{Base: st.Addr, B: img}); err != nil {
 		l.FS.Unlink(inst, uid)
-		return "", 0, false, err
+		return "", nil, false, err
 	}
 	if _, err := l.FS.WriteAt(inst, 0, img, uid); err != nil {
 		l.FS.Unlink(inst, uid)
-		return "", 0, false, err
+		return "", nil, false, err
 	}
-	return inst, st.Addr, true, nil
+	return inst, p, true, nil
 }
 
 // Link performs a static link.
@@ -244,15 +269,11 @@ func (l *Linker) Link(o *Options) (*Result, error) {
 	// placePublic creates (if needed) a public instance and returns it
 	// placed at its fixed address.
 	placePublic := func(tmplPath string) (*linker.Placed, error) {
-		inst, addr, _, err := l.CreatePublicInstance(tmplPath, o.UID)
-		if err != nil {
-			return nil, err
-		}
 		obj, err := l.loadTemplate(tmplPath, o.UID)
 		if err != nil {
 			return nil, err
 		}
-		pp, err := linker.Place(obj, addr)
+		inst, pp, _, err := l.CreatePublicInstance(tmplPath, obj, o.UID)
 		if err != nil {
 			return nil, err
 		}
@@ -260,7 +281,7 @@ func (l *Linker) Link(o *Options) (*Result, error) {
 			Name:     obj.Name,
 			Path:     inst,
 			Template: tmplPath,
-			Addr:     addr,
+			Addr:     pp.Base,
 		})
 		return pp, nil
 	}
@@ -340,13 +361,26 @@ func (l *Linker) Link(o *Options) (*Result, error) {
 	}
 
 	// Lay out every private static module (roots and scoped children)
-	// sequentially from TextBase.
+	// sequentially from TextBase. linker.Place keeps each module's data and
+	// bss off its code pages; here a module whose first bytes are code
+	// moves to a fresh page when the module below it ends in data or bss,
+	// so code never follows writable bytes on a page. A module of only
+	// data or bss still packs onto the code page below it: moving it too
+	// would store a page of zero padding in the image, which every launch
+	// by path decodes and hashes.
 	cursor := layout.TextBase
+	tailWritable := false // the last non-empty module placed ends in data or bss
 	var placed []*linker.Placed
 	for _, n := range allNodes {
+		if tailWritable && (len(n.obj.Text) > 0 || linker.TrampolineReserve(n.obj) > 0) {
+			cursor = mem.PageCeil(cursor)
+		}
 		p, err := linker.Place(n.obj, cursor)
 		if err != nil {
 			return nil, err
+		}
+		if p.Size() > 0 {
+			tailWritable = p.Writable()
 		}
 		n.placed = p
 		placed = append(placed, p)
@@ -355,10 +389,17 @@ func (l *Linker) Link(o *Options) (*Result, error) {
 			return nil, fmt.Errorf("%w: %d bytes", ErrImageTooLarge, cursor-layout.TextBase)
 		}
 	}
-	// Reserve an image-level trampoline area for retained relocations that
-	// ldl will resolve at run time (targets in the shared region cannot be
-	// reached by a 26-bit jump from here).
-	trampBase := cursor
+	// Code past the modules (jump-table stubs, then the image trampoline
+	// area) starts on a fresh page when the last module ends in writable
+	// bytes.
+	codeBase := cursor
+	if tailWritable {
+		codeBase = mem.PageCeil(cursor)
+	}
+	// The image-level trampoline area serves retained relocations that ldl
+	// will resolve at run time (targets in the shared region cannot be
+	// reached by a 26-bit jump from here). Its base is fixed once its size
+	// is known, so an empty area adds no padding.
 	var trampSize uint32
 
 	// The flat (root) symbol table: exports of the root-level modules
@@ -441,7 +482,7 @@ func (l *Linker) Link(o *Options) (*Result, error) {
 			}
 			stub, ok := stubFor[r.Name]
 			if !ok {
-				stub = cursor + uint32(len(pltBytes))
+				stub = codeBase + uint32(len(pltBytes))
 				stubFor[r.Name] = stub
 				idx := uint32(len(plt))
 				words := []uint32{
@@ -467,10 +508,15 @@ func (l *Linker) Link(o *Options) (*Result, error) {
 			trampSize -= isa.TrampolineSize // the stub replaces the tramp slot
 		}
 		retained = kept
-		img = append(img, pltBytes...)
-		cursor += uint32(len(pltBytes))
-		trampBase = cursor
-		pat.B = img
+		if len(pltBytes) > 0 {
+			img = append(append(img, make([]byte, codeBase-cursor)...), pltBytes...)
+			cursor = codeBase + uint32(len(pltBytes))
+			tailWritable = false
+		}
+	}
+	trampBase := cursor
+	if trampSize > 0 && tailWritable {
+		trampBase = codeBase
 	}
 
 	if len(retained) > 0 {
@@ -495,13 +541,15 @@ func (l *Linker) Link(o *Options) (*Result, error) {
 	if !ok {
 		return nil, fmt.Errorf("lds: crt0 has no __start")
 	}
+	// The image's bss is its trampoline area, so exec maps it.
 	res.Image = &objfile.Image{
 		Name:      o.Output,
 		Entry:     entry,
 		TextBase:  layout.TextBase,
 		Text:      img,
 		DataBase:  layout.TextBase + uint32(len(img)),
-		BssBase:   layout.TextBase + uint32(len(img)),
+		BssBase:   trampBase,
+		BssSize:   trampSize,
 		TrampBase: trampBase,
 		TrampSize: trampSize,
 		Symbols:   table.Symbols(),
@@ -509,9 +557,6 @@ func (l *Linker) Link(o *Options) (*Result, error) {
 		Dyn:       dyn,
 		PLT:       plt,
 	}
-	// The image must also cover its trampoline area.
-	res.Image.BssBase = trampBase
-	res.Image.BssSize = trampSize
 	return res, nil
 }
 

@@ -18,6 +18,7 @@ import (
 	"sort"
 
 	"hemlock/internal/isa"
+	"hemlock/internal/mem"
 	"hemlock/internal/objfile"
 )
 
@@ -29,18 +30,29 @@ var (
 	ErrTrampolines     = errors.New("linker: trampoline area exhausted")
 )
 
-// Placed is a module instance assigned a base address. Sections are laid
-// out contiguously: text at Base, data and bss after it (word-aligned), and
-// a trampoline area after bss for over-long jump fragments.
+// LayoutVersion numbers the layout Place produces. A link-cache entry
+// replays addresses that Place computed, so ldl mixes this into every
+// launch key: bump it whenever Place moves a section, and entries recorded
+// under an older layout miss and their programs link cold.
+const LayoutVersion = 2
+
+// Placed is a module instance assigned a base address. Code comes first:
+// text at Base, then the trampoline area for over-long jump fragments.
+// Data and bss follow, word-aligned, starting at the next page boundary
+// when the module also has code, so no page holds both code and writable
+// bytes. The block engine checks each translation against the store
+// version of the one frame it was decoded from, so a store to a global on
+// a code page would rebuild that page's code. A module with only code, or
+// only writable sections, gets no padding.
 type Placed struct {
 	Obj  *objfile.Object
 	Base uint32
 
-	dataOff   uint32
-	bssOff    uint32
-	trampOff  uint32 // offset of the trampoline area
+	trampOff  uint32 // offset of the trampoline area, right after text
 	trampUsed uint32
 	trampSize uint32
+	dataOff   uint32
+	bssOff    uint32
 
 	// trampFor memoises trampoline addresses per target so multiple
 	// over-long jumps to one target share a fragment.
@@ -54,15 +66,19 @@ func Place(obj *objfile.Object, base uint32) (*Placed, error) {
 	if obj.UsesGP {
 		return nil, fmt.Errorf("%w: %s", ErrUsesGP, obj.Name)
 	}
-	dataOff, bssOff := obj.Layout()
-	trampOff := bssOff + align4(obj.BssSize)
+	trampOff := align4(uint32(len(obj.Text)))
+	trampSize := TrampolineReserve(obj)
+	dataOff := trampOff + trampSize
+	if dataOff > 0 && (len(obj.Data) > 0 || obj.BssSize > 0) {
+		dataOff = mem.PageCeil(base+dataOff) - base
+	}
 	return &Placed{
 		Obj:       obj,
 		Base:      base,
-		dataOff:   dataOff,
-		bssOff:    bssOff,
 		trampOff:  trampOff,
-		trampSize: TrampolineReserve(obj),
+		trampSize: trampSize,
+		dataOff:   dataOff,
+		bssOff:    dataOff + align4(uint32(len(obj.Data))),
 		trampFor:  map[uint32]uint32{},
 	}, nil
 }
@@ -81,9 +97,12 @@ func TrampolineReserve(obj *objfile.Object) uint32 {
 	return n * isa.TrampolineSize
 }
 
-// Size returns the total mapped size of the placed module, including the
-// trampoline area.
-func (p *Placed) Size() uint32 { return p.trampOff + p.trampSize }
+// Size returns the total mapped size of the placed module: code,
+// trampoline area, any padding, data and bss.
+func (p *Placed) Size() uint32 { return p.bssOff + align4(p.Obj.BssSize) }
+
+// Writable reports whether the module has writable bytes: data or bss.
+func (p *Placed) Writable() bool { return p.Size() > p.dataOff }
 
 // TextAddr/DataAddr/BssAddr return the section base addresses.
 func (p *Placed) TextAddr() uint32 { return p.Base }
@@ -136,9 +155,9 @@ func (p *Placed) Exports() []objfile.ImageSym {
 	return out
 }
 
-// Image returns the initialised bytes of the placed module (text followed
-// by padding and data) ready to be written at Base. Bss and the trampoline
-// area are zero and need no bytes.
+// Image returns the initialised bytes of the placed module (text, the
+// still-empty trampoline area and padding as zeros, then data) ready to be
+// written at Base. Bss is zero and needs no bytes.
 func (p *Placed) Image() []byte {
 	img := make([]byte, p.bssOff)
 	copy(img, p.Obj.Text)

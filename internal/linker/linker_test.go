@@ -40,11 +40,12 @@ v:      .word 9
 	if p.TextAddr() != 0x30100000 {
 		t.Fatalf("text at 0x%x", p.TextAddr())
 	}
-	if p.DataAddr() != 0x30100008 {
-		t.Fatalf("data at 0x%x, want text+8", p.DataAddr())
+	// Data starts on the page after the code, never beside it.
+	if p.DataAddr() != 0x30101000 {
+		t.Fatalf("data at 0x%x, want the next page 0x30101000", p.DataAddr())
 	}
-	if p.BssAddr() != 0x3010000C {
-		t.Fatalf("bss at 0x%x", p.BssAddr())
+	if p.BssAddr() != 0x30101004 {
+		t.Fatalf("bss at 0x%x, want data+4", p.BssAddr())
 	}
 	if addr, ok := p.AddrOf("v"); !ok || addr != p.DataAddr() {
 		t.Fatalf("v at 0x%x", addr)
@@ -52,8 +53,61 @@ v:      .word 9
 	if addr, ok := p.AddrOf("b"); !ok || addr != p.BssAddr() {
 		t.Fatalf("b at 0x%x", addr)
 	}
-	if p.Size() < o.TotalSize() {
-		t.Fatalf("size %d < total %d", p.Size(), o.TotalSize())
+	if p.Size() != 0x1000+4+16 {
+		t.Fatalf("size 0x%x, want 0x%x", p.Size(), 0x1000+4+16)
+	}
+	// The page boundary is computed from the actual base, not from 0.
+	q, err := Place(o, 0x00400010)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if q.DataAddr() != 0x00401000 || q.Size() != 0xff0+4+16 {
+		t.Fatalf("at 0x00400010: data 0x%x size 0x%x, want 0x00401000 and 0x%x", q.DataAddr(), q.Size(), 0xff0+4+16)
+	}
+}
+
+// TestPlaceLayoutShapes pins the layout of each section mix: code first
+// (text, then its trampoline area), data and bss from the next page
+// boundary only when the module also has code.
+func TestPlaceLayoutShapes(t *testing.T) {
+	jal := []objfile.Symbol{{Name: "far", Section: objfile.SecUndef, Global: true}}
+	cases := []struct {
+		name                  string
+		obj                   *objfile.Object
+		base                  uint32
+		dataOff, bssOff, size uint32
+		writable              bool
+	}{
+		{"text+data+bss", &objfile.Object{Text: make([]byte, 8), Data: make([]byte, 6), BssSize: 10},
+			0, 0x1000, 0x1008, 0x1008 + 12, true},
+		{"text only", &objfile.Object{Text: make([]byte, 8)},
+			0x400010, 8, 8, 8, false},
+		{"data only", &objfile.Object{Data: make([]byte, 6), BssSize: 10},
+			0x400010, 0, 8, 8 + 12, true},
+		{"bss only", &objfile.Object{BssSize: 10},
+			0x400010, 0, 0, 12, true},
+		{"text ends on a page boundary", &objfile.Object{Text: make([]byte, 8), Data: make([]byte, 4)},
+			0x1ff8, 8, 12, 12, true},
+		{"trampoline area is code", &objfile.Object{Text: make([]byte, 8), Data: make([]byte, 4), Symbols: jal,
+			Relocs: []objfile.Reloc{{Section: objfile.SecText, Sym: 0, Type: objfile.RelJump26}}},
+			0, 0x1000, 0x1004, 0x1004, true},
+		{"empty", &objfile.Object{}, 0x400010, 0, 0, 0, false},
+	}
+	for _, c := range cases {
+		c.obj.Name = c.name
+		p, err := Place(c.obj, c.base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := [3]uint32{p.DataAddr() - c.base, p.BssAddr() - c.base, p.Size()}; got != [3]uint32{c.dataOff, c.bssOff, c.size} {
+			t.Errorf("%s: data, bss, size = %#x, want %#x", c.name, got, [3]uint32{c.dataOff, c.bssOff, c.size})
+		}
+		if p.Writable() != c.writable {
+			t.Errorf("%s: writable %v, want %v", c.name, p.Writable(), c.writable)
+		}
+		if img := p.Image(); uint32(len(img)) != c.bssOff {
+			t.Errorf("%s: image is %d bytes, want %d", c.name, len(img), c.bssOff)
+		}
 	}
 }
 
@@ -397,8 +451,7 @@ func TestRelocationCompositionProperty(t *testing.T) {
 		if isa.ComposeHiLo(hi, lo) != want {
 			return false
 		}
-		dataOff, _ := o.Layout()
-		return binary.BigEndian.Uint32(img[dataOff:]) == want
+		return binary.BigEndian.Uint32(img[p.DataAddr()-p.Base:]) == want
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)

@@ -26,6 +26,9 @@ const PageSize = 4096
 // PageShift is log2(PageSize).
 const PageShift = 12
 
+// PageCeil rounds addr up to the next page boundary.
+func PageCeil(addr uint32) uint32 { return (addr + PageSize - 1) &^ (PageSize - 1) }
+
 // ErrOutOfMemory is returned when the physical memory pool is exhausted.
 var ErrOutOfMemory = errors.New("mem: out of physical memory")
 
@@ -268,13 +271,14 @@ func (f *Frame) Copy() (*Frame, error) {
 // same frames concurrently. Word-granular guest accesses therefore go
 // through host-atomic 32-bit operations on the frame word, converted
 // between guest (big-endian) and host byte order here. On little-endian
-// hosts the conversion is the same bswap binary.BigEndian performed, and an
-// aligned 32-bit atomic load/store is a plain MOV on x86/arm64 — the
-// single-CPU fast paths cost what they did before, while concurrent CPUs
-// get tear-free words and the race detector gets a sound happens-before
-// model of guest memory. Byte and bulk accesses stay plain: guests that
-// share sub-word data must synchronise around it, exactly as the paper's
-// processes must.
+// hosts the conversion is the same bswap binary.BigEndian performed. An
+// aligned 32-bit atomic load is a plain MOV on amd64, so loads cost what
+// they did before; an atomic store is an XCHG there (STLR on arm64), a
+// full barrier that costs more than a plain store. In return concurrent
+// CPUs get tear-free words and the race detector gets a sound
+// happens-before model of guest memory. Byte and bulk accesses stay plain:
+// guests that share sub-word data must synchronise around it, exactly as
+// the paper's processes must.
 
 // hostIsBig reports the host byte order, decided once at init.
 var hostIsBig = func() bool {

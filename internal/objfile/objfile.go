@@ -222,23 +222,6 @@ func (o *Object) SectionSize(s Section) uint32 {
 	return 0
 }
 
-// TotalSize returns text+data+bss rounded as laid out contiguously
-// (text, then data, then bss, each word-aligned).
-func (o *Object) TotalSize() uint32 {
-	return align4(uint32(len(o.Text))) + align4(uint32(len(o.Data))) + align4(o.BssSize)
-}
-
-// Layout returns the offsets of the data and bss sections when the module
-// is laid out contiguously starting at 0: text at 0, data after text, bss
-// after data, all 4-byte aligned.
-func (o *Object) Layout() (dataOff, bssOff uint32) {
-	dataOff = align4(uint32(len(o.Text)))
-	bssOff = dataOff + align4(uint32(len(o.Data)))
-	return
-}
-
-func align4(v uint32) uint32 { return (v + 3) &^ 3 }
-
 // Validate checks internal consistency: relocation offsets within bounds,
 // symbol indices valid, symbol values inside their sections, duplicate
 // global definitions rejected.

@@ -95,17 +95,6 @@ func TestBuilderAlignment(t *testing.T) {
 	}
 }
 
-func TestLayout(t *testing.T) {
-	o := &Object{Name: "l.o", Text: make([]byte, 8), Data: make([]byte, 6), BssSize: 10}
-	dataOff, bssOff := o.Layout()
-	if dataOff != 8 || bssOff != 16 {
-		t.Fatalf("layout = %d,%d, want 8,16", dataOff, bssOff)
-	}
-	if o.TotalSize() != 8+8+12 {
-		t.Fatalf("total = %d", o.TotalSize())
-	}
-}
-
 func TestValidateCatchesBadRelocs(t *testing.T) {
 	o := &Object{
 		Name:    "bad.o",

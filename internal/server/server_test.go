@@ -60,6 +60,36 @@ func getURL(t *testing.T, h http.Handler, url string) (*httptest.ResponseRecorde
 	return rr, rr.Body.Bytes()
 }
 
+// TestDemoCallsReuseBlocks: kv_get starts at the kv module's page-aligned
+// base, and kv_put stores to kv_table and kv_hits, which sit on the
+// module's data page, not beside its code. After the first call of each,
+// repeated calls build no block and invalidate none.
+func TestDemoCallsReuseBlocks(t *testing.T) {
+	s, agent := newDemoServer(t)
+	h := s.Handler()
+	call := func(fn string, args ...uint32) {
+		t.Helper()
+		if rr, body := postJSON(t, h, "/api/call", CallRequest{Program: agent, Fn: fn, Args: args}); rr.Code != http.StatusOK {
+			t.Fatalf("call %s: %d %s", fn, rr.Code, body)
+		}
+	}
+	call("kv_get", 1)
+	call("kv_put", 1, 5)
+	reg := s.sys.Obs().Registry()
+	before := reg.Snapshot().Counters
+	for i := uint32(0); i < 100; i++ {
+		call("kv_get", i)
+		call("kv_put", i, i)
+	}
+	after := reg.Snapshot().Counters
+	if n := after["vm.block_build"] - before["vm.block_build"]; n != 0 {
+		t.Errorf("%d blocks built over 200 repeated calls, want 0", n)
+	}
+	if n := after["vm.block_invalidate"] - before["vm.block_invalidate"]; n != 0 {
+		t.Errorf("%d blocks invalidated over 200 repeated calls, want 0", n)
+	}
+}
+
 func TestServeEndpoints(t *testing.T) {
 	s, agent := newDemoServer(t)
 	h := s.Handler()

@@ -56,9 +56,11 @@ import (
 	"hemlock/internal/mem"
 )
 
-// Block-cache geometry: direct-mapped on the block's start word address.
-// 512 slots covers the working set of an image plus a few shared modules
-// at one pointer per slot.
+// Block-cache geometry: 512 direct-mapped slots, one pointer each, which
+// covers the working set of an image plus a few shared modules. The slot
+// index (bcIndex) mixes the page and 1 MB segment numbers into the word
+// index, so blocks at one offset in different pages, such as page-aligned
+// function entries and module bases, do not evict each other.
 const (
 	bcBits = 9
 	bcSize = 1 << bcBits
@@ -187,6 +189,11 @@ func illegalErr(w uint32) error {
 	return fmt.Errorf("%w: opcode %d", ErrIllegal, w>>26)
 }
 
+// bcIndex returns the block-cache slot for a block starting at pc: its
+// word index within the page, XORed with its page number and its 1 MB
+// segment number.
+func bcIndex(pc uint32) uint32 { return (pc>>2 ^ pc>>12 ^ pc>>20) & (bcSize - 1) }
+
 // blockAt returns a valid block starting at pc, probing the direct-mapped
 // cache and (re)building on miss or staleness.
 func (c *CPU) blockAt(pc uint32) (*block, error) {
@@ -195,7 +202,7 @@ func (c *CPU) blockAt(pc uint32) (*block, error) {
 		*bc = [bcSize]*block{} // a pooled array holds another CPU's blocks
 		c.bc = bc
 	}
-	slot := &c.bc[(pc>>2)&(bcSize-1)]
+	slot := &c.bc[bcIndex(pc)]
 	if b := *slot; b != nil && b.pc == pc && b.valid(c.AS.Gen()) {
 		c.stats.BlockHits++
 		return b, nil

@@ -65,9 +65,9 @@ func TestBlockChainLoopCountsHits(t *testing.T) {
 // the stale frame version and rebuild B, so the patched word executes on
 // the very next transfer into it.
 func TestBlockSMCIntoChainedSuccessor(t *testing.T) {
-	// B sits off the page base: every page-aligned address indexes slot 0
-	// of the direct-mapped cache, and an index collision would turn the
-	// stale-rebuild this test pins into a plain miss.
+	// B sits off the page base, in another cache slot than A: an index
+	// collision would turn the stale-rebuild this test pins into a plain
+	// miss.
 	const (
 		pageA  = uint32(0x00001000)
 		pageB  = uint32(0x00003000)
@@ -115,6 +115,53 @@ func TestBlockSMCIntoChainedSuccessor(t *testing.T) {
 	}
 	if st.BlockHits == 0 {
 		t.Fatal("no chain/probe hits recorded — was the chain ever warm?")
+	}
+}
+
+// TestBlockCachePageAlignedEntriesDoNotAlias: functions at page-aligned
+// entries in different pages, called alternately through jalr (the path
+// that probes the cache instead of following a chain pointer). The slot
+// index folds in the page and 1 MB segment numbers, so after the first
+// call of each no call builds a block. Both pairs share one slot under an
+// index of the word address alone; the second pair (module bases two
+// segments apart) also shares one under the page number alone.
+func TestBlockCachePageAlignedEntriesDoNotAlias(t *testing.T) {
+	const caller = uint32(0x00001100)
+	for _, pair := range [][2]uint32{{0x00002000, 0x00003000}, {0x30100000, 0x30300000}} {
+		fnA, fnB := pair[0], pair[1]
+		as := mapPages(t, map[uint32]addrspace.Prot{
+			caller &^ (mem.PageSize - 1): addrspace.ProtRWX,
+			fnA:                          addrspace.ProtRWX,
+			fnB:                          addrspace.ProtRWX,
+		})
+		putCode(t, as, caller, []uint32{
+			isa.EncodeR(isa.FnJALR, 31, 24, 0, 0),  // loop: jalr t8 (A)
+			isa.EncodeR(isa.FnJALR, 31, 25, 0, 0),  //       jalr t9 (B)
+			isa.EncodeI(isa.OpADDIU, 9, 9, 0xFFFF), //       addiu t1, t1, -1
+			isa.EncodeI(isa.OpBNE, 0, 9, 0xFFFC),   //       bne t1, zero, loop
+			isa.EncodeI(isa.OpHALT, 0, 0, 0),
+		})
+		putCode(t, as, fnA, []uint32{isa.EncodeI(isa.OpADDIU, 10, 10, 1), isa.EncodeR(isa.FnJR, 0, 31, 0, 0)})
+		putCode(t, as, fnB, []uint32{isa.EncodeI(isa.OpADDIU, 11, 11, 1), isa.EncodeR(isa.FnJR, 0, 31, 0, 0)})
+		c := vm.New(as)
+		c.Regs[24], c.Regs[25] = fnA, fnB
+		run := func(passes uint32) {
+			t.Helper()
+			c.PC, c.Regs[9] = caller, passes
+			if ev, err := c.RunBatch(10000); err != nil || ev != vm.EventHalt {
+				t.Fatalf("ev=%v err=%v at pc=0x%08x, want halt", ev, err, c.PC)
+			}
+		}
+		run(1)
+		warm := c.CacheStats().BlockBuilds
+		run(50)
+		if c.Regs[10] != 51 || c.Regs[11] != 51 {
+			t.Fatalf("calls retired %d and %d, want 51 each", c.Regs[10], c.Regs[11])
+		}
+		if st := c.CacheStats(); st.BlockBuilds != warm {
+			t.Errorf("entries 0x%08x and 0x%08x: %d blocks built after the first call of each, want 0",
+				fnA, fnB, st.BlockBuilds-warm)
+		}
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 
 	"hemlock/internal/addrspace"
 	"hemlock/internal/isa"
+	"hemlock/internal/linker"
 	"hemlock/internal/mem"
 	"hemlock/internal/objfile"
 )
@@ -17,8 +18,8 @@ func be32(b []byte, off uint32) uint32 {
 }
 
 // loadProgram assembles src, places text at base (RWX for convenience) and
-// data right after it, resolving no relocations (tests use position-
-// independent or local-only code paths, or patch words directly).
+// data where linker.Place lays it out, resolving no relocations (tests use
+// position-independent or local-only code paths, or patch words directly).
 func loadProgram(t *testing.T, src string, base uint32) *CPU {
 	t.Helper()
 	o, err := isa.Assemble("test.s", src)
@@ -40,8 +41,12 @@ func loadProgram(t *testing.T, src string, base uint32) *CPU {
 		}
 		t.Fatalf("test program has unsupported relocation %v against %q", r.Type, sym.Name)
 	}
+	p, err := linker.Place(o, base)
+	if err != nil {
+		t.Fatal(err)
+	}
 	as := addrspace.New(mem.NewPhysical(0))
-	size := o.TotalSize()
+	size := p.Size()
 	if size == 0 {
 		size = 4
 	}
@@ -51,8 +56,7 @@ func loadProgram(t *testing.T, src string, base uint32) *CPU {
 	if _, err := as.Write(base, o.Text); err != nil {
 		t.Fatal(err)
 	}
-	dataOff, _ := o.Layout()
-	if _, err := as.Write(base+dataOff, o.Data); err != nil {
+	if _, err := as.Write(p.DataAddr(), o.Data); err != nil {
 		t.Fatal(err)
 	}
 	c := New(as)

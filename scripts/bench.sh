@@ -10,7 +10,9 @@
 #                   to benchstat to compare runs:
 #                       benchstat BENCH_3.txt BENCH_4.txt
 #   BENCH_<n>.json  the same rows parsed into {name, iterations, ns_per_op}
-#                   plus host metadata, for dashboards and CHANGES archaeology.
+#                   plus host metadata and go_loc (non-test Go lines outside
+#                   perfbench/, counted over the files git tracks), for
+#                   dashboards and CHANGES archaeology.
 #
 # Run from the repository root. Keep benchmark NAMES stable across PRs —
 # benchstat matches on name, so renaming a benchmark orphans its history.
@@ -32,6 +34,9 @@ out=BENCH_"$n".json
   go test -run=NONE -bench='Table1|CallNear|CallFar|PointerChase|LaunchWarm|PrestoParallel|NetShmScale|NetShmDeltaBytes' -benchtime="$benchtime" -count=3 .
 } | tee "$raw"
 
+# Tracked files only, so build output such as .bench_build/ never counts.
+go_loc=$(git ls-files '*.go' | grep -v -e '_test\.go$' -e '^perfbench/' | xargs cat | wc -l | tr -d ' ')
+
 {
   printf '{\n'
   printf '  "bench_id": %s,\n' "$n"
@@ -41,6 +46,7 @@ out=BENCH_"$n".json
   printf '  "commit": "%s",\n' "$(git rev-parse --short HEAD 2>/dev/null || echo unknown)"
   printf '  "host_cpus": %s,\n' "$(nproc 2>/dev/null || echo 1)"
   printf '  "benchtime": "%s",\n' "$benchtime"
+  printf '  "go_loc": %s,\n' "$go_loc"
   printf '  "results": [\n'
   awk '/^Benchmark/ {
     name=$1; iters=$2; ns=$3

@@ -28,6 +28,8 @@
 #    the gate fails — on any machine, at any load. Missing repeat names
 #    fail too.
 #
+# Only the result rows are compared; host metadata and go_loc are not.
+#
 # The interpreter fast path, the cross-segment call paths, and the
 # stable-linking repeat-launch paths are the perf contracts this repo
 # tracks hardest; the other macro benchmarks are reported for the record
