@@ -239,8 +239,8 @@ func fire(c Caller, cfg Config, rng *rand.Rand, worker, seq int, hists map[strin
 type direct struct{ s *server.Server }
 
 // NewDirect returns a Caller that drives the server in-process: no
-// sockets, no HTTP — straight onto the world-owner command channel, the
-// way the CI smoke run uses it.
+// sockets, no HTTP — each call takes the world lock on the client's own
+// goroutine, the way the CI smoke run uses it.
 func NewDirect(s *server.Server) Caller { return direct{s} }
 
 func (d direct) Launch(req *server.LaunchRequest) (*server.LaunchResponse, error) {

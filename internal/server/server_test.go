@@ -10,12 +10,14 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"strings"
 	"sync"
 	"syscall"
 	"testing"
 	"time"
 
 	"hemlock/internal/core"
+	"hemlock/internal/shmfs"
 	"hemlock/internal/vm"
 )
 
@@ -145,7 +147,8 @@ func TestServeEndpoints(t *testing.T) {
 		t.Fatalf("kv_get(9) = %d, want 777", call.Ret)
 	}
 
-	// Launch a second program over HTTP; its main bumps kv_hits too.
+	// Launch a second program over HTTP; its main bumps kv_hits too. It is
+	// unnamed and has exited, so it is not kept resident.
 	rr, body = postJSON(t, h, "/api/launch", LaunchRequest{Exe: DemoExe, Run: true})
 	if rr.Code != http.StatusOK {
 		t.Fatalf("launch: %d %s", rr.Code, body)
@@ -154,11 +157,11 @@ func TestServeEndpoints(t *testing.T) {
 	if err := json.Unmarshal(body, &lr); err != nil {
 		t.Fatal(err)
 	}
-	if lr.Program == "" || !lr.Exited || lr.ExitCode != 0 {
+	if lr.Program != "" || lr.PID == 0 || !lr.Exited || lr.ExitCode != 0 {
 		t.Fatalf("launch response: %+v", lr)
 	}
 
-	// Info lists both programs and reports file-system usage.
+	// Info lists the one resident program and reports file-system usage.
 	rr, body = getURL(t, h, "/api/info")
 	if rr.Code != http.StatusOK {
 		t.Fatalf("info: %d %s", rr.Code, body)
@@ -167,7 +170,7 @@ func TestServeEndpoints(t *testing.T) {
 	if err := json.Unmarshal(body, &info); err != nil {
 		t.Fatal(err)
 	}
-	if len(info.Programs) != 2 || info.FS.Files == 0 {
+	if len(info.Programs) != 1 || info.FS.Files == 0 {
 		t.Fatalf("info: %+v", info)
 	}
 	// Stable linking is on by default: both HTTP launches of DemoExe share
@@ -222,6 +225,74 @@ func TestServeEndpoints(t *testing.T) {
 	}
 }
 
+// TestClientMistakes: a request the client got wrong answers 400 (413 for
+// an oversized body) with a JSON error, and runs nothing.
+func TestClientMistakes(t *testing.T) {
+	s, agent := newDemoServer(t)
+	h := s.Handler()
+	if err := s.sys.FS.WriteFile("/bin/junk", []byte("not an image"), shmfs.DefaultFileMode, 0); err != nil {
+		t.Fatal(err)
+	}
+	big := `{"exe":"` + strings.Repeat("a", 2*maxBody) + `"}`
+	for _, tc := range []struct {
+		name, method, url, body string
+		want                    int
+	}{
+		{"malformed JSON", "POST", "/api/call", `{"program":`, http.StatusBadRequest},
+		{"unknown class", "POST", "/api/launch", `{"modules":[{"name":"kv.o","class":"shared"}]}`, http.StatusBadRequest},
+		{"five args", "POST", "/api/call", `{"program":"` + agent + `","fn":"kv_get","args":[1,2,3,4,5]}`, http.StatusBadRequest},
+		{"no exe or modules", "POST", "/api/launch", `{"run":true}`, http.StatusBadRequest},
+		{"name taken", "POST", "/api/launch", `{"name":"` + agent + `","exe":"` + DemoExe + `","run":true}`, http.StatusBadRequest},
+		{"bad off", "GET", "/api/var?program=" + agent + "&name=kv_hits&off=x", "", http.StatusBadRequest},
+		{"bad txid", "GET", "/api/txn?txid=x", "", http.StatusBadRequest},
+		{"oversized body", "POST", "/api/launch", big, http.StatusRequestEntityTooLarge},
+		{"exe that does not decode", "POST", "/api/launch", `{"exe":"/bin/junk","run":true}`, http.StatusInternalServerError},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rr := httptest.NewRecorder()
+			h.ServeHTTP(rr, httptest.NewRequest(tc.method, tc.url, strings.NewReader(tc.body)))
+			var e errResponse
+			if rr.Code != tc.want || json.Unmarshal(rr.Body.Bytes(), &e) != nil || e.Error == "" {
+				t.Fatalf("%d %.200s, want %d with a JSON error", rr.Code, rr.Body.Bytes(), tc.want)
+			}
+		})
+	}
+	// None of them launched a program or ran main (which bumps kv_hits).
+	if info, err := s.Info(0); err != nil || len(info.Programs) != 1 {
+		t.Fatalf("programs after client mistakes: %+v, %v", info, err)
+	}
+	if vr, err := s.ReadVar(agent, "kv_hits", 0, 0); err != nil || vr.Value != 0 {
+		t.Fatalf("kv_hits after client mistakes: %+v, %v", vr, err)
+	}
+}
+
+// TestExitedUnnamedLaunchesReleased: unnamed launches that have exited by
+// the end of their request leave the program table as they found it; a
+// named one stays resident.
+func TestExitedUnnamedLaunchesReleased(t *testing.T) {
+	s, _ := newDemoServer(t)
+	programs := s.sys.Obs().Registry().Gauge("server.programs")
+	start := programs.Value()
+	for i := 0; i < 50; i++ {
+		resp, err := s.Launch(&LaunchRequest{Exe: DemoExe, Run: true}, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.Program != "" || resp.PID == 0 || !resp.Exited || resp.ExitCode != 0 {
+			t.Fatalf("launch %d: %+v", i, resp)
+		}
+	}
+	if got := programs.Value(); got != start {
+		t.Fatalf("server.programs = %d after 50 unnamed run launches, want %d", got, start)
+	}
+	if _, err := s.Launch(&LaunchRequest{Name: "kept", Exe: DemoExe, Run: true}, 0); err != nil {
+		t.Fatal(err)
+	}
+	if got := programs.Value(); got != start+1 {
+		t.Fatalf("server.programs = %d after a named launch, want %d", got, start+1)
+	}
+}
+
 // TestCallThroughPLTStub verifies the daemon reaches a never-called
 // function through the image's jump-table stub: the first call traps to
 // ldl, patches the stub, and still returns the right value.
@@ -250,22 +321,47 @@ func TestCallThroughPLTStub(t *testing.T) {
 	}
 }
 
+// TestRequestTimeout: a request that acquires the world after its
+// deadline fails with ErrTimeout, never runs, and is counted.
 func TestRequestTimeout(t *testing.T) {
 	s, _ := newDemoServer(t)
-	// Occupy the world owner with a slow op, then watch a short-deadline
-	// request fail without ever reaching the kernel.
-	block := make(chan struct{})
-	go s.do("slow", time.Second, func() error { <-block; return nil })
-	time.Sleep(10 * time.Millisecond) // let the slow op start
-	err := s.do("fast", 30*time.Millisecond, func() error { return nil })
-	close(block)
+	expired := s.sys.Obs().Registry().Counter("server.deadline_expired")
+	before := expired.Value()
+	// Hold the world well past the short request's deadline.
+	block, holding := make(chan struct{}), make(chan struct{})
+	go s.do("slow", time.Second, func() error { close(holding); <-block; return nil })
+	<-holding
+	time.AfterFunc(200*time.Millisecond, func() { close(block) })
+	ran := false
+	err := s.do("fast", 20*time.Millisecond, func() error { ran = true; return nil })
 	if !errors.Is(err, ErrTimeout) {
 		t.Fatalf("err = %v, want ErrTimeout", err)
+	}
+	if ran {
+		t.Fatal("a request that acquired the world after its deadline ran")
+	}
+	if n := expired.Value() - before; n != 1 {
+		t.Fatalf("server.deadline_expired rose by %d, want 1", n)
+	}
+}
+
+// TestRequestRunningPastDeadlineKeepsResult: a request that acquired the
+// world before its deadline runs to completion and returns its own
+// result, however long it runs.
+func TestRequestRunningPastDeadlineKeepsResult(t *testing.T) {
+	s, _ := newDemoServer(t)
+	mine := errors.New("the op's own result")
+	err := s.do("long", 20*time.Millisecond, func() error {
+		time.Sleep(100 * time.Millisecond)
+		return mine
+	})
+	if err != mine {
+		t.Fatalf("err = %v, want the op's own result", err)
 	}
 }
 
 // TestGracefulShutdown drives Run with a fake signal channel: in-flight
-// requests drain, the daemon exits cleanly, and the world loop is stopped.
+// requests drain, the daemon exits cleanly, and later requests are refused.
 func TestGracefulShutdown(t *testing.T) {
 	s, agent := newDemoServer(t)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -297,7 +393,7 @@ func TestGracefulShutdown(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("Run did not return after signal")
 	}
-	// The world loop is stopped: new work is refused.
+	// Close has taken the world: new work is refused.
 	if err := s.do("late", 50*time.Millisecond, func() error { return nil }); !errors.Is(err, ErrClosed) {
 		t.Fatalf("post-shutdown op: %v, want ErrClosed", err)
 	}
@@ -338,11 +434,17 @@ func quiesceHash(t *testing.T, s *Server, agent string) uint64 {
 	if _, err := s.Call(&CallRequest{Program: agent, Fn: "kv_get", Args: []uint32{0}}, 0); err != nil {
 		t.Fatal(err)
 	}
-	pg, err := s.program(agent)
-	if err != nil {
+	var h uint64
+	if err := s.do("quiesce", 0, func() error {
+		pg, err := s.program(agent)
+		if err == nil {
+			h = vm.StateHash(pg.P.CPU)
+		}
+		return err
+	}); err != nil {
 		t.Fatal(err)
 	}
-	return vm.StateHash(pg.P.CPU)
+	return h
 }
 
 // TestConcurrentClientsStateHash is the race-detector workout: ≥16
@@ -397,8 +499,8 @@ func TestConcurrentClientsStateHash(t *testing.T) {
 }
 
 // TestLaunchRunsOnSchedulerCPU: a run-to-completion launch must execute
-// on the daemon's guest-CPU scheduler, not inline on the world owner —
-// the scheduler's step counter is the receipt.
+// on the daemon's guest-CPU scheduler, not inline on the request's
+// goroutine — the scheduler's step counter is the receipt.
 func TestLaunchRunsOnSchedulerCPU(t *testing.T) {
 	sys := core.NewSystem()
 	if _, err := InstallDemo(sys); err != nil {
@@ -418,6 +520,6 @@ func TestLaunchRunsOnSchedulerCPU(t *testing.T) {
 	}
 	snap := sys.Obs().Registry().Snapshot()
 	if snap.Counters["kern.cpu_steps"] == 0 {
-		t.Fatal("kern.cpu_steps = 0: guest ran on the world owner, not a scheduler CPU")
+		t.Fatal("kern.cpu_steps = 0: guest ran on the request's goroutine, not a scheduler CPU")
 	}
 }

@@ -18,19 +18,10 @@ var ErrNoShm = errors.New("server: no networked shared memory on this machine")
 // SetShm attaches the machine's netshm endpoint, enabling /api/txn (and
 // installing the guest txn syscalls into the kernel).
 func (s *Server) SetShm(n *netshm.Node) {
-	s.mu.Lock()
+	s.world.Lock()
+	defer s.world.Unlock()
 	s.shm = n
-	s.mu.Unlock()
 	n.InstallTxn()
-}
-
-func (s *Server) shmNode() (*netshm.Node, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.shm == nil {
-		return nil, ErrNoShm
-	}
-	return s.shm, nil
 }
 
 // TxnRead names one word to read into the transaction's read set.
@@ -66,13 +57,12 @@ type TxnResponse struct {
 
 // Txn runs one transaction: the programmatic twin of POST /api/txn.
 func (s *Server) Txn(req *TxnRequest, timeout time.Duration) (*TxnResponse, error) {
-	node, err := s.shmNode()
-	if err != nil {
-		return nil, err
-	}
 	var resp *TxnResponse
-	err = s.do("txn", timeout, func() error {
-		t := node.Begin()
+	err := s.do("txn", timeout, func() error {
+		if s.shm == nil {
+			return ErrNoShm
+		}
+		t := s.shm.Begin()
 		vals := make([]uint32, 0, len(req.Reads))
 		for _, rd := range req.Reads {
 			b, err := t.Read(rd.Path, rd.Off, 4)
@@ -97,33 +87,26 @@ func (s *Server) Txn(req *TxnRequest, timeout time.Duration) (*TxnResponse, erro
 		}
 		return nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return resp, nil
+	return resp, err
 }
 
 // TxnStatus polls a forwarded transaction: GET /api/txn?txid=.
 func (s *Server) TxnStatus(txid uint64, timeout time.Duration) (*TxnResponse, error) {
-	node, err := s.shmNode()
-	if err != nil {
-		return nil, err
-	}
 	var resp *TxnResponse
-	err = s.do("txn_status", timeout, func() error {
-		resp = &TxnResponse{State: node.TxnStatus(txid).String(), Txid: txid}
+	err := s.do("txn_status", timeout, func() error {
+		if s.shm == nil {
+			return ErrNoShm
+		}
+		resp = &TxnResponse{State: s.shm.TxnStatus(txid).String(), Txid: txid}
 		return nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return resp, nil
+	return resp, err
 }
 
 func (s *Server) handleTxn(w http.ResponseWriter, r *http.Request) {
 	switch r.Method {
 	case http.MethodPost:
-		req, err := decode[TxnRequest](r)
+		req, err := decode[TxnRequest](w, r)
 		if err != nil {
 			s.reply(w, nil, err)
 			return
@@ -133,7 +116,7 @@ func (s *Server) handleTxn(w http.ResponseWriter, r *http.Request) {
 	case http.MethodGet:
 		txid, err := strconv.ParseUint(r.URL.Query().Get("txid"), 0, 64)
 		if err != nil {
-			s.reply(w, nil, fmt.Errorf("server: bad txid: %w", err))
+			s.reply(w, nil, fmt.Errorf("%w: txid: %w", ErrBadRequest, err))
 			return
 		}
 		resp, err := s.TxnStatus(txid, s.timeoutOf(r))
