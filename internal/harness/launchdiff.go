@@ -7,6 +7,7 @@ import (
 	"hemlock/internal/core"
 	"hemlock/internal/lds"
 	"hemlock/internal/objfile"
+	"hemlock/internal/obsv"
 	"hemlock/internal/vm"
 )
 
@@ -20,14 +21,24 @@ import (
 //	zygote  link cache on,  zygotes on  (repeat launches CoW-clone the
 //	        parked template)
 //
-// After every launch the three processes must agree on the whole-memory
-// vm.StateHash of the freshly linked address space, on every public
-// symbol's address (same-VA across machines, not just across processes),
-// and — after running — on the exit code. The schedule also mutates a
-// module template in place, which must invalidate the cache on the warm
-// and zygote machines and still converge with the cold machine on the
-// next launch. Per machine, PLT resolution counts stay monotone and
-// ImageRelocsLeft stays non-negative.
+// Every round launches the executable by path. The warm and zygote
+// machines load it through core.System.LoadExecutable, whose decoded-image
+// cache must hand back the image it already holds; the cold machine reads
+// and decodes the file's bytes afresh. After every launch the three
+// processes must agree on the whole-memory vm.StateHash of the freshly
+// linked address space, on every public symbol's address (same-VA across
+// machines, not just across processes), and — after running — on the exit
+// code. Between launches the schedule may
+//
+//	rewrite   rewrite the val.o template in place
+//	recreate  unlink val.o and re-create it at the same path and size,
+//	          which reuses its inode number
+//	resave    save the executable again, byte for byte
+//
+// A changed template must invalidate the link cache on the warm and
+// zygote machines and converge with the cold machine on the next launch; a
+// re-saved executable must miss the decoded-image cache. Per machine, PLT
+// resolution counts stay monotone and ImageRelocsLeft stays non-negative.
 
 const ldiffPlayerSrc = `
         .text
@@ -69,11 +80,24 @@ const ldiffCntSrc = `
 pub_n:  .word   0
 `
 
+// ldiffExe is where every machine saves the linked player executable.
+const ldiffExe = "/bin/player"
+
+// The schedule's choices between launches.
+const (
+	ldiffRewrite = iota
+	ldiffRecreate
+	ldiffResave
+	ldiffRepeat
+)
+
 // ldiffMachine is one of the three configurations under comparison.
 type ldiffMachine struct {
 	name    string
 	sys     *core.System
 	res     *lds.Result
+	fresh   bool           // decode the executable's bytes every round
+	im      *objfile.Image // image the last round launched
 	lastPLT int
 }
 
@@ -109,7 +133,55 @@ func newLdiffMachine(s *Scenario, seed int64, name string, cache, zyg bool, val 
 	if err != nil {
 		s.Failf("launchdiff seed=%d: link on %s: %v", seed, name, err)
 	}
-	return &ldiffMachine{name: name, sys: sys, res: res}
+	if err := sys.SaveExecutable(ldiffExe, res.Image); err != nil {
+		s.Failf("launchdiff seed=%d: save on %s: %v", seed, name, err)
+	}
+	return &ldiffMachine{name: name, sys: sys, res: res, fresh: !cache}
+}
+
+// load returns the image this round launches: a decode of the saved bytes
+// on the fresh machine, LoadExecutable's on the others, which must return
+// the image it returned last round unless the executable was re-saved.
+func (m *ldiffMachine) load(s *Scenario, seed int64, round int, resaved bool) *objfile.Image {
+	var im *objfile.Image
+	var err error
+	if m.fresh {
+		var b []byte
+		if b, err = m.sys.FS.ReadFile(ldiffExe, 0); err == nil {
+			im, err = objfile.DecodeImageBytes(b)
+		}
+	} else {
+		im, err = m.sys.LoadExecutable(ldiffExe)
+		if err == nil && round > 0 && (im == m.im) == resaved {
+			s.Failf("launchdiff seed=%d round=%d: %s reused its cached image: %v, re-saved: %v",
+				seed, round, m.name, im == m.im, resaved)
+		}
+	}
+	if err != nil {
+		s.Failf("launchdiff seed=%d round=%d: load %s on %s: %v", seed, round, ldiffExe, m.name, err)
+	}
+	m.im = im
+	return im
+}
+
+// recreateVal unlinks val.o and assembles it again at the same path. The
+// new file must land on the old inode at the old size, the case in which
+// only the fresh frames' version counters tell the files apart.
+func (m *ldiffMachine) recreateVal(s *Scenario, seed int64, round, val int) {
+	before, err := m.sys.FS.StatPath("/lib/val.o")
+	if err == nil {
+		err = m.sys.FS.Unlink("/lib/val.o", 0)
+	}
+	if err == nil {
+		_, err = m.sys.Asm("/lib/val.o", ldiffValSrc(val))
+	}
+	if err != nil {
+		s.Failf("launchdiff seed=%d round=%d: re-create val.o on %s: %v", seed, round, m.name, err)
+	}
+	if after, _ := m.sys.FS.StatPath("/lib/val.o"); after.Ino != before.Ino || after.Size != before.Size {
+		s.Failf("launchdiff seed=%d round=%d: val.o re-created at ino %d size %d on %s, want ino %d size %d",
+			seed, round, after.Ino, after.Size, m.name, before.Ino, before.Size)
+	}
 }
 
 func (m *ldiffMachine) counter(name string) uint64 {
@@ -143,25 +215,47 @@ func LaunchDiffOne(s *Scenario, diffSeed int64, rounds int) {
 	cold, warm, zyg := machines[0], machines[1], machines[2]
 
 	ctrRounds := s.Reg.Counter("harness.launchdiff.rounds")
-	ctrMut := s.Reg.Counter("harness.launchdiff.mutations")
+	ctrArm := [...]*obsv.Counter{
+		ldiffRewrite:  s.Reg.Counter("harness.launchdiff.mutations"),
+		ldiffRecreate: s.Reg.Counter("harness.launchdiff.recreates"),
+		ldiffResave:   s.Reg.Counter("harness.launchdiff.resaves"),
+	}
 	repeats := 0 // launches that repeated an unchanged module set
 	mutations := 0
+	resaves := 0
 	count := 0 // model of pub_n
 	for round := 0; round < rounds; round++ {
-		// Sometimes mutate the private value module in place, on all
-		// three machines: the warm and zygote machines must invalidate
-		// their cache entry and converge with the cold relink.
-		if round > 0 && rng.Intn(3) == 0 {
+		// Between launches, on all three machines alike: change the
+		// private value module (in place, or by unlink and re-create),
+		// re-save the executable, or change nothing.
+		arm := ldiffRepeat
+		if round > 0 {
+			arm = min(rng.Intn(6), ldiffRepeat)
+		}
+		switch arm {
+		case ldiffRewrite, ldiffRecreate:
 			val = rng.Intn(64)
 			for _, m := range machines {
-				if _, err := m.sys.Asm("/lib/val.o", ldiffValSrc(val)); err != nil {
+				if arm == ldiffRecreate {
+					m.recreateVal(s, diffSeed, round, val)
+				} else if _, err := m.sys.Asm("/lib/val.o", ldiffValSrc(val)); err != nil {
 					s.Failf("launchdiff seed=%d round=%d: mutate val.o on %s: %v",
 						diffSeed, round, m.name, err)
 				}
 			}
 			mutations++
-			ctrMut.Inc()
-		} else if round > 0 {
+		case ldiffResave:
+			resaves++
+			for _, m := range machines {
+				if err := m.sys.SaveExecutable(ldiffExe, m.res.Image); err != nil {
+					s.Failf("launchdiff seed=%d round=%d: re-save on %s: %v", diffSeed, round, m.name, err)
+				}
+			}
+		}
+		if arm != ldiffRepeat {
+			ctrArm[arm].Inc()
+		}
+		if round > 0 && (arm == ldiffResave || arm == ldiffRepeat) {
 			repeats++
 		}
 
@@ -169,7 +263,7 @@ func LaunchDiffOne(s *Scenario, diffSeed int64, rounds int) {
 		// accesses, and compare the fully linked state.
 		pgs := make([]*core.Program, len(machines))
 		for i, m := range machines {
-			pg, err := m.sys.Launch(m.res.Image, 0, nil)
+			pg, err := m.sys.Launch(m.load(s, diffSeed, round, arm == ldiffResave), 0, nil)
 			if err != nil {
 				s.Failf("launchdiff seed=%d round=%d: launch on %s: %v", diffSeed, round, m.name, err)
 			}
@@ -229,8 +323,14 @@ func LaunchDiffOne(s *Scenario, diffSeed int64, rounds int) {
 
 	// The fast paths must actually have engaged, or the differential
 	// silently compared three cold machines.
-	if cold.counter("ldl.linkcache_hit") != 0 {
+	if cold.counter("ldl.linkcache_hit") != 0 || cold.counter("core.exe_cache_hit") != 0 {
 		s.Failf("launchdiff seed=%d: cold machine recorded a cache hit", diffSeed)
+	}
+	for _, m := range []*ldiffMachine{warm, zyg} {
+		if hit, miss := m.counter("core.exe_cache_hit"), m.counter("core.exe_cache_miss"); hit != uint64(rounds-1-resaves) || miss != uint64(1+resaves) {
+			s.Failf("launchdiff seed=%d: %s counted %d image-cache hits and %d misses over %d rounds with %d re-saves",
+				diffSeed, m.name, hit, miss, rounds, resaves)
+		}
 	}
 	if repeats > 0 {
 		if warm.counter("ldl.linkcache_hit") == 0 {

@@ -125,10 +125,9 @@ type World struct {
 	ZygoteEnabled bool
 
 	cmu       sync.Mutex
-	keyMemo   map[*objfile.Image]uint64 // image content hash, by identity
-	objMemo   map[string]objMemoEntry   // decoded templates, by path
-	entryMemo map[string]*cacheEntry    // decoded cache entries, by key
-	memoCV    map[string]uint64         // cache-file fingerprint at decode
+	objMemo   map[string]objMemoEntry // decoded templates, by path
+	entryMemo map[string]*cacheEntry  // decoded cache entries, by key
+	memoCV    map[string]uint64       // cache-file fingerprint at decode
 
 	// Launch singleflight (see LockLaunch): in-flight launches by content
 	// key, so concurrent identical launches from the serve daemon or an
@@ -180,7 +179,6 @@ func NewWorld(k *kern.Kernel) *World {
 		ctrPtrMaps:  r.Counter("ldl.pointer_maps"),
 		ctrPLT:      r.Counter("ldl.plt_resolves"),
 		gImageLeft:  r.Gauge("ldl.image_relocs_left"),
-		keyMemo:     map[*objfile.Image]uint64{},
 		objMemo:     map[string]objMemoEntry{},
 		entryMemo:   map[string]*cacheEntry{},
 		memoCV:      map[string]uint64{},

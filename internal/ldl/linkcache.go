@@ -161,16 +161,9 @@ func fnvU32(h uint64, v uint32) uint64 {
 
 // imageHash fingerprints every field of the load image that influences
 // linking, and the layout linker.Place gives the modules it brings in.
-// Memoized by image identity: decoded images are immutable, and launch
-// benchmarks re-launch the same *Image thousands of times.
-func (w *World) imageHash(im *objfile.Image) uint64 {
-	w.cmu.Lock()
-	if h, ok := w.keyMemo[im]; ok {
-		w.cmu.Unlock()
-		return h
-	}
-	w.cmu.Unlock()
-
+// LaunchKey computes it once per image through Image.LinkHash: a launch
+// loop re-launches one *Image thousands of times.
+func imageHash(im *objfile.Image) uint64 {
 	h := fnvU32(fnvOffset, linker.LayoutVersion)
 	h = fnvStr(h, im.Name)
 	h = fnvU32(h, im.Entry)
@@ -219,10 +212,6 @@ func (w *World) imageHash(im *objfile.Image) uint64 {
 		h = fnvU32(h, s.Addr)
 		h = fnvU32(h, s.Size)
 	}
-
-	w.cmu.Lock()
-	w.keyMemo[im] = h
-	w.cmu.Unlock()
 	return h
 }
 
@@ -230,7 +219,7 @@ func (w *World) imageHash(im *objfile.Image) uint64 {
 // image content hash mixed with the launch identity, hex-encoded. Identical
 // keys mean the linker would do identical work.
 func (w *World) LaunchKey(im *objfile.Image, uid int, env map[string]string) string {
-	h := w.imageHash(im)
+	h := im.LinkHash(imageHash)
 	h = fnvU32(h, uint32(uid))
 	if len(env) > 0 {
 		keys := make([]string, 0, len(env))

@@ -3,8 +3,10 @@ package ldl_test
 import (
 	"bytes"
 	"os"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"hemlock/internal/core"
 	"hemlock/internal/ldl"
@@ -407,4 +409,103 @@ func TestLinkCacheFilesStayOutOfModuleSlots(t *testing.T) {
 			t.Fatalf("slot %d diverges: %d vs %d", i, a[i], b[i])
 		}
 	}
+}
+
+// TestLinkCacheRecreatedModuleInvalidates: a template unlinked and
+// re-created at the same path and size reuses the inode number, so its
+// fingerprint must come from the fresh frames. Otherwise the zygote
+// recorded against the old bytes keeps being cloned.
+func TestLinkCacheRecreatedModuleInvalidates(t *testing.T) {
+	s := core.NewSystem()
+	s.Asm("/lib/buf.o", ".data\n.globl buf_val\nbuf_val: .word 7\n")
+	res := linkWith(t, s, exitWithModuleVal, lds.Input{Name: "buf.o", Class: objfile.DynamicPrivate})
+	env := map[string]string{"LD_LIBRARY_PATH": "/lib"}
+	if pg := launchRun(t, s, res.Image, env); pg.P.ExitCode != 7 {
+		t.Fatalf("cold exit = %d, want 7", pg.P.ExitCode)
+	}
+	st, err := s.FS.StatPath("/lib/buf.o")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.FS.Unlink("/lib/buf.o", 0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Asm("/lib/buf.o", ".data\n.globl buf_val\nbuf_val: .word 9\n"); err != nil {
+		t.Fatal(err)
+	}
+	st2, err := s.FS.StatPath("/lib/buf.o")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st2.Ino != st.Ino || st2.Size != st.Size {
+		t.Fatalf("re-created file at ino %d size %d, want ino %d size %d (the case under test)",
+			st2.Ino, st2.Size, st.Ino, st.Size)
+	}
+	if pg := launchRun(t, s, res.Image, env); pg.P.ExitCode != 9 {
+		t.Fatalf("exit after re-create = %d, want 9 (stale zygote cloned?)", pg.P.ExitCode)
+	}
+	if c := counters(s); c["ldl.linkcache_invalidate"] != 1 {
+		t.Fatalf("invalidations = %d, want 1", c["ldl.linkcache_invalidate"])
+	}
+}
+
+// TestLaunchKeyPinned: link-cache entries in saved worlds are named by
+// LaunchKey, so its value for a given image, uid and environment must not
+// change. The image sets every field the key hashes.
+func TestLaunchKeyPinned(t *testing.T) {
+	im := &objfile.Image{
+		Name: "pinned", Entry: 0x400010,
+		TextBase: 0x400000, Text: []byte{0x27, 0xbd, 0xff, 0xf8, 0x03, 0xe0, 0x00, 0x08},
+		DataBase: 0x401000, Data: []byte{0, 0, 0, 42},
+		BssBase: 0x401004, BssSize: 16,
+		TrampBase: 0x400008, TrampSize: 64,
+		Symbols: []objfile.ImageSym{{Name: "main", Addr: 0x400000, Size: 8}},
+		Relocs:  []objfile.ImageReloc{{Addr: 0x400004, Name: "buf_val", Type: objfile.RelHi16, Addend: -4}},
+		Dyn: objfile.DynInfo{
+			DynModules:   []objfile.ModuleRef{{Name: "buf.o", Class: objfile.DynamicPublic}},
+			StaticPublic: []objfile.StaticPublicRef{{Name: "s.o", Path: "/lib/s", Template: "/lib/s.o", Addr: 0x30000000}},
+			LinkDir:      "/bin", CmdPath: []string{"/c"}, EnvPath: []string{"/e"}, DefaultPath: []string{"/lib"},
+		},
+		PLT: []objfile.ImageSym{{Name: "f", Addr: 0x400020, Size: 16}},
+	}
+	w := core.NewSystem().W
+	for _, c := range []struct {
+		uid  int
+		env  map[string]string
+		want string
+	}{
+		{0, nil, "46a0030bdc644e55"},
+		{7, map[string]string{"LD_LIBRARY_PATH": "/lib", "A": "b"}, "3e7474f05b913efa"},
+	} {
+		if got := w.LaunchKey(im, c.uid, c.env); got != c.want {
+			t.Errorf("LaunchKey(uid %d, env %v) = %s, want %s", c.uid, c.env, got, c.want)
+		}
+	}
+}
+
+// TestLaunchKeepsNoImage: the image's hash lives on the image, so once
+// a launched process has exited nothing in the world holds its image.
+// Zygotes are off: a parked template keeps the image it was linked from.
+func TestLaunchKeepsNoImage(t *testing.T) {
+	s := core.NewSystem()
+	defer runtime.KeepAlive(s)
+	s.SetStableLinking(true, false)
+	s.Asm("/lib/buf.o", ".data\n.globl buf_val\nbuf_val: .word 7\n")
+	freed := make(chan struct{})
+	func() {
+		res := linkWith(t, s, exitWithModuleVal, lds.Input{Name: "buf.o", Class: objfile.DynamicPrivate})
+		runtime.SetFinalizer(res.Image, func(*objfile.Image) { close(freed) })
+		for i := 0; i < 2; i++ { // record, then replay
+			launchRun(t, s, res.Image, map[string]string{"LD_LIBRARY_PATH": "/lib"})
+		}
+	}()
+	for i := 0; i < 50; i++ {
+		runtime.GC()
+		select {
+		case <-freed:
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	t.Fatal("an image is still reachable after its launches exited")
 }

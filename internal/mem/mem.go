@@ -220,13 +220,13 @@ func (f *Frame) TakeDirtyRange() (lo, end uint32, ok bool) {
 // Version returns the frame's store-version counter.
 func (f *Frame) Version() uint64 { return f.ver.Load() }
 
-// RestoreVersion sets the store-version counter to a value recorded by an
-// earlier run. Only boot-time loaders (shmfs image restore) may call it,
-// and only on frames no CPU has cached translations against: file
-// fingerprints (shmfs.ContentVersion) are built from these counters, so a
-// reboot must bring them back or every fingerprint recorded before the
-// reboot — the link cache's invalidation manifest among them — would look
-// stale.
+// RestoreVersion sets the store-version counter. Only the owner of a frame
+// no CPU has cached translations against may call it: shmfs, restoring
+// the value an earlier run recorded, or seeding a file's newly allocated
+// frame. File fingerprints (shmfs.ContentVersion) are built from these
+// counters, so a reboot must bring them back or every fingerprint
+// recorded before the reboot — the link cache's invalidation manifest
+// among them — would look stale.
 func (f *Frame) RestoreVersion(v uint64) { f.ver.Store(v) }
 
 // Stats describes pool usage.

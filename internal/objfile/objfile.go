@@ -20,6 +20,7 @@ package objfile
 import (
 	"fmt"
 	"sort"
+	"sync/atomic"
 )
 
 // Class is a sharing class, assigned module-by-module in the arguments to
@@ -382,6 +383,22 @@ type Image struct {
 	// stands in for. The stub traps to ldl on first call and is patched
 	// into a direct trampoline.
 	PLT []ImageSym
+
+	linkHash atomic.Uint64 // LinkHash's value; 0 until first computed
+}
+
+// LinkHash returns hash(im), computing it once per image and keeping it
+// with the image, so it is freed with the image. Images are never changed
+// after lds builds or DecodeImage decodes them, so the value stays right
+// for the image's life. ldl hashes the image this way at every launch to
+// derive its link-cache key. A zero hash is recomputed each call.
+func (im *Image) LinkHash(hash func(*Image) uint64) uint64 {
+	if h := im.linkHash.Load(); h != 0 {
+		return h
+	}
+	h := hash(im)
+	im.linkHash.Store(h)
+	return h
 }
 
 // Lookup returns the address of a global symbol in the image.

@@ -355,6 +355,9 @@ func (s *Server) Launch(req *LaunchRequest, timeout time.Duration) (*LaunchRespo
 			// Run on a scheduler CPU: this goroutine submits and waits
 			// like any other scheduler client.
 			if _, err := s.sch.Run(pg.P, steps); err != nil {
+				// The failed program gets no handle, so nothing could
+				// reach or reap its process later: reap it now.
+				pg.P.Exit(-1)
 				return err
 			}
 		}

@@ -293,6 +293,28 @@ func TestExitedUnnamedLaunchesReleased(t *testing.T) {
 	}
 }
 
+// TestFailedRunLaunchesReaped: a "run":true launch whose main exhausts its
+// step budget answers 500 and leaves neither a process nor a program
+// behind.
+func TestFailedRunLaunchesReaped(t *testing.T) {
+	s, _ := newDemoServer(t)
+	programs := s.sys.Obs().Registry().Gauge("server.programs")
+	procs, progs := len(s.sys.K.Processes()), programs.Value()
+	h := s.Handler()
+	for i := 0; i < 5; i++ {
+		rr, body := postJSON(t, h, "/api/launch", LaunchRequest{Exe: DemoExe, Run: true, MaxSteps: 3})
+		if rr.Code != http.StatusInternalServerError || !strings.Contains(string(body), "exceeded 3 steps") {
+			t.Fatalf("launch %d: %d %s, want 500 naming the step budget", i, rr.Code, body)
+		}
+	}
+	if n := len(s.sys.K.Processes()); n != procs {
+		t.Fatalf("%d processes after five failed run launches, want %d", n, procs)
+	}
+	if got := programs.Value(); got != progs {
+		t.Fatalf("server.programs = %d after five failed run launches, want %d", got, progs)
+	}
+}
+
 // TestCallThroughPLTStub verifies the daemon reaches a never-called
 // function through the image's jump-table stub: the first call traps to
 // ldl, patches the stub, and still returns the right value.

@@ -146,6 +146,8 @@ func Load(r io.Reader, phys *mem.Physical) (*FS, error) {
 					return nil, err
 				}
 				f.RestoreVersion(ver)
+				// Frames allocated after the load must seed past this one.
+				fs.clock = max(fs.clock, ver>>32)
 				copy(f.Data[:], content)
 				nd.frames = append(nd.frames, f)
 				remain -= n

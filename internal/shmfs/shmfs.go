@@ -252,11 +252,10 @@ func (fs *FS) walk(p string, followLast bool, depth int) (*inode, error) {
 	}
 	p = Clean(p)
 	cur := fs.inodes[0]
-	if p == "/" {
-		return cur, nil
-	}
-	parts := strings.Split(p[1:], "/")
-	for i, name := range parts {
+	// Component by component without splitting p: resolving a path
+	// allocates nothing unless it meets a symlink or fails.
+	for rest := p[1:]; rest != ""; {
+		name, tail, more := strings.Cut(rest, "/")
 		if cur.typ != TypeDir {
 			return nil, fmt.Errorf("%w: %s", ErrNotDir, name)
 		}
@@ -268,19 +267,17 @@ func (fs *FS) walk(p string, followLast bool, depth int) (*inode, error) {
 		if next == nil {
 			return nil, fmt.Errorf("%w: %s (stale entry)", ErrNotExist, p)
 		}
-		last := i == len(parts)-1
-		if next.typ == TypeSymlink && (!last || followLast) {
+		if next.typ == TypeSymlink && (more || followLast) {
 			target := next.target
 			if !strings.HasPrefix(target, "/") {
-				target = path.Join("/"+strings.Join(parts[:i], "/"), target)
+				target = path.Join(p[:len(p)-len(rest)], target)
 			}
-			rest := strings.Join(parts[i+1:], "/")
-			if rest != "" {
-				target = target + "/" + rest
+			if more {
+				target = target + "/" + tail
 			}
 			return fs.walk(target, followLast, depth+1)
 		}
-		cur = next
+		cur, rest = next, tail
 	}
 	return cur, nil
 }
@@ -491,7 +488,12 @@ func (fs *FS) mkdirTop(p string, mode Mode, uid int) error {
 // Unlike mtime, it moves when the file is mutated *through a mapping* (a
 // store into a mapped segment bumps the frame version but never touches the
 // inode), which is exactly how a shared module's bytes change under Hemlock.
-// The ldl link cache validates its dependency manifest against this.
+// It also moves when the file is unlinked and re-created, even at the same
+// inode and size: fresh frames start their counters past every counter the
+// old file's frames held (see ensureFrames). Two reads of one fingerprint
+// therefore saw the same bytes, across Save and Load too. The ldl link
+// cache validates its dependency manifest against this, and core caches
+// decoded executables by it. It allocates nothing.
 func (fs *FS) ContentVersion(p string) (uint64, error) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
@@ -742,17 +744,27 @@ func (fs *FS) ReadDir(p string) ([]DirEntry, error) {
 	return out, nil
 }
 
-// ensureFrames grows nd.frames to cover at least size bytes.
+// ensureFrames grows nd.frames to cover at least size bytes. Each new
+// frame's store-version counter starts at the clock's next tick shifted
+// into the high half, so a file unlinked and re-created at the same path,
+// size and (reused) inode never repeats a fingerprint of the file it
+// replaced: ContentVersion sees larger counters than any frame of the old
+// file ever held.
 func (fs *FS) ensureFrames(nd *inode, size uint32) error {
 	if size > MaxFile {
 		return fmt.Errorf("%w: %d bytes", ErrFileTooBig, size)
 	}
 	need := int((size + mem.PageSize - 1) / mem.PageSize)
+	if len(nd.frames) >= need {
+		return nil
+	}
+	seed := fs.tick() << 32
 	for len(nd.frames) < need {
 		f, err := fs.phys.Alloc()
 		if err != nil {
 			return err
 		}
+		f.RestoreVersion(seed)
 		nd.frames = append(nd.frames, f)
 	}
 	return nil

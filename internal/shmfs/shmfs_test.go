@@ -521,6 +521,83 @@ func TestContentVersionSurvivesSaveLoad(t *testing.T) {
 	}
 }
 
+// TestContentVersionMovesOnRecreate: a file unlinked and re-created at the
+// same path and size gets the same inode number back, so only the fresh
+// frames' counters can tell the two apart. The fingerprint must move, on
+// a running machine and on one booted from a saved image.
+func TestContentVersionMovesOnRecreate(t *testing.T) {
+	data := bytes.Repeat([]byte{0x11}, 5000)
+	recreate := func(t *testing.T, fs *FS, before uint64, ino int) {
+		t.Helper()
+		if err := fs.Unlink("/lib/mod.o", 0); err != nil {
+			t.Fatal(err)
+		}
+		if err := fs.WriteFile("/lib/mod.o", data, DefaultFileMode, 0); err != nil {
+			t.Fatal(err)
+		}
+		st, _ := fs.StatPath("/lib/mod.o")
+		if st.Ino != ino || st.Size != uint32(len(data)) {
+			t.Fatalf("re-created at ino %d size %d, want ino %d size %d", st.Ino, st.Size, ino, len(data))
+		}
+		if v, _ := fs.ContentVersion("/lib/mod.o"); v == before {
+			t.Fatalf("fingerprint %016x unchanged by unlink and re-create", v)
+		}
+	}
+	fs := newFS(t)
+	fs.MkdirAll("/lib", DefaultDirMode, 0)
+	fs.WriteFile("/lib/mod.o", data, DefaultFileMode, 0)
+	st, _ := fs.StatPath("/lib/mod.o")
+	before, err := fs.ContentVersion("/lib/mod.o")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := fs.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	recreate(t, fs, before, st.Ino)
+
+	fs2, err := Load(&buf, mem.NewPhysical(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v, _ := fs2.ContentVersion("/lib/mod.o"); v != before {
+		t.Fatalf("fingerprint changed across save/load: %016x -> %016x", before, v)
+	}
+	recreate(t, fs2, before, st.Ino)
+}
+
+// TestContentVersionMovesOnReplace: shmfs has no rename, so a name is
+// swapped over to a replacement file through a symlink. The replacement
+// here is older than the file it replaces and holds the same bytes; the
+// fingerprint read through the name must still move.
+func TestContentVersionMovesOnReplace(t *testing.T) {
+	fs := newFS(t)
+	fs.MkdirAll("/bin", DefaultDirMode, 0)
+	data := bytes.Repeat([]byte{0x22}, 300)
+	fs.WriteFile("/bin/x.2", data, DefaultFileMode, 0)
+	fs.WriteFile("/bin/x.1", data, DefaultFileMode, 0)
+	fs.Symlink("/bin/x.1", "/bin/x", 0)
+	before, err := fs.ContentVersion("/bin/x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs.Unlink("/bin/x", 0)
+	fs.Symlink("/bin/x.2", "/bin/x", 0)
+	if v, _ := fs.ContentVersion("/bin/x"); v == before {
+		t.Fatalf("fingerprint %016x unchanged after /bin/x was pointed at another file", v)
+	}
+}
+
+func TestContentVersionAllocatesNothing(t *testing.T) {
+	fs := newFS(t)
+	fs.MkdirAll("/usr/bin", DefaultDirMode, 0)
+	fs.WriteFile("/usr/bin/prog", bytes.Repeat([]byte{1}, 9000), DefaultFileMode, 0)
+	if n := testing.AllocsPerRun(100, func() { fs.ContentVersion("/usr/bin/prog") }); n != 0 {
+		t.Fatalf("ContentVersion allocates %.1f times per call, want 0", n)
+	}
+}
+
 func TestLoadRejectsGarbage(t *testing.T) {
 	if _, err := Load(bytes.NewReader([]byte("NOTANIMAGE")), mem.NewPhysical(0)); err == nil {
 		t.Fatal("garbage image accepted")

@@ -1,6 +1,7 @@
 #!/bin/sh
 # bench.sh — run the interpreter dispatch microbenchmark plus the paper
-# benchmarks (Table 1, call cost, pointer chase) and write BENCH_<n>.json.
+# benchmarks (Table 1, launch by path, call cost, pointer chase) and write
+# BENCH_<n>.json.
 #
 # Usage:
 #   scripts/bench.sh <n> [benchtime]
@@ -31,7 +32,7 @@ out=BENCH_"$n".json
 # estimate without making CI runs painful.
 {
   go test -run=NONE -bench='BenchmarkDispatch' -benchtime="$benchtime" -count=3 ./internal/vm/
-  go test -run=NONE -bench='Table1|CallNear|CallFar|PointerChase|LaunchWarm|PrestoParallel|NetShmScale|NetShmDeltaBytes' -benchtime="$benchtime" -count=3 .
+  go test -run=NONE -bench='Table1|CallNear|CallFar|PointerChase|LaunchWarm|LaunchByPath|PrestoParallel|NetShmScale|NetShmDeltaBytes' -benchtime="$benchtime" -count=3 .
 } | tee "$raw"
 
 # Tracked files only, so build output such as .bench_build/ never counts.
