@@ -24,12 +24,19 @@ const (
 	LaunchRootName   = "launch"
 )
 
+// EmitPhase is the row that holds the tracer's own time inside launches:
+// what delivering each event to the attached sinks took after the event
+// was stamped (obsv.CostSink).
+const EmitPhase = "obsv.emit"
+
 // LaunchProfile is a sink that aggregates the phase-scoped spans emitted
 // during process launch into a per-phase self-time breakdown. Attach it
 // to the system tracer before Launch and read the Report after: self time
 // (span duration minus nested spans) sums to the launch wall time, so
 // coverage = 1 - root-self/total reports how much of the launch the named
-// phases account for.
+// phases account for. The tracer's own delivery time is a phase too
+// (EmitPhase), so it does not hide in the self time of whichever span
+// was open when an event was delivered.
 type LaunchProfile struct {
 	mu       sync.Mutex
 	stacks   map[int][]*openSpan // per PID, innermost last
@@ -104,13 +111,38 @@ func (p *LaunchProfile) Emit(e obsv.Event) {
 		p.rootSelf += self
 		return
 	}
+	p.charge(key, dur, self)
+}
+
+// EmitCost implements obsv.CostSink. Delivering e took ns after e's
+// timestamp, inside the innermost span open on e's PID: the span e
+// opened, the one left open when e closed its child, or the one around an
+// instant. That time moves from the span's self time to EmitPhase. The
+// cost of events outside any launch, and of the root's own end, falls
+// outside every launch and is dropped.
+func (p *LaunchProfile) EmitCost(e obsv.Event, ns int64) {
+	if ns <= 0 {
+		return
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	stack := p.stacks[e.PID]
+	if len(stack) == 0 {
+		return
+	}
+	stack[len(stack)-1].child += ns
+	p.charge(EmitPhase, ns, ns)
+}
+
+// charge adds one occurrence of the named phase.
+func (p *LaunchProfile) charge(key string, total, self int64) {
 	ps, ok := p.phases[key]
 	if !ok {
 		ps = &PhaseStat{Name: key}
 		p.phases[key] = ps
 	}
 	ps.Count++
-	ps.Total += dur
+	ps.Total += total
 	ps.Self += self
 }
 

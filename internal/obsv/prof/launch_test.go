@@ -60,6 +60,55 @@ func TestLaunchProfileSynthetic(t *testing.T) {
 	}
 }
 
+// TestLaunchProfileChargesEmitCost: the tracer's delivery time moves from
+// the span it fell in to the obsv.emit row, and self times still sum to
+// the launch wall time.
+func TestLaunchProfileChargesEmitCost(t *testing.T) {
+	lp := prof.NewLaunchProfile()
+	for _, step := range []struct {
+		e    obsv.Event
+		cost int64
+	}{
+		{ev(0, "kern", "exec", obsv.PhaseBegin, 1), 9},      // outside a launch: dropped
+		{ev(5, "kern", "exec", obsv.PhaseEnd, 1), 9},        // outside a launch: dropped
+		{ev(10, "kern", "launch", obsv.PhaseBegin, 1), 4},   // inside the root
+		{ev(20, "kern", "exec", obsv.PhaseBegin, 1), 3},     // inside exec
+		{ev(50, "kern", "exec", obsv.PhaseEnd, 1), 5},       // back in the root
+		{ev(60, "kern", "spawn", obsv.PhaseInstant, 1), 2},  // in the root
+		{ev(70, "kern", "spawn", obsv.PhaseInstant, 2), 6},  // no launch on PID 2: dropped
+		{ev(100, "kern", "launch", obsv.PhaseEnd, 1), 7},    // after the root closed: dropped
+		{ev(110, "kern", "spawn", obsv.PhaseInstant, 1), 8}, // outside a launch: dropped
+	} {
+		lp.Emit(step.e)
+		lp.EmitCost(step.e, step.cost)
+	}
+	r := lp.Report()
+	if r.Launches != 1 || r.TotalNS != 90 {
+		t.Fatalf("launches=%d total=%d", r.Launches, r.TotalNS)
+	}
+	byName := map[string]prof.PhaseStat{}
+	for _, p := range r.Phases {
+		byName[p.Name] = p
+	}
+	if p := byName["kern.exec"]; p.Total != 30 || p.Self != 27 {
+		t.Fatalf("kern.exec = %+v, want total 30 self 27", p)
+	}
+	if p := byName[prof.EmitPhase]; p.Count != 4 || p.Total != 14 || p.Self != 14 {
+		t.Fatalf("%s = %+v, want 4 events, 14ns", prof.EmitPhase, p)
+	}
+	// 90 - exec 30 - emit costs charged to the root (4+5+2) = 49.
+	if r.OtherNS != 49 {
+		t.Fatalf("other=%d, want 49", r.OtherNS)
+	}
+	var sum int64
+	for _, p := range r.Phases {
+		sum += p.Self
+	}
+	if sum+r.OtherNS != r.TotalNS {
+		t.Fatalf("self times sum to %d, want %d", sum+r.OtherNS, r.TotalNS)
+	}
+}
+
 func TestLaunchProfileInterleavedPIDs(t *testing.T) {
 	// Two launches racing on different PIDs must not cross-attribute.
 	lp := prof.NewLaunchProfile()

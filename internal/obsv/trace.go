@@ -59,6 +59,18 @@ type Sink interface {
 	Emit(e Event)
 }
 
+// CostSink is a Sink that is also told what delivering each event cost.
+// After fanning an event it stamped out to every sink, the tracer reads
+// its clock again and calls EmitCost with the nanoseconds from the stamp
+// to that point: the tracer's own time, spent after the event's
+// timestamp. A profiler charges that time to a row of its own, where it
+// would otherwise land in whichever span was open. Events that arrive
+// already stamped are not costed.
+type CostSink interface {
+	Sink
+	EmitCost(e Event, ns int64)
+}
+
 // Tracer stamps events with its clock and fans them out to the attached
 // sinks. With no sinks attached it is disabled: Emit returns after one
 // atomic load. A nil *Tracer is valid and permanently disabled, so
@@ -68,6 +80,7 @@ type Tracer struct {
 	on    atomic.Bool
 	mu    sync.Mutex
 	sinks []Sink
+	costs []CostSink // the attached sinks that take EmitCost
 }
 
 // NewTracer returns a tracer using the given clock, in nanoseconds. A nil
@@ -91,6 +104,9 @@ func (t *Tracer) Attach(s Sink) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.sinks = append(t.sinks, s)
+	if c, ok := s.(CostSink); ok {
+		t.costs = append(t.costs, c)
+	}
 	t.on.Store(true)
 }
 
@@ -102,6 +118,12 @@ func (t *Tracer) Detach(s Sink) {
 	for i, have := range t.sinks {
 		if have == s {
 			t.sinks = append(t.sinks[:i], t.sinks[i+1:]...)
+			break
+		}
+	}
+	for i, have := range t.costs {
+		if have == s {
+			t.costs = append(t.costs[:i], t.costs[i+1:]...)
 			break
 		}
 	}
@@ -118,7 +140,7 @@ func (t *Tracer) Close() error {
 	}
 	t.mu.Lock()
 	sinks := t.sinks
-	t.sinks = nil
+	t.sinks, t.costs = nil, nil
 	t.on.Store(false)
 	t.mu.Unlock()
 	var first error
@@ -132,13 +154,15 @@ func (t *Tracer) Close() error {
 	return first
 }
 
-// Emit stamps e (if its TS is zero) and delivers it to every sink. It is a
-// no-op on a disabled or nil tracer.
+// Emit stamps e (if its TS is zero) and delivers it to every sink, then
+// tells each CostSink what delivering a stamped event cost. It is a no-op
+// on a disabled or nil tracer.
 func (t *Tracer) Emit(e Event) {
 	if !t.Enabled() {
 		return
 	}
-	if e.TS == 0 {
+	stamped := e.TS == 0
+	if stamped {
 		e.TS = t.clock()
 	}
 	if e.Phase == 0 {
@@ -148,6 +172,12 @@ func (t *Tracer) Emit(e Event) {
 	defer t.mu.Unlock()
 	for _, s := range t.sinks {
 		s.Emit(e)
+	}
+	if stamped && len(t.costs) > 0 {
+		ns := t.clock() - e.TS
+		for _, c := range t.costs {
+			c.EmitCost(e, ns)
+		}
 	}
 }
 

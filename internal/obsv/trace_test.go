@@ -3,6 +3,7 @@ package obsv
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -68,6 +69,48 @@ func TestSpan(t *testing.T) {
 	}
 	if evs[0].PID != 3 || evs[1].Mod != "m" {
 		t.Fatalf("span fields lost: %+v", evs)
+	}
+}
+
+// costRecorder is a CostSink that keeps what the tracer reported.
+type costRecorder struct {
+	names []string
+	costs []int64
+}
+
+func (c *costRecorder) Emit(Event) {}
+
+func (c *costRecorder) EmitCost(e Event, ns int64) {
+	c.names = append(c.names, e.Name)
+	c.costs = append(c.costs, ns)
+}
+
+// TestTracerReportsEmitCost: with a CostSink attached, an event the tracer
+// stamps is costed from its stamp to a second clock read after the
+// fan-out; an event that arrives stamped is not. Without one the tracer
+// reads its clock once per event, so deterministic clocks stamp as
+// before.
+func TestTracerReportsEmitCost(t *testing.T) {
+	tr := NewTracer(stepClock())
+	r := NewRing(8)
+	c := &costRecorder{}
+	tr.Attach(r)
+	tr.Attach(c)
+	tr.Emit(Event{Subsys: "kern", Name: "a"})         // stamped 1000, costed at 2000
+	tr.Emit(Event{Subsys: "kern", Name: "b", TS: 77}) // not costed
+	sp := tr.Begin("kern", "run", 1, "")              // stamped 3000, costed at 4000
+	tr.Detach(c)
+	sp.End(0)                                 // stamped 5000
+	tr.Emit(Event{Subsys: "kern", Name: "c"}) // stamped 6000
+	if len(c.names) != 2 || c.names[0] != "a" || c.names[1] != "run" || c.costs[0] != 1000 || c.costs[1] != 1000 {
+		t.Fatalf("costs reported: %v %v, want [a run] [1000 1000]", c.names, c.costs)
+	}
+	var got []int64
+	for _, e := range r.Events() {
+		got = append(got, e.TS)
+	}
+	if want := []int64{1000, 77, 3000, 5000, 6000}; fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("stamps %v, want %v", got, want)
 	}
 }
 
