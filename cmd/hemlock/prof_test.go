@@ -29,19 +29,21 @@ func TestCLIProfileLaunch(t *testing.T) {
 				t.Fatalf("launch profile missing %q:\n%s", want, out)
 			}
 		}
-		// The acceptance bar: >= 95% of launch wall time attributed, OR
-		// at most 13µs unattributed. The tracer's own time, fanning each
+		// The acceptance bar: >= 98% of launch wall time attributed, OR
+		// at most 5µs unattributed. The tracer's own time, fanning each
 		// event out to the three sinks (first-touch allocations
 		// included), is charged to the obsv.emit row rather than to the
 		// span that happened to be open, so what stays unattributed is
-		// launch code between phase spans: a median of about 2µs of a
-		// 150-200µs launch on a 2-vCPU host. A missing phase span adds
-		// its self time on top of that. Under the race detector every
+		// launch code between phase spans: on a 2-vCPU host a median of
+		// about 2.5µs and at most 4.8µs in 120 launches of 200-330µs,
+		// 96.6% attributed at the worst. A missing root-level phase span
+		// (the smallest, link.zygote_register, takes 5-20µs) lands in
+		// that bucket and fails both arms. Under the race detector every
 		// step is several times slower, so the attribution gate is left
 		// to the plain run of this same test.
 		pct := attribution(t, out)
 		unattr := launchTotal(t, out) * time.Duration(1000-int64(pct*10)) / 1000
-		if raceEnabled || pct >= 95.0 || unattr <= 13*time.Microsecond {
+		if raceEnabled || pct >= 98.0 || unattr <= 5*time.Microsecond {
 			break
 		}
 		if attempt == 4 {

@@ -9,7 +9,6 @@ package core
 import (
 	"fmt"
 	"io"
-	"sync"
 
 	"hemlock/internal/isa"
 	"hemlock/internal/kern"
@@ -27,8 +26,6 @@ type System struct {
 	FS *shmfs.FS
 	LD *lds.Linker
 	W  *ldl.World
-
-	exes exeCache // decoded executables, by path (LoadExecutable)
 }
 
 // NewSystem boots a fresh machine with an empty shared file system.
@@ -39,8 +36,6 @@ func NewSystem() *System { return boot(kern.New()) }
 // boot puts the linkers around a kernel and turns stable linking on.
 func boot(k *kern.Kernel) *System {
 	s := &System{K: k, FS: k.FS, LD: lds.New(k.FS), W: ldl.NewWorld(k)}
-	r := k.Obs.Registry()
-	s.exes.hit, s.exes.miss = r.Counter("core.exe_cache_hit"), r.Counter("core.exe_cache_miss")
 	s.W.SetStableLinking(true, true)
 	return s
 }
@@ -94,12 +89,11 @@ func (s *System) Obs() *obsv.Obs { return s.K.Obs }
 // reboot would: public modules stay on disk, but their link status is
 // re-derived from the templates on next use. The lazy-vs-eager experiment
 // uses this to measure cold-start linking repeatedly. Zygote templates and
-// decoded executables are kernel-resident state and do not survive the
-// reboot; link-cache files do (they live on the shared file system), so
-// post-reset launches may still replay.
+// the World's decoded templates and executables are kernel-resident state
+// and do not survive the reboot; link-cache files do (they live on the
+// shared file system), so post-reset launches may still replay.
 func (s *System) ResetWorld() {
 	s.K.DropAllZygotes()
-	s.exes.reset()
 	cache, zygote := s.W.CacheEnabled, s.W.ZygoteEnabled
 	s.W = ldl.NewWorld(s.K)
 	s.W.SetStableLinking(cache, zygote)
@@ -172,94 +166,12 @@ func (s *System) SaveExecutable(path string, im *objfile.Image) error {
 	return s.writeFile(path, b)
 }
 
-// LoadExecutable reads a HEMX image from path. Decoded images are cached
-// by path together with the file's shmfs.ContentVersion, so loading an
-// unchanged executable again returns the same *Image without reading or
-// decoding it. Callers must not modify the image.
+// LoadExecutable reads a HEMX image from path through the World's memo of
+// decoded executables (ldl.World.LoadExecutable): loading an unchanged
+// executable again returns the same *Image without reading or decoding
+// it. Callers must not modify the image.
 func (s *System) LoadExecutable(path string) (*objfile.Image, error) {
-	// Fingerprint before reading: a write racing the read and decode
-	// leaves the entry under the older fingerprint, which the next load
-	// no longer matches. It costs a miss, never a stale hit.
-	cv, cvErr := s.FS.ContentVersion(path)
-	if cvErr == nil {
-		if im := s.exes.get(path, cv); im != nil {
-			s.exes.hit.Inc()
-			return im, nil
-		}
-	}
-	s.exes.miss.Inc()
-	b, err := s.FS.ReadFile(path, 0)
-	if err != nil {
-		return nil, err
-	}
-	im, err := objfile.DecodeImageBytes(b)
-	if err != nil {
-		return nil, err
-	}
-	if cvErr == nil {
-		s.exes.put(path, cv, im)
-	}
-	return im, nil
-}
-
-// exeCacheSize bounds the decoded-executable cache at the number of
-// zygotes the kernel parks.
-const exeCacheSize = kern.MaxZygotes
-
-// exeCache maps a path to the image decoded from it and the fingerprint
-// its bytes had. When full it evicts the least recently used entry. The
-// zero value is an empty cache with no counters.
-type exeCache struct {
-	mu        sync.Mutex
-	m         map[string]*exeEntry
-	clock     uint64 // advances on every get hit and put; orders eviction
-	hit, miss *obsv.Counter
-}
-
-type exeEntry struct {
-	cv   uint64
-	im   *objfile.Image
-	used uint64 // clock at last use
-}
-
-// get returns the image cached for path if it was decoded from bytes
-// with fingerprint cv, else nil. A hit allocates nothing.
-func (c *exeCache) get(path string, cv uint64) *objfile.Image {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e := c.m[path]
-	if e == nil || e.cv != cv {
-		return nil
-	}
-	c.clock++
-	e.used = c.clock
-	return e.im
-}
-
-func (c *exeCache) put(path string, cv uint64, im *objfile.Image) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.m == nil {
-		c.m = make(map[string]*exeEntry, exeCacheSize)
-	}
-	if _, ok := c.m[path]; !ok && len(c.m) >= exeCacheSize {
-		var lru string
-		oldest := c.clock + 1
-		for p, e := range c.m {
-			if e.used < oldest {
-				lru, oldest = p, e.used
-			}
-		}
-		delete(c.m, lru)
-	}
-	c.clock++
-	c.m[path] = &exeEntry{cv: cv, im: im, used: c.clock}
-}
-
-func (c *exeCache) reset() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	clear(c.m)
+	return s.W.LoadExecutable(path)
 }
 
 // ---- running ----------------------------------------------------------------

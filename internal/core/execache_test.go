@@ -83,47 +83,6 @@ func TestLoadExecutableCachesByFingerprint(t *testing.T) {
 	}
 }
 
-// TestExeCacheBoundedLRU: after 200 distinct paths the cache holds at most
-// 64 images, and the one evicted is the least recently used, not the
-// oldest inserted.
-func TestExeCacheBoundedLRU(t *testing.T) {
-	s := NewSystem()
-	im := linkCounter(t, s)
-	path := func(i int) string { return fmt.Sprintf("/bin/p%03d", i) }
-	for i := 0; i < 200; i++ {
-		if err := s.SaveExecutable(path(i), im); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < exeCacheSize; i++ {
-		mustLoad(t, s, path(i))
-	}
-	mustLoad(t, s, path(0))            // most recent now; p001 is the LRU
-	mustLoad(t, s, path(exeCacheSize)) // evicts p001
-	_, miss := exeCounters(s)
-	mustLoad(t, s, path(0))
-	if _, m := exeCounters(s); m != miss {
-		t.Fatal("recently used p000 was evicted")
-	}
-	mustLoad(t, s, path(1))
-	if _, m := exeCounters(s); m != miss+1 {
-		t.Fatal("least recently used p001 was not evicted")
-	}
-	for i := 0; i < 200; i++ {
-		mustLoad(t, s, path(i))
-		if n := len(s.exes.m); n > exeCacheSize {
-			t.Fatalf("cache holds %d images after %d paths, bound %d", n, i+1, exeCacheSize)
-		}
-	}
-	if n := len(s.exes.m); n != exeCacheSize {
-		t.Fatalf("cache holds %d images, want %d", n, exeCacheSize)
-	}
-	s.ResetWorld()
-	if n := len(s.exes.m); n != 0 {
-		t.Fatalf("cache holds %d images after ResetWorld", n)
-	}
-}
-
 // TestExeCacheHitAllocatesNothing: a hit is one fingerprint and one map
 // lookup.
 func TestExeCacheHitAllocatesNothing(t *testing.T) {

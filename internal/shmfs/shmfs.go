@@ -492,8 +492,8 @@ func (fs *FS) mkdirTop(p string, mode Mode, uid int) error {
 // inode and size: fresh frames start their counters past every counter the
 // old file's frames held (see ensureFrames). Two reads of one fingerprint
 // therefore saw the same bytes, across Save and Load too. The ldl link
-// cache validates its dependency manifest against this, and core caches
-// decoded executables by it. It allocates nothing.
+// cache validates its dependency manifest against this, and ldl keys its
+// decoded templates and executables by it. It allocates nothing.
 func (fs *FS) ContentVersion(p string) (uint64, error) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()

@@ -27,11 +27,13 @@
 #    silently fall back to a cold relink the ratio collapses to ~100% and
 #    the gate fails — on any machine, at any load. Missing repeat names
 #    fail too. LaunchByPath (load a saved executable, then the same zygote
-#    launch) must stay under 150% of Table1_StaticPrivateRepeat, the
+#    launch) must stay under 160% of Table1_StaticPrivateRepeat, the
 #    launch from an image in memory: with the decoded-image cache a load
 #    is a fingerprint and a lookup; a load that reads and decodes the file
 #    again adds ~7 us. Best-of-3 at 0.1s on a 2-vCPU host: 88-144% with
-#    the cache (12 runs), 169-244% without it (10 runs).
+#    the cache (12 runs), 169-244% without it (10 runs). The limit sits
+#    between the two ranges, nearer the uncached one, because the cached
+#    ratio's spread is host noise (a hit costs ~0.5 us of a ~7 us launch).
 #
 # Only the result rows are compared; host metadata and go_loc are not.
 #
@@ -126,7 +128,7 @@ awk -v threshold="$threshold" -v basefile="$base" -v candfile="$cand" '
       fail += ratio_gate("BenchmarkTable1_" cl "Repeat", "BenchmarkTable1_" cl, 0.5)
     }
     fail += ratio_gate("BenchmarkLaunchWarm", "BenchmarkTable1_DynamicPublic", 0.9)
-    fail += ratio_gate("BenchmarkLaunchByPath", "BenchmarkTable1_StaticPrivateRepeat", 1.5)
+    fail += ratio_gate("BenchmarkLaunchByPath", "BenchmarkTable1_StaticPrivateRepeat", 1.6)
 
     # SMP speed-up gate: 4 scheduler CPUs must finish the parallel Presto
     # workload in at most half the 1-CPU time — but only on runners with
