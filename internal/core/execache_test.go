@@ -140,8 +140,9 @@ func TestExeCacheConcurrentLoads(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < writes; i++ {
-			// One WriteAt of the whole file is one atomic change.
-			if _, err := s.FS.WriteAt("/bin/w", 0, versions[i+1], 0); err != nil {
+			// Rewritten as SaveExecutable writes it: WriteFile truncates
+			// and writes in one step.
+			if err := s.writeFile("/bin/w", versions[i+1]); err != nil {
 				errs <- err
 				return
 			}

@@ -404,8 +404,9 @@ func (r *netfuzzRun) publishOn(seed int64, homeName, path string, slot int, cont
 
 // NetFuzzOne runs one seeded adversarial fleet scenario: publish, churn
 // under fire — writes, migrations, lease reads, transactions — a late
-// join, quiesce, converge, verify.
-func NetFuzzOne(s *Scenario, fuzzSeed int64) {
+// join, quiesce, converge, verify. It returns the fleet's final counters,
+// which a replay of the same seed must reproduce exactly.
+func NetFuzzOne(s *Scenario, fuzzSeed int64) map[string]uint64 {
 	rng := rand.New(rand.NewSource(fuzzSeed))
 	net := netsim.New()
 	// Short leases and a low auto-migration threshold so lease expiry,
@@ -573,4 +574,5 @@ func NetFuzzOne(s *Scenario, fuzzSeed int64) {
 		s.Failf("netfuzz seed=%d: final marker value %d was never staged by any transaction", fuzzSeed, v)
 	}
 	s.Reg.Counter("harness.netfuzz.runs").Inc()
+	return fleet.Reg.Snapshot().Counters
 }

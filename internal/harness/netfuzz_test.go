@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"maps"
 	"testing"
 )
 
@@ -48,12 +49,23 @@ func TestTxnAtomicitySchedules(t *testing.T) {
 		c["harness.netfuzz.txn_aborts"], c["harness.netfuzz.txn_lost"])
 }
 
-// FuzzNetShm lets the fuzzer pick the adversary seed directly.
+// FuzzNetShm lets the fuzzer pick the adversary seed directly. Each input
+// runs twice and must leave identical fleet counters, so a failing seed
+// the fuzzer finds replays.
 func FuzzNetShm(f *testing.F) {
 	for _, seed := range []int64{0, 1, 4, 9, 1 << 48, -13} {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, seed int64) {
-		NetFuzzOne(WithSeed(t, "netfuzz-fuzz", seed), seed)
+		first := NetFuzzOne(WithSeed(t, "netfuzz-fuzz", seed), seed)
+		again := NetFuzzOne(WithSeed(t, "netfuzz-fuzz", seed), seed)
+		if !maps.Equal(first, again) {
+			for name, v := range first {
+				if again[name] != v {
+					t.Errorf("counter %s: %d, then %d on replay", name, v, again[name])
+				}
+			}
+			t.Fatalf("seed %d does not replay", seed)
+		}
 	})
 }

@@ -116,8 +116,13 @@ func TestMigrateAbortOnPartition(t *testing.T) {
 	}
 
 	// Heal the partition: the fleet adopts the bumped epoch and converges,
-	// including m002, which missed the whole episode.
+	// including m002, which missed the whole episode. It need not wait for
+	// a write or a heartbeat: acks of the old epoch vouch for nothing, so
+	// the home announces to everyone until each replica acks again.
 	net.Drop = nil
+	if _, ok := f.WaitConverged("/lib/seg", 2*int(f.Cfg.AnnounceTicks)+4); !ok {
+		t.Fatal("no prompt convergence on the post-abort epoch")
+	}
 	if err := home.Write("/lib/seg", 0, []byte("post-abort")); err != nil {
 		t.Fatalf("write after abort: %v", err)
 	}
@@ -266,8 +271,10 @@ func TestLeaseStalenessBound(t *testing.T) {
 
 // runDeltaWorkload drives an identical seeded small-write workload in
 // either replication mode and returns the fleet, for digest and wire
-// inspection.
-func runDeltaWorkload(t *testing.T, fullPage bool) (*Fleet, *netsim.Network) {
+// inspection. A lossy run drops a seq-keyed 20% of datagrams once the
+// segment is out and leaves 1 to 4 ticks after each write, so retries fire
+// between writes as well as after the last.
+func runDeltaWorkload(t *testing.T, fullPage, lossy bool) (*Fleet, *netsim.Network) {
 	t.Helper()
 	net := netsim.New()
 	f := bootLite(t, net, Config{FullPage: fullPage}, 3)
@@ -282,6 +289,11 @@ func runDeltaWorkload(t *testing.T, fullPage bool) (*Fleet, *netsim.Network) {
 	if _, ok := f.WaitConverged("/lib/seg", 30); !ok {
 		t.Fatal("no initial convergence")
 	}
+	ticks, budget := func(int) int { return 1 }, 60
+	if lossy {
+		net.Drop = seqLoss(20)
+		ticks, budget = func(i int) int { return 1 + i%4 }, 200
+	}
 	rng := rand.New(rand.NewSource(42))
 	for i := 0; i < 200; i++ {
 		off := uint32(rng.Intn(3*int(PageSize) - 16))
@@ -291,9 +303,9 @@ func runDeltaWorkload(t *testing.T, fullPage bool) (*Fleet, *netsim.Network) {
 		if err := home.Write("/lib/seg", off, patch); err != nil {
 			t.Fatal(err)
 		}
-		f.Tick()
+		f.Run(ticks(i))
 	}
-	if _, ok := f.WaitConverged("/lib/seg", 60); !ok {
+	if _, ok := f.WaitConverged("/lib/seg", budget); !ok {
 		t.Fatal("no final convergence")
 	}
 	return f, net
@@ -301,43 +313,55 @@ func runDeltaWorkload(t *testing.T, fullPage bool) (*Fleet, *netsim.Network) {
 
 // TestDeltaMatchesFullPage is the delta-correctness differential: the
 // byte-range path must land replicas byte-identical to the full-page
-// path, while shipping at least 4x fewer bytes for small writes.
+// path, while shipping at least 4x fewer bytes for small writes. Under
+// loss the retries run too: a replica one generation behind gets the
+// update datagram again, deltas included, and must still land the same
+// bytes.
 func TestDeltaMatchesFullPage(t *testing.T) {
-	ff, fnet := runDeltaWorkload(t, true)
-	fd, dnet := runDeltaWorkload(t, false)
+	for _, lossy := range []bool{false, true} {
+		ff, fnet := runDeltaWorkload(t, true, lossy)
+		fd, dnet := runDeltaWorkload(t, false, lossy)
 
-	var want uint64
-	for i, n := range ff.Nodes() {
-		dig, err := n.Digest("/lib/seg")
-		if err != nil {
-			t.Fatal(err)
+		var want uint64
+		for i, n := range ff.Nodes() {
+			dig, err := n.Digest("/lib/seg")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if i == 0 {
+				want = dig
+			} else if dig != want {
+				t.Fatalf("lossy=%v: full-page fleet diverged internally", lossy)
+			}
 		}
-		if i == 0 {
-			want = dig
-		} else if dig != want {
-			t.Fatalf("full-page fleet diverged internally")
+		for _, n := range fd.Nodes() {
+			dig, err := n.Digest("/lib/seg")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if dig != want {
+				t.Fatalf("lossy=%v: %s: delta replica digest %#x != full-page %#x", lossy, n.Name(), dig, want)
+			}
 		}
-	}
-	for _, n := range fd.Nodes() {
-		dig, err := n.Digest("/lib/seg")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if dig != want {
-			t.Fatalf("%s: delta replica digest %#x != full-page %#x", n.Name(), dig, want)
-		}
-	}
 
-	fullBytes := fnet.Stats().BytesSent
-	deltaBytes := dnet.Stats().BytesSent
-	if deltaBytes*4 > fullBytes {
-		t.Fatalf("deltas sent %d bytes vs %d full-page — want >= 4x reduction", deltaBytes, fullBytes)
-	}
-	if got := fd.Reg.Snapshot().Counters["netshm.delta_pages"]; got == 0 {
-		t.Fatal("delta fleet pushed no delta pages")
-	}
-	if got := ff.Reg.Snapshot().Counters["netshm.delta_pages"]; got != 0 {
-		t.Fatalf("full-page fleet pushed %d delta pages", got)
+		fullBytes := fnet.Stats().BytesSent
+		deltaBytes := dnet.Stats().BytesSent
+		fc, dc := ff.Reg.Snapshot().Counters, fd.Reg.Snapshot().Counters
+		t.Logf("lossy=%v: full-page %d bytes, delta %d bytes; delta-mode retries %d, %d of them updates",
+			lossy, fullBytes, deltaBytes, dc["netshm.retries"], dc["netshm.retry_updates"])
+		if !lossy && deltaBytes*4 > fullBytes {
+			t.Fatalf("deltas sent %d bytes vs %d full-page — want >= 4x reduction", deltaBytes, fullBytes)
+		}
+		if dc["netshm.delta_pages"] == 0 {
+			t.Fatal("delta fleet pushed no delta pages")
+		}
+		if fc["netshm.delta_pages"] != 0 {
+			t.Fatalf("full-page fleet pushed %d delta pages", fc["netshm.delta_pages"])
+		}
+		if lossy && (fc["netshm.retries"] == 0 || dc["netshm.retry_updates"] == 0) {
+			t.Fatalf("lossy run: full-page retries %d, delta-mode update retries %d — want both > 0",
+				fc["netshm.retries"], dc["netshm.retry_updates"])
+		}
 	}
 }
 

@@ -24,15 +24,20 @@
 //   - replicas hold time-bounded read leases granted and renewed by every
 //     home-originated message, so fresh reads skip the home entirely
 //     until the lease expires or an invalidation arrives;
-//   - the home retries lagging replicas with catch-up syncs (full pages)
-//     — bounded attempts, exponential backoff, all driven by the fleet's
-//     virtual clock so tests are deterministic;
+//   - the home retries lagging replicas — bounded attempts, exponential
+//     backoff, all driven by the fleet's virtual clock so tests are
+//     deterministic: a replica exactly one generation behind gets the
+//     update datagram again (deltas), any other lag a catch-up sync (full
+//     pages);
 //   - a pull-based anti-entropy round — triggered by a read of a stale
 //     generation, a joining node, or an epoch adoption — heals whatever
 //     the lossy LAN and the bounded retries left behind;
-//   - the home periodically announces (path, base, epoch, generation),
-//     which is how latecomers discover segments, how replicas learn they
-//     are stale, and how a deposed home learns to demote itself;
+//   - the home announces (path, base, epoch, generation) every
+//     AnnounceTicks to the replicas whose acked generation lags — or to
+//     every machine while some machine has never been heard of — which is
+//     how replicas learn they are stale and how latecomers discover
+//     segments; a slower broadcast heartbeat keeps a quiet fleet's leases
+//     alive and is how a deposed home learns to demote itself;
 //   - multi-word writes commit atomically through the TL2-style Txn API:
 //     per-segment version clocks, validate-on-commit, one generation per
 //     segment carrying the whole write set.
@@ -68,10 +73,15 @@ const PageSize = mem.PageSize
 // Config tunes the protocol's virtual-clock behaviour. The zero value
 // selects the defaults.
 type Config struct {
-	RetryTicks    uint64 // ticks before the first catch-up retry (default 2)
-	RetryMax      int    // bounded retry: attempts per lag episode (default 8)
-	BackoffCap    uint64 // ceiling on the backoff interval (default 16)
-	AnnounceTicks uint64 // announce period for home segments (default 4)
+	RetryTicks uint64 // ticks before the first catch-up retry (default 2)
+	RetryMax   int    // bounded retry: attempts per lag episode (default 8)
+	BackoffCap uint64 // ceiling on the backoff interval (default 16)
+
+	// AnnounceTicks is the period at which a home announces each segment
+	// to the replicas that lag it (default 4). Every
+	// AnnounceTicks × max(1, LeaseTicks / (2 × AnnounceTicks)) ticks — 32
+	// by default — the announce is a broadcast heartbeat to every machine.
+	AnnounceTicks uint64
 
 	// LeaseTicks is the read-lease duration granted by every
 	// home-originated message (default 64). A replica whose lease expired
@@ -114,6 +124,13 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// heartbeatTicks is the broadcast announce period: the largest multiple
+// of AnnounceTicks that still fits two heartbeats into one read lease, so
+// a quiet replica's lease survives one lost heartbeat.
+func (c Config) heartbeatTicks() uint64 {
+	return c.AnnounceTicks * max(1, c.LeaseTicks/(2*c.AnnounceTicks))
+}
+
 // seg is one replicated segment as seen by one machine.
 type seg struct {
 	path   string
@@ -131,8 +148,10 @@ type seg struct {
 	pageGen  []uint64              // generation at which each page last changed
 	pageVer  []uint64              // frame store-version snapshot at last push (delta fallback)
 	frames   []*mem.Frame          // pinned backing frames, dirty-watermark tracked
-	peers    map[string]*peerState // keyed by replica name, discovered via acks
+	peers    map[string]*peerState // keyed by replica name, discovered via pushes and acks
+	peerList []*peerState          // the same peers, in the order they were first heard of
 	writeCnt map[string]uint64     // per-origin write counter (migration driver)
+	upd      []byte                // the update datagram of generation gen (nil: none was pushed)
 
 	// Home-side migration handshake.
 	migrating    string // non-empty: offer to this target is in flight; writes frozen
@@ -155,9 +174,31 @@ type seg struct {
 
 // peerState is the home's view of one replica.
 type peerState struct {
+	name     string
 	acked    uint64 // highest generation the replica acknowledged (current epoch)
 	attempts int    // catch-up retries since last progress
 	nextTry  uint64 // virtual tick of the next retry
+}
+
+// peer returns the home's state for a replica, creating it on first
+// contact.
+func (s *seg) peer(name string) *peerState {
+	ps := s.peers[name]
+	if ps == nil {
+		if s.peers == nil {
+			s.peers = map[string]*peerState{}
+		}
+		ps = &peerState{name: name}
+		s.peers[name] = ps
+		s.peerList = append(s.peerList, ps)
+	}
+	return ps
+}
+
+// forgetPeers drops what the home knew of its replicas: their acks and
+// the pushed update answer to one epoch of one home.
+func (s *seg) forgetPeers() {
+	s.peers, s.peerList, s.upd = nil, nil, nil
 }
 
 func (s *seg) pages() int { return int((s.size + PageSize - 1) / PageSize) }
@@ -182,13 +223,16 @@ type Node struct {
 	cfg   Config
 	idx   int // fleet index (Add order): the event PID / Chrome track
 
-	mu    sync.Mutex
-	segs  map[string]*seg
-	onApp func(from string, payload []byte)
+	mu      sync.Mutex
+	segs    map[string]*seg
+	segList []*seg // the same segments in registration order, which Step visits
+	onApp   func(from string, payload []byte)
 
 	// Outbound transaction state (Txn forwards).
 	txnNext    uint64
-	txnPending map[uint64]*fwdTxn
+	txnPending []*fwdTxn    // unresolved forwarded commits, in txid order
+	txnDone    []txnOutcome // ring of the last txnDoneMax resolved outcomes
+	txnDoneAt  int          // next ring slot to overwrite once the ring is full
 	// Inbound transaction dedup (home side): txid -> result flag.
 	txnSeen  map[txnKey]byte
 	txnOrder []txnKey
@@ -200,6 +244,7 @@ type Node struct {
 	ctrUpdatesDup     *obsv.Counter
 	ctrAcksRecv       *obsv.Counter
 	ctrRetries        *obsv.Counter
+	ctrRetryUpdates   *obsv.Counter
 	ctrAntiEntropy    *obsv.Counter
 	ctrPullsServed    *obsv.Counter
 	ctrStaleReads     *obsv.Counter
@@ -250,6 +295,12 @@ func (n *Node) noteStale(s *seg) {
 	s.staleG.Set(lag)
 }
 
+// addSegLocked registers a segment on this machine.
+func (n *Node) addSegLocked(s *seg) {
+	n.segs[s.path] = s
+	n.segList = append(n.segList, s)
+}
+
 // Sys returns the machine's Hemlock system.
 func (n *Node) Sys() *core.System { return n.sys }
 
@@ -259,6 +310,7 @@ func (n *Node) wire(r *obsv.Registry) {
 	n.ctrUpdatesDup = r.Counter("netshm.updates_dup")
 	n.ctrAcksRecv = r.Counter("netshm.acks_recv")
 	n.ctrRetries = r.Counter("netshm.retries")
+	n.ctrRetryUpdates = r.Counter("netshm.retry_updates")
 	n.ctrAntiEntropy = r.Counter("netshm.anti_entropy_rounds")
 	n.ctrPullsServed = r.Counter("netshm.pulls_served")
 	n.ctrStaleReads = r.Counter("netshm.stale_reads")
@@ -292,10 +344,10 @@ func (n *Node) Serve(path string) error {
 		return fmt.Errorf("netshm: %s already registered on %s", path, n.name)
 	}
 	s := &seg{path: path, base: st.Addr, size: st.Size, home: n.name, isHome: true,
-		peers: map[string]*peerState{}, writeCnt: map[string]uint64{}}
+		writeCnt: map[string]uint64{}}
 	s.growPageGen()
 	n.pinFramesLocked(s)
-	n.segs[path] = s
+	n.addSegLocked(s)
 	return nil
 }
 
@@ -471,6 +523,7 @@ func (n *Node) dirtyRangesLocked(s *seg, ranges [][2]uint32) {
 		s.size = st.Size
 	}
 	s.gen++
+	s.upd = nil
 	s.growPageGen()
 	n.pinFramesLocked(s)
 
@@ -572,20 +625,16 @@ func (n *Node) dirtyRangesLocked(s *seg, ranges [][2]uint32) {
 		Val: s.gen, Flow: obsv.FlowID(s.path, s.gen)})
 	m := n.stamp(&msg{typ: msgUpdate, path: s.path, base: s.base, size: s.size,
 		epoch: s.epoch, gen: s.gen, tv: s.tv, lease: n.cfg.LeaseTicks, pages: pages})
-	b := m.encode()
-	for _, peer := range n.net.Nodes() {
+	s.upd = m.encode()
+	for _, peer := range n.fleet.order {
 		if peer == n.name {
 			continue
 		}
-		n.nd.Send(peer, b)
+		n.nd.Send(peer, s.upd)
 		n.ctrUpdatesSent.Inc()
 		n.emit(obsv.Event{Name: "push", Mod: peer, Val: s.gen})
 		// A push obligates the peer: retry until acked or out of attempts.
-		ps, ok := s.peers[peer]
-		if !ok {
-			ps = &peerState{}
-			s.peers[peer] = ps
-		}
+		ps := s.peer(peer)
 		ps.attempts = 0
 		ps.nextTry = n.fleet.Now() + n.cfg.RetryTicks
 	}
@@ -672,7 +721,7 @@ func (n *Node) Attach(path, home string) error {
 	if st, err := n.sys.FS.StatPath(path); err == nil {
 		s.base, s.size = st.Addr, st.Size
 	}
-	n.segs[path] = s
+	n.addSegLocked(s)
 	return nil
 }
 
@@ -732,13 +781,13 @@ func (n *Node) Base(path string) (uint32, error) {
 	return s.base, nil
 }
 
-// Segments lists the registered segment paths.
+// Segments lists the registered segment paths in registration order.
 func (n *Node) Segments() []string {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	out := make([]string, 0, len(n.segs))
-	for p := range n.segs {
-		out = append(out, p)
+	out := make([]string, 0, len(n.segList))
+	for _, s := range n.segList {
+		out = append(out, s.path)
 	}
 	return out
 }
@@ -868,8 +917,11 @@ func (n *Node) SendApp(to string, payload []byte) error {
 // ---- the per-tick protocol engine --------------------------------------------
 
 // Step runs one virtual-clock tick of the protocol: drain the inbox, run
-// the home-side retry / announce / migration timers, and re-send overdue
-// pulls. Fleet.Tick calls it for every machine in a deterministic order.
+// the home-side retry / announce / migration timers, re-send overdue
+// pulls, and retry unresolved forwarded commits. Fleet.Tick calls it for
+// every machine in a deterministic order, and Step visits segments and
+// replicas in registration order, so a seeded fleet run sends the same
+// datagrams in the same order every time.
 func (n *Node) Step() {
 	for {
 		d, ok := n.nd.Recv()
@@ -888,15 +940,19 @@ func (n *Node) Step() {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	now := n.fleet.Now()
-	for _, s := range n.segs {
+	for _, s := range n.segList {
 		if s.isHome {
 			if s.migrating != "" && now >= s.migrateAt {
 				if s.migrateTries >= n.cfg.RetryMax {
 					// Abort: skip PAST the offered epoch, so even if the
 					// target promoted and our ack back never arrives, this
-					// home's resumed lineage outranks the target's.
+					// home's resumed lineage outranks the target's. Acks of
+					// the old epoch vouch for nothing in the new one, so
+					// the home announces to everyone until each replica
+					// acks again.
 					s.epoch += 2
 					s.migrating = ""
+					s.forgetPeers()
 					n.ctrMigrateAborts.Inc()
 					n.emit(obsv.Event{Name: "migrate_abort", Mod: s.path, Val: s.epoch})
 					n.announceLocked(s)
@@ -911,8 +967,8 @@ func (n *Node) Step() {
 				}
 			}
 			n.retryLocked(s, now)
-			if n.cfg.AnnounceTicks > 0 && now%n.cfg.AnnounceTicks == 0 {
-				n.announceLocked(s)
+			if now%n.cfg.AnnounceTicks == 0 {
+				n.announceDueLocked(s, now)
 			}
 		} else if s.pullArmed && now >= s.pullAt && (s.needFull || s.highest > s.gen) {
 			s.pullArmed = false
@@ -922,21 +978,59 @@ func (n *Node) Step() {
 	n.stepTxnLocked(now)
 }
 
-// announceLocked broadcasts the segment's existence and version.
-func (n *Node) announceLocked(s *seg) {
-	a := n.stamp(&msg{typ: msgAnnounce, path: s.path, base: s.base, size: s.size,
-		epoch: s.epoch, gen: s.gen, tv: s.tv, home: n.name, lease: n.cfg.LeaseTicks})
-	n.nd.Broadcast(a.encode())
+// announceDueLocked sends the announce due at an AnnounceTicks boundary.
+// On a heartbeat tick, or while some machine of the fleet has never been
+// heard of (a late joiner, or everyone just after a promotion or an
+// aborted migration), it is a broadcast: the heartbeat keeps read leases
+// alive, tells a deposed home of its successor and lets machines find a
+// segment's new home. Otherwise it goes only to the replicas whose acked
+// generation lags: they are the ones an announce can tell anything.
+func (n *Node) announceDueLocked(s *seg, now uint64) {
+	if now%n.cfg.heartbeatTicks() == 0 || len(s.peerList) < len(n.fleet.order)-1 {
+		n.announceLocked(s)
+		return
+	}
+	var b []byte
+	for _, ps := range s.peerList {
+		if ps.acked >= s.gen {
+			continue
+		}
+		if b == nil {
+			b = n.announceMsg(s).encode()
+		}
+		n.nd.Send(ps.name, b)
+		n.emit(obsv.Event{Name: "announce", Mod: ps.name, Val: s.gen})
+	}
 }
 
-// retryLocked sends catch-up syncs to replicas whose acked generation
-// lags, with exponential backoff and a bounded attempt count.
+// announceMsg is the segment's existence and version, as its home sees it.
+func (n *Node) announceMsg(s *seg) *msg {
+	return n.stamp(&msg{typ: msgAnnounce, path: s.path, base: s.base, size: s.size,
+		epoch: s.epoch, gen: s.gen, tv: s.tv, home: n.name, lease: n.cfg.LeaseTicks})
+}
+
+// announceLocked broadcasts the segment's existence and version.
+func (n *Node) announceLocked(s *seg) {
+	n.nd.Broadcast(n.announceMsg(s).encode())
+	n.emit(obsv.Event{Name: "announce", Mod: "*", Val: s.gen})
+}
+
+// retryLocked catches up replicas whose acked generation lags, with
+// exponential backoff and a bounded attempt count. A replica exactly one
+// generation behind gets the update datagram of the current generation
+// again, which carries only the bytes that changed; any other lag gets a
+// catch-up sync of the full pages changed since its ack.
 func (n *Node) retryLocked(s *seg, now uint64) {
-	for peer, ps := range s.peers {
+	for _, ps := range s.peerList {
 		if ps.acked >= s.gen || now < ps.nextTry || ps.attempts >= n.cfg.RetryMax {
 			continue
 		}
-		n.sendSyncLocked(s, peer, ps.acked)
+		if ps.acked+1 == s.gen && s.upd != nil {
+			n.nd.Send(ps.name, s.upd)
+			n.ctrRetryUpdates.Inc()
+		} else {
+			n.sendSyncLocked(s, ps.name, ps.acked)
+		}
 		n.ctrRetries.Inc()
 		ps.attempts++
 		backoff := n.cfg.RetryTicks << uint(ps.attempts)
@@ -1001,11 +1095,7 @@ func (n *Node) handle(from string, m *msg) {
 			return
 		}
 		n.ctrAcksRecv.Inc()
-		ps, okp := s.peers[from]
-		if !okp {
-			ps = &peerState{}
-			s.peers[from] = ps
-		}
+		ps := s.peer(from)
 		if m.gen > ps.acked {
 			ps.acked = m.gen
 			ps.attempts = 0
@@ -1073,7 +1163,7 @@ func (n *Node) handle(from string, m *msg) {
 		s.migrating = ""
 		s.highest = s.gen
 		s.needFull = false
-		s.peers = nil
+		s.forgetPeers()
 		s.writeCnt = nil
 		n.emit(obsv.Event{Name: "migrate_done", Mod: s.path, Val: s.epoch})
 	case msgLeaseRenew:
@@ -1127,7 +1217,7 @@ func (n *Node) adoptAuthorityLocked(s *seg, m *msg, from string, armPull bool) {
 		n.unpinFramesLocked(s)
 		s.isHome = false
 		s.migrating = ""
-		s.peers = nil
+		s.forgetPeers()
 		s.writeCnt = nil
 	}
 	s.epoch = m.epoch
@@ -1258,7 +1348,9 @@ func (n *Node) recvMigrateLocked(from string, m *msg) {
 			s.pageGen[p.idx] = p.gen
 		}
 	}
-	s.peers = map[string]*peerState{}
+	// The old home sent the snapshot, so it holds generation gen.
+	s.forgetPeers()
+	s.peer(from).acked = m.gen
 	s.writeCnt = map[string]uint64{}
 	s.frames = nil
 	for i := range s.pageVer {
@@ -1334,7 +1426,7 @@ func (n *Node) adoptLocked(from string, m *msg) *seg {
 		}
 	}
 	s := &seg{path: m.path, base: m.base, home: from}
-	n.segs[m.path] = s
+	n.addSegLocked(s)
 	return s
 }
 

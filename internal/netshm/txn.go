@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"hemlock/internal/kern"
@@ -26,9 +27,11 @@ import (
 // node lock. Commits whose write set is homed on one remote machine are
 // forwarded (msgTxnFwd) with bounded virtual-clock retries and
 // deduplicated by (origin, txid) at the home; the origin polls TxnStatus
-// until the result datagram lands. Write sets spanning multiple homes are
-// refused — Hemlock segments are single-home, and the fleet's atomicity
-// guarantee is per-home.
+// until the result datagram lands. The origin's Step visits only the
+// commits still unresolved; a resolved outcome moves to a ring of the
+// last txnDoneMax, after which TxnStatus no longer knows the txid. Write
+// sets spanning multiple homes are refused — Hemlock segments are
+// single-home, and the fleet's atomicity guarantee is per-home.
 var (
 	ErrTxnConflict  = errors.New("netshm: transaction conflict (read set changed)")
 	ErrTxnCrossHome = errors.New("netshm: transaction write set spans multiple homes")
@@ -42,7 +45,7 @@ const (
 	TxnCommitted                 // applied at the home
 	TxnAborted                   // validation failed (or the home refused)
 	TxnLost                      // retries exhausted without a result
-	TxnUnknown                   // no such transaction id
+	TxnUnknown                   // no such transaction id, or its outcome left the ring
 )
 
 func (s TxnState) String() string {
@@ -179,14 +182,10 @@ func (t *Txn) Commit() (uint64, error) {
 	n.txnNext++
 	txid := n.txnNext
 	payload := encodeTxnPayload(t.reads, t.writes)
-	f := &fwdTxn{home: home, path: t.writes[0].path, payload: payload,
-		state: TxnPending, attempts: 1,
-		nextTry: n.fleet.Now() + n.cfg.RetryTicks}
-	if n.txnPending == nil {
-		n.txnPending = map[uint64]*fwdTxn{}
-	}
-	n.txnPending[txid] = f
-	n.sendTxnFwdLocked(txid, f)
+	f := &fwdTxn{id: txid, home: home, path: t.writes[0].path, payload: payload,
+		attempts: 1, nextTry: n.fleet.Now() + n.cfg.RetryTicks}
+	n.txnPending = append(n.txnPending, f) // txids only grow: the list stays sorted
+	n.sendTxnFwdLocked(f)
 	return txid, nil
 }
 
@@ -262,60 +261,93 @@ func (n *Node) applyTxnLocked(writes []txnWrite, origin string) {
 	}
 }
 
-// TxnStatus reports the fate of a forwarded commit.
+// TxnStatus reports the fate of a forwarded commit: pending until it
+// resolves, then its outcome for as long as the outcome is among the
+// origin's last txnDoneMax resolved ones, and TxnUnknown after that (and
+// for a txid this machine never issued).
 func (n *Node) TxnStatus(txid uint64) TxnState {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	f, ok := n.txnPending[txid]
-	if !ok {
-		return TxnUnknown
+	if n.pendingTxnLocked(txid) >= 0 {
+		return TxnPending
 	}
-	return f.state
+	for _, o := range n.txnDone {
+		if o.id == txid {
+			return o.state
+		}
+	}
+	return TxnUnknown
 }
 
-// fwdTxn is the origin-side state of one forwarded commit.
+// txnDoneMax bounds the origin's memory of resolved forwarded commits.
+const txnDoneMax = 1024
+
+// txnOutcome is one resolved forwarded commit in the origin's ring.
+type txnOutcome struct {
+	id    uint64
+	state TxnState
+}
+
+// fwdTxn is the origin-side state of one unresolved forwarded commit.
 type fwdTxn struct {
+	id       uint64
 	home     string
 	path     string // routing/debug path (first written segment)
 	payload  []byte
-	state    TxnState
 	attempts int
 	nextTry  uint64
 }
 
-func (n *Node) sendTxnFwdLocked(txid uint64, f *fwdTxn) {
-	m := n.stamp(&msg{typ: msgTxnFwd, path: f.path, txid: txid, payload: f.payload})
+func (n *Node) sendTxnFwdLocked(f *fwdTxn) {
+	m := n.stamp(&msg{typ: msgTxnFwd, path: f.path, txid: f.id, payload: f.payload})
 	n.nd.Send(f.home, m.encode())
 }
 
-// stepTxnLocked retries pending forwarded commits (bounded, backed off),
-// in txid order for determinism.
-func (n *Node) stepTxnLocked(now uint64) {
-	if len(n.txnPending) == 0 {
+// pendingTxnLocked returns the index of the unresolved commit txid in
+// txnPending, or -1.
+func (n *Node) pendingTxnLocked(txid uint64) int {
+	i := sort.Search(len(n.txnPending), func(i int) bool { return n.txnPending[i].id >= txid })
+	if i < len(n.txnPending) && n.txnPending[i].id == txid {
+		return i
+	}
+	return -1
+}
+
+// resolveTxnLocked records a forwarded commit's outcome in the ring,
+// overwriting the oldest once the ring is full.
+func (n *Node) resolveTxnLocked(id uint64, state TxnState) {
+	o := txnOutcome{id: id, state: state}
+	if len(n.txnDone) < txnDoneMax {
+		n.txnDone = append(n.txnDone, o)
 		return
 	}
-	ids := make([]uint64, 0, len(n.txnPending))
-	for id := range n.txnPending {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		f := n.txnPending[id]
-		if f.state != TxnPending || now < f.nextTry {
+	n.txnDone[n.txnDoneAt] = o
+	n.txnDoneAt = (n.txnDoneAt + 1) % txnDoneMax
+}
+
+// stepTxnLocked retries unresolved forwarded commits (bounded, backed
+// off), in txid order for determinism; one out of attempts is lost.
+func (n *Node) stepTxnLocked(now uint64) {
+	kept := n.txnPending[:0]
+	for _, f := range n.txnPending {
+		switch {
+		case now < f.nextTry:
+		case f.attempts >= n.cfg.RetryMax:
+			n.resolveTxnLocked(f.id, TxnLost)
 			continue
+		default:
+			n.sendTxnFwdLocked(f)
+			f.attempts++
+			backoff := n.cfg.RetryTicks << uint(f.attempts)
+			if backoff > n.cfg.BackoffCap {
+				backoff = n.cfg.BackoffCap
+			}
+			f.nextTry = now + backoff
 		}
-		if f.attempts >= n.cfg.RetryMax {
-			f.state = TxnLost
-			continue
-		}
-		n.sendTxnFwdLocked(id, f)
-		f.attempts++
-		backoff := n.cfg.RetryTicks << uint(f.attempts)
-		if backoff > n.cfg.BackoffCap {
-			backoff = n.cfg.BackoffCap
-		}
-		f.nextTry = now + backoff
+		kept = append(kept, f)
 	}
+	clear(n.txnPending[len(kept):])
+	n.txnPending = kept
 }
 
 // txnKey identifies a forwarded commit at the home: ids are per-origin.
@@ -377,15 +409,16 @@ func (n *Node) replyTxnLocked(to string, txid uint64, flag byte) {
 
 // recvTxnResultLocked records the fate of a forwarded commit at its origin.
 func (n *Node) recvTxnResultLocked(from string, m *msg) {
-	f, ok := n.txnPending[m.txid]
-	if !ok || f.state != TxnPending {
-		return
+	i := n.pendingTxnLocked(m.txid)
+	if i < 0 {
+		return // a duplicate result, or one for a commit already lost
 	}
+	state := TxnAborted
 	if m.flag&flagCommitted != 0 {
-		f.state = TxnCommitted
-	} else {
-		f.state = TxnAborted
+		state = TxnCommitted
 	}
+	n.txnPending = slices.Delete(n.txnPending, i, i+1)
+	n.resolveTxnLocked(m.txid, state)
 }
 
 // ---- payload sub-encoding ----------------------------------------------------
@@ -453,7 +486,7 @@ var ErrTxnRemote = errors.New("netshm: transaction home is remote")
 
 // segByAddrLocked maps a virtual address into the segment containing it.
 func (n *Node) segByAddrLocked(addr uint32) *seg {
-	for _, s := range n.segs {
+	for _, s := range n.segList {
 		if s.base != 0 && addr >= s.base && addr < s.base+s.size {
 			return s
 		}

@@ -443,7 +443,9 @@ func (n *Network) InFlight() int {
 }
 
 // Broadcast sends payload to every other attached node (not to itself),
-// copying per receiver.
+// copying per receiver. Receivers are visited in map order, which cannot
+// change what happens: every copy carries the same seq, each knob decides
+// per (from, to, seq), and each receiver gets one copy of its own.
 func (nd *Node) Broadcast(payload []byte) error {
 	n := nd.net
 	n.mu.Lock()

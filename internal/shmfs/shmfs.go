@@ -343,16 +343,24 @@ func (fs *FS) checkPerm(nd *inode, uid int, write bool) error {
 func (fs *FS) Create(p string, mode Mode, uid int) (Stat, error) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	parent, leaf, err := fs.parentOf(p)
+	nd, err := fs.createLocked(p, mode, uid)
 	if err != nil {
 		return Stat{}, err
 	}
+	return fs.statOf(nd), nil
+}
+
+func (fs *FS) createLocked(p string, mode Mode, uid int) (*inode, error) {
+	parent, leaf, err := fs.parentOf(p)
+	if err != nil {
+		return nil, err
+	}
 	if _, ok := parent.entries[leaf]; ok {
-		return Stat{}, fmt.Errorf("%w: %s", ErrExist, p)
+		return nil, fmt.Errorf("%w: %s", ErrExist, p)
 	}
 	nd, err := fs.allocInode(TypeFile, mode, uid)
 	if err != nil {
-		return Stat{}, err
+		return nil, err
 	}
 	parent.entries[leaf] = nd.ino
 	parent.mtime = fs.tick()
@@ -361,7 +369,7 @@ func (fs *FS) Create(p string, mode Mode, uid int) (Stat, error) {
 	if fs.tracer.Enabled() {
 		fs.tracer.Emit(obsv.Event{Subsys: "shmfs", Name: "create", Mod: Clean(p), Addr: AddrOf(nd.ino)})
 	}
-	return fs.statOf(nd), nil
+	return nd, nil
 }
 
 // CreateAt makes a new regular file at p bound to the specific inode ino,
@@ -835,8 +843,12 @@ func (fs *FS) ReadAt(p string, off uint32, buf []byte, uid int) (int, error) {
 	if err := fs.checkPerm(nd, uid, false); err != nil {
 		return 0, err
 	}
+	return fs.readAtInode(nd, off, buf), nil
+}
+
+func (fs *FS) readAtInode(nd *inode, off uint32, buf []byte) int {
 	if off >= nd.size {
-		return 0, nil
+		return 0
 	}
 	want := uint32(len(buf))
 	if off+want > nd.size {
@@ -850,40 +862,51 @@ func (fs *FS) ReadAt(p string, off uint32, buf []byte, uid int) (int, error) {
 		n := copy(buf[done:want], nd.frames[fi].Data[fo:])
 		done += uint32(n)
 	}
-	return int(done), nil
+	return int(done)
 }
 
-// ReadFile returns the whole contents of the file at p.
+// ReadFile returns the whole contents of the file at p, as one snapshot:
+// a concurrent WriteFile lands entirely before or entirely after it.
 func (fs *FS) ReadFile(p string, uid int) ([]byte, error) {
-	st, err := fs.StatPath(p)
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	nd, err := fs.walk(p, true, 0)
 	if err != nil {
 		return nil, err
 	}
-	buf := make([]byte, st.Size)
-	if _, err := fs.ReadAt(p, 0, buf, uid); err != nil {
+	if nd.typ != TypeFile {
+		return nil, ErrIsDir
+	}
+	if err := fs.checkPerm(nd, uid, false); err != nil {
 		return nil, err
 	}
+	buf := make([]byte, nd.size)
+	fs.readAtInode(nd, 0, buf)
 	return buf, nil
 }
 
-// WriteFile creates (or truncates) the file at p with the given contents.
+// WriteFile creates (or truncates) the file at p with the given contents,
+// in one step: no reader sees the file empty or half written.
 func (fs *FS) WriteFile(p string, data []byte, mode Mode, uid int) error {
 	fs.mu.Lock()
+	defer fs.mu.Unlock()
 	nd, err := fs.walk(p, true, 0)
-	fs.mu.Unlock()
 	if errors.Is(err, ErrNotExist) {
-		if _, cerr := fs.Create(p, mode, uid); cerr != nil {
-			return cerr
-		}
-	} else if err != nil {
+		nd, err = fs.createLocked(p, mode, uid)
+	}
+	if err != nil {
 		return err
-	} else if nd.typ != TypeFile {
+	}
+	if nd.typ != TypeFile {
 		return ErrIsDir
 	}
-	if err := fs.Truncate(p, 0, uid); err != nil {
+	if err := fs.checkPerm(nd, uid, true); err != nil {
 		return err
 	}
-	_, err = fs.WriteAt(p, 0, data, uid)
+	if err := fs.truncateLocked(nd, 0); err != nil {
+		return err
+	}
+	_, err = fs.writeAtInode(nd, 0, data)
 	return err
 }
 
@@ -903,6 +926,10 @@ func (fs *FS) Truncate(p string, size uint32, uid int) error {
 	if err := fs.checkPerm(nd, uid, true); err != nil {
 		return err
 	}
+	return fs.truncateLocked(nd, size)
+}
+
+func (fs *FS) truncateLocked(nd *inode, size uint32) error {
 	if size > MaxFile {
 		return fmt.Errorf("%w: truncate to %d", ErrFileTooBig, size)
 	}

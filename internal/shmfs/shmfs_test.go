@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -336,6 +337,54 @@ func TestTruncateZeroesShrunkRange(t *testing.T) {
 	fs.ReadAt("/f", 0, buf, 0)
 	if !bytes.Equal(buf, []byte("sec\x00\x00\x00\x00\x00\x00\x00")) {
 		t.Fatalf("stale data after shrink+grow: %q", buf)
+	}
+}
+
+// TestWriteFileIsOneStep: readers racing WriteFiles of two equal-size
+// versions only ever read one version or the other, never the empty or
+// zero-filled file between a truncate and its write.
+func TestWriteFileIsOneStep(t *testing.T) {
+	fs := newFS(t)
+	versions := [][]byte{bytes.Repeat([]byte("a"), 3*mem.PageSize+17), bytes.Repeat([]byte("b"), 3*mem.PageSize+17)}
+	if err := fs.WriteFile("/f", versions[0], DefaultFileMode, 0); err != nil {
+		t.Fatal(err)
+	}
+	const writes, readers = 2000, 2
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	errs := make(chan error, readers+1)
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				got, err := fs.ReadFile("/f", 0)
+				if err != nil {
+					errs <- err
+					return
+				}
+				if !bytes.Equal(got, versions[0]) && !bytes.Equal(got, versions[1]) {
+					errs <- fmt.Errorf("read %d bytes that are neither version", len(got))
+					return
+				}
+			}
+		}()
+	}
+	for i := 0; i < writes; i++ {
+		if err := fs.WriteFile("/f", versions[i%2], DefaultFileMode, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(stop)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
 	}
 }
 
