@@ -125,8 +125,8 @@ func (c Config) withDefaults() Config {
 }
 
 // heartbeatTicks is the broadcast announce period: the largest multiple
-// of AnnounceTicks that still fits two heartbeats into one read lease, so
-// a quiet replica's lease survives one lost heartbeat.
+// of AnnounceTicks that fits twice into one read lease, so a quiet
+// replica hears from its home at least twice per lease, loss permitting.
 func (c Config) heartbeatTicks() uint64 {
 	return c.AnnounceTicks * max(1, c.LeaseTicks/(2*c.AnnounceTicks))
 }
