@@ -125,8 +125,9 @@ func (c Config) withDefaults() Config {
 }
 
 // heartbeatTicks is the broadcast announce period: the largest multiple
-// of AnnounceTicks that fits twice into one read lease, so a quiet
-// replica hears from its home at least twice per lease, loss permitting.
+// of AnnounceTicks that fits twice into one read lease (AnnounceTicks
+// itself when none does), so a quiet replica hears from its home twice
+// per lease, loss permitting.
 func (c Config) heartbeatTicks() uint64 {
 	return c.AnnounceTicks * max(1, c.LeaseTicks/(2*c.AnnounceTicks))
 }
