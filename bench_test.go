@@ -88,7 +88,7 @@ func benchClassSetup(b *testing.B, class hemlock.Class) (*hemlock.System, *hemlo
 // path is measured separately by the *Repeat variants below.
 func benchClass(b *testing.B, class hemlock.Class) {
 	s, opts := benchClassSetup(b, class)
-	s.SetStableLinking(false, false)
+	s.SetStableLinking(false)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		im := mustLink(b, s, opts)
@@ -100,12 +100,12 @@ func benchClass(b *testing.B, class hemlock.Class) {
 }
 
 // benchClassRepeat is the stable-linking counterpart: link once, then
-// measure steady-state repeat launches — every iteration is a content-hash
-// cache hit satisfied by CoW-cloning the parked zygote template.
+// measure steady-state repeat launches — every iteration CoW-clones the
+// zygote template parked under the launch's content-hash key.
 func benchClassRepeat(b *testing.B, class hemlock.Class) {
 	s, opts := benchClassSetup(b, class)
 	im := mustLink(b, s, opts)
-	// One cold launch records the cache entry and parks the template.
+	// One cold launch parks the template.
 	pg := mustLaunch(b, s, im, nil)
 	if err := pg.Run(100000); err != nil {
 		b.Fatal(err)
@@ -129,27 +129,6 @@ func BenchmarkTable1_DynamicPrivateRepeat(b *testing.B) { benchClassRepeat(b, he
 func BenchmarkTable1_StaticPublicRepeat(b *testing.B)   { benchClassRepeat(b, hemlock.StaticPublic) }
 func BenchmarkTable1_DynamicPublicRepeat(b *testing.B)  { benchClassRepeat(b, hemlock.DynamicPublic) }
 
-// BenchmarkLaunchWarm measures the link cache WITHOUT zygotes: each launch
-// still execs and runs ldl Start, but symbol resolution collapses into a
-// replay of the recorded patch words. This isolates the cache's own
-// contribution from the CoW-clone shortcut.
-func BenchmarkLaunchWarm(b *testing.B) {
-	s, opts := benchClassSetup(b, hemlock.DynamicPublic)
-	s.SetStableLinking(true, false)
-	im := mustLink(b, s, opts)
-	pg := mustLaunch(b, s, im, nil)
-	if err := pg.Run(100000); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		pg := mustLaunch(b, s, im, nil)
-		if err := pg.Run(100000); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkLaunchByPath is a launch the way a user makes one, by naming a
 // saved executable: LoadExecutable, Launch, Run. It is the by-path twin of
 // Table1_StaticPrivateRepeat, which launches the same program from an
@@ -169,7 +148,7 @@ func BenchmarkLaunchByPath(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	launch() // records the cache entry and parks the template
+	launch() // parks the template
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		launch()

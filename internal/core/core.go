@@ -29,14 +29,13 @@ type System struct {
 }
 
 // NewSystem boots a fresh machine with an empty shared file system.
-// Stable linking — the persistent link cache and zygote launches — is on;
-// SetStableLinking turns it off.
+// Stable linking — zygote launches — is on; SetStableLinking turns it off.
 func NewSystem() *System { return boot(kern.New()) }
 
 // boot puts the linkers around a kernel and turns stable linking on.
 func boot(k *kern.Kernel) *System {
 	s := &System{K: k, FS: k.FS, LD: lds.New(k.FS), W: ldl.NewWorld(k)}
-	s.W.SetStableLinking(true, true)
+	s.W.SetStableLinking(true)
 	return s
 }
 
@@ -64,14 +63,13 @@ func Load(r io.Reader) (*System, error) {
 	return boot(kern.NewWithFS(fs, phys)), nil
 }
 
-// SetStableLinking flips the link cache and zygote registry at run time.
-// Disabling zygotes drops every parked template. It is the one switch for
-// stable linking: launchdiff's cold machine and the cold Table 1
-// benchmarks turn both off to check and measure against the plain linker,
-// and BenchmarkLaunchWarm keeps the cache without zygotes.
-func (s *System) SetStableLinking(cache, zygote bool) {
-	s.W.SetStableLinking(cache, zygote)
-	if !zygote {
+// SetStableLinking turns zygote launches, and the decoded-template memo
+// they rely on, on or off at run time. Turning it off drops every parked
+// template. Launchdiff's cold machine and the cold Table 1 benchmarks turn
+// it off to check and measure against the plain linker.
+func (s *System) SetStableLinking(on bool) {
+	s.W.SetStableLinking(on)
+	if !on {
 		s.K.DropAllZygotes()
 	}
 }
@@ -90,13 +88,12 @@ func (s *System) Obs() *obsv.Obs { return s.K.Obs }
 // re-derived from the templates on next use. The lazy-vs-eager experiment
 // uses this to measure cold-start linking repeatedly. Zygote templates and
 // the World's decoded templates and executables are kernel-resident state
-// and do not survive the reboot; link-cache files do (they live on the
-// shared file system), so post-reset launches may still replay.
+// and do not survive the reboot.
 func (s *System) ResetWorld() {
 	s.K.DropAllZygotes()
-	cache, zygote := s.W.CacheEnabled, s.W.ZygoteEnabled
+	on := s.W.StableLinking()
 	s.W = ldl.NewWorld(s.K)
-	s.W.SetStableLinking(cache, zygote)
+	s.W.SetStableLinking(on)
 }
 
 // ---- building ---------------------------------------------------------------
@@ -188,13 +185,14 @@ type Program struct {
 // image, and runs the crt0/ldl start-up sequence.
 //
 // Under stable linking a repeat launch short-circuits: if a zygote template
-// is parked under this launch's content-hash key and the key's link-cache
-// entry is still valid, the process is CoW-cloned from the fully linked
-// template — no exec, no linking. Cold launches park themselves as the
-// template for the next identical launch.
+// is parked under this launch's content-hash key and every module template
+// it was linked from is unchanged, the process is CoW-cloned from the
+// fully linked template — no exec, no linking. Cold launches park
+// themselves as the template for the next identical launch.
 func (s *System) Launch(im *objfile.Image, uid int, env map[string]string) (*Program, error) {
 	var key string
-	if s.W.ZygoteEnabled {
+	stable := s.W.StableLinking()
+	if stable {
 		key = s.W.LaunchKey(im, uid, env)
 		// Singleflight: concurrent identical launches (the serve daemon
 		// under load, an SMP workload fanning out) serialize on the key.
@@ -202,19 +200,10 @@ func (s *System) Launch(im *objfile.Image, uid int, env map[string]string) (*Pro
 		// waited clones it. Exactly one cold link per key.
 		unlock := s.W.LockLaunch(key)
 		defer unlock()
-		if s.K.HasZygote(key) && s.W.CacheValid(key) {
-			sp := s.K.Obs.Tracer().Begin("kern", "launch", 0, im.Name)
-			zsp := s.K.Obs.Tracer().Begin("link", "zygote_clone", 0, im.Name)
-			p, ok := s.K.CloneZygote(key)
-			zsp.End(0)
-			sp.End(0)
-			if ok {
-				if pr, prOK := ldl.ProcOf(p); prOK {
-					s.W.CreditZygoteLaunch(key)
-					return &Program{Sys: s, P: p, LDL: pr}, nil
-				}
-				// No linker state cloned (should not happen); fall cold.
-			}
+		if p, ok := s.K.CloneZygote(key, im.Name); ok {
+			pr, _ := ldl.ProcOf(p) // a template is always a started process
+			pr.CreditClone()
+			return &Program{Sys: s, P: p, LDL: pr}, nil
 		}
 	}
 	p := s.K.Spawn(uid)
@@ -230,9 +219,9 @@ func (s *System) Launch(im *objfile.Image, uid int, env map[string]string) (*Pro
 	if err != nil {
 		return nil, err
 	}
-	if s.W.ZygoteEnabled {
+	if stable {
 		rsp := s.K.Obs.Tracer().Begin("link", "zygote_register", p.PID, im.Name)
-		s.K.RegisterZygote(key, p)
+		s.K.RegisterZygote(key, p, pr.Manifest())
 		rsp.End(0)
 	}
 	return &Program{Sys: s, P: p, LDL: pr}, nil

@@ -20,7 +20,6 @@ import (
 	"strings"
 
 	"hemlock/internal/core"
-	"hemlock/internal/ldl"
 	"hemlock/internal/lds"
 	"hemlock/internal/netshm"
 	"hemlock/internal/objfile"
@@ -124,43 +123,6 @@ func CheckSystem(sys *core.System, opt Options) []Finding {
 	var out []Finding
 	out = append(out, checkInodes(sys.FS, opt)...)
 	out = append(out, checkFiles(sys.FS, opt)...)
-	out = append(out, checkLinkCache(sys.FS)...)
-	return out
-}
-
-// checkLinkCache diagnoses the persistent link cache (ldl.CacheDir): an
-// entry that no longer decodes is corrupt (Critical — the linker will
-// detect it and fall back cold, but something scribbled on the cache);
-// an entry whose recorded module fingerprints no longer match the on-disk
-// templates is stale, and one whose templates are gone entirely is
-// orphaned (both Warn — dead weight that invalidates itself on next
-// probe, but a sign modules churn faster than launches reuse them).
-func checkLinkCache(fs *shmfs.FS) []Finding {
-	var out []Finding
-	for _, e := range ldl.InspectCache(fs) {
-		if e.Err != nil {
-			out = append(out, Finding{
-				Check: "linkcache.corrupt", Severity: Critical, Subject: e.Path,
-				Detail: fmt.Sprintf("undecodable cache entry: %v", e.Err),
-			})
-			continue
-		}
-		for _, d := range e.Deps {
-			switch {
-			case d.Missing:
-				out = append(out, Finding{
-					Check: "linkcache.orphaned", Severity: Warn, Subject: e.Path,
-					Detail: fmt.Sprintf("recorded against %s, which is no longer on disk", d.Path),
-				})
-			case d.Stale:
-				out = append(out, Finding{
-					Check: "linkcache.stale", Severity: Warn, Subject: e.Path,
-					Detail: fmt.Sprintf("%s changed in place since recording (fingerprint %016x, recorded %016x)",
-						d.Path, d.Current, d.Recorded),
-				})
-			}
-		}
-	}
 	return out
 }
 

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"hemlock/internal/core"
-	"hemlock/internal/ldl"
 	"hemlock/internal/lds"
 	"hemlock/internal/netshm"
 	"hemlock/internal/netsim"
@@ -498,85 +497,5 @@ func TestFleetLeaseSkewAndOrphanChecks(t *testing.T) {
 	fs = findingsOf(CheckFleet(fl, Options{}), "home-orphaned")
 	if len(fs) != 1 || fs[0].Severity != Critical || fs[0].Subject != "/shared/db" {
 		t.Fatalf("orphan findings: %v", fs)
-	}
-}
-
-// linkCachedSystem boots a world, performs one cold launch so the linker
-// records a cache entry under ldl.CacheDir, and returns the system plus
-// the cache entry's path.
-func linkCachedSystem(t *testing.T) (*core.System, string) {
-	t.Helper()
-	sys := core.NewSystem()
-	if _, err := sys.Asm("/lib/buf.o", ".data\n.globl buf_v\nbuf_v: .word 7\n"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sys.Asm("/bin/main.o", ".text\n.globl main\nmain: jr $ra\n"); err != nil {
-		t.Fatal(err)
-	}
-	res, err := sys.Link(&lds.Options{
-		Output: "main",
-		Modules: []lds.Input{
-			{Name: "main.o", Class: objfile.StaticPrivate},
-			{Name: "buf.o", Class: objfile.DynamicPrivate},
-		},
-		LinkDir:     "/bin",
-		DefaultPath: []string{"/lib"},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pg, err := sys.Launch(res.Image, 0, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := pg.Run(100_000); err != nil {
-		t.Fatal(err)
-	}
-	ents, err := sys.FS.ReadDir(ldl.CacheDir)
-	if err != nil || len(ents) != 1 {
-		t.Fatalf("cache entries after cold launch: %v (err %v)", ents, err)
-	}
-	return sys, ldl.CacheDir + "/" + ents[0].Name
-}
-
-// TestLinkCacheStaleAfterInPlaceMutation is the acceptance case: mutating
-// a module template in place leaves the recorded cache entry stale, and
-// doctor flags it (WARN) before the next launch self-invalidates it.
-func TestLinkCacheStaleAfterInPlaceMutation(t *testing.T) {
-	sys, cachePath := linkCachedSystem(t)
-	if fs := findingsOf(CheckSystem(sys, Options{}), "linkcache.stale"); len(fs) != 0 {
-		t.Fatalf("fresh cache flagged stale:\n%s", Render(fs))
-	}
-	if _, err := sys.Asm("/lib/buf.o", ".data\n.globl buf_v\nbuf_v: .word 9\n"); err != nil {
-		t.Fatal(err)
-	}
-	fs := findingsOf(CheckSystem(sys, Options{}), "linkcache.stale")
-	if len(fs) != 1 || fs[0].Severity != Warn || fs[0].Subject != cachePath {
-		t.Fatalf("after in-place mutation: %v", fs)
-	}
-	if !strings.Contains(fs[0].Detail, "/lib/buf.o") {
-		t.Fatalf("stale finding does not name the mutated module: %s", fs[0].Detail)
-	}
-}
-
-func TestLinkCacheOrphanedAfterModuleRemoval(t *testing.T) {
-	sys, cachePath := linkCachedSystem(t)
-	if err := sys.FS.Unlink("/lib/buf.o", 0); err != nil {
-		t.Fatal(err)
-	}
-	fs := findingsOf(CheckSystem(sys, Options{}), "linkcache.orphaned")
-	if len(fs) != 1 || fs[0].Severity != Warn || fs[0].Subject != cachePath {
-		t.Fatalf("after module removal: %v", fs)
-	}
-}
-
-func TestLinkCacheCorruptHeader(t *testing.T) {
-	sys, cachePath := linkCachedSystem(t)
-	if _, err := sys.FS.WriteAt(cachePath, 0, []byte("XXXX"), 0); err != nil {
-		t.Fatal(err)
-	}
-	fs := findingsOf(CheckSystem(sys, Options{}), "linkcache.corrupt")
-	if len(fs) != 1 || fs[0].Severity != Critical || fs[0].Subject != cachePath {
-		t.Fatalf("after header corruption: %v", fs)
 	}
 }

@@ -11,34 +11,35 @@ import (
 	"hemlock/internal/vm"
 )
 
-// The cold-vs-warm-vs-zygote differential mode of the link/load explorer:
-// one seeded launch schedule is replayed against three machines that differ
-// only in the stable-linking configuration —
+// The cold-vs-zygote differential mode of the link/load explorer: one
+// seeded launch schedule is replayed against two machines that differ only
+// in whether stable linking is on —
 //
-//	cold    link cache off, zygotes off (every launch relinks from scratch)
-//	warm    link cache on,  zygotes off (repeat launches replay recorded
-//	        resolutions)
-//	zygote  link cache on,  zygotes on  (repeat launches CoW-clone the
-//	        parked template)
+//	cold    every launch links from scratch, reading every template afresh
+//	zygote  repeat launches CoW-clone the parked template
 //
-// Every round launches the executable by path. The warm and zygote
-// machines load it through core.System.LoadExecutable, whose decoded-image
-// cache must hand back the image it already holds; the cold machine reads
-// and decodes the file's bytes afresh. After every launch the three
-// processes must agree on the whole-memory vm.StateHash of the freshly
-// linked address space, on every public symbol's address (same-VA across
-// machines, not just across processes), and — after running — on the exit
-// code. Between launches the schedule may
+// Every round launches the executable by path. The zygote machine loads it
+// through core.System.LoadExecutable, whose decoded-image cache must hand
+// back the image it already holds; the cold machine reads and decodes the
+// file's bytes afresh. After every launch the two processes must agree on
+// the whole-memory vm.StateHash of the freshly linked address space, on
+// every symbol's address (same-VA across machines, not just across
+// processes), and — after running — on the exit code and on ldl.World
+// Stats. The player calls into ext.o, a dynamic-private module with an
+// external reference, which every launch (clones too) links lazily during
+// the run. Between launches the schedule may
 //
 //	rewrite   rewrite the val.o template in place
 //	recreate  unlink val.o and re-create it at the same path and size,
 //	          which reuses its inode number
 //	resave    save the executable again, byte for byte
+//	drop      drop every zygote on the zygote machine, whose next launch
+//	          then links cold in a world already warmed, and parks again
 //
-// A changed template must invalidate the link cache on the warm and
-// zygote machines and converge with the cold machine on the next launch; a
-// re-saved executable must miss the decoded-image cache. Per machine, PLT
-// resolution counts stay monotone and ImageRelocsLeft stays non-negative.
+// A changed template must drop the zygote and converge with the cold
+// machine on the next launch; a re-saved executable must miss the
+// decoded-image cache and still clone. Per machine, PLT resolution counts
+// stay monotone and ImageRelocsLeft stays non-negative.
 
 const ldiffPlayerSrc = `
         .text
@@ -53,6 +54,8 @@ main:   addiu   $sp, $sp, -8
         jal     svc_add
         jal     svc_add
         move    $t5, $v0
+        jal     ext_val
+        addu    $t5, $t5, $v0
         la      $t0, val_v
         lw      $t6, 0($t0)
         la      $t0, pub_n
@@ -74,6 +77,26 @@ svc_add:
         jr      $ra
 `
 
+// ldiffExtSrc returns svc_add(0, val_v): a dynamic-private module whose
+// text the lazy link must patch, with a data reference into val.o and a
+// call into svc.o that needs a trampoline.
+const ldiffExtSrc = `
+        .text
+        .globl  ext_val
+        .extern val_v
+        .extern svc_add
+ext_val:
+        addiu   $sp, $sp, -8
+        sw      $ra, 0($sp)
+        li      $a0, 0
+        la      $t0, val_v
+        lw      $a1, 0($t0)
+        jal     svc_add
+        lw      $ra, 0($sp)
+        addiu   $sp, $sp, 8
+        jr      $ra
+`
+
 const ldiffCntSrc = `
         .data
         .globl  pub_n
@@ -88,15 +111,16 @@ const (
 	ldiffRewrite = iota
 	ldiffRecreate
 	ldiffResave
+	ldiffDrop
 	ldiffRepeat
 )
 
-// ldiffMachine is one of the three configurations under comparison.
+// ldiffMachine is one of the two configurations under comparison.
 type ldiffMachine struct {
 	name    string
 	sys     *core.System
 	res     *lds.Result
-	fresh   bool           // decode the executable's bytes every round
+	fresh   bool           // stable linking off: decode the executable every round
 	im      *objfile.Image // image the last round launched
 	lastPLT int
 }
@@ -105,11 +129,12 @@ func ldiffValSrc(v int) string {
 	return fmt.Sprintf(".data\n.globl val_v\nval_v: .word %d\n", v)
 }
 
-func newLdiffMachine(s *Scenario, seed int64, name string, cache, zyg bool, val int) *ldiffMachine {
+func newLdiffMachine(s *Scenario, seed int64, name string, stable bool, val int) *ldiffMachine {
 	sys := core.NewSystem()
-	sys.SetStableLinking(cache, zyg)
+	sys.SetStableLinking(stable)
 	for _, m := range []struct{ path, src string }{
 		{"/lib/svc.o", ldiffSvcSrc},
+		{"/lib/ext.o", ldiffExtSrc},
 		{"/lib/cnt.o", ldiffCntSrc},
 		{"/lib/val.o", ldiffValSrc(val)},
 		{"/bin/player.o", ldiffPlayerSrc},
@@ -125,6 +150,7 @@ func newLdiffMachine(s *Scenario, seed int64, name string, cache, zyg bool, val 
 			{Name: "svc.o", Class: objfile.DynamicPublic},
 			{Name: "cnt.o", Class: objfile.DynamicPublic},
 			{Name: "val.o", Class: objfile.DynamicPrivate},
+			{Name: "ext.o", Class: objfile.DynamicPrivate},
 		},
 		LinkDir:     "/bin",
 		DefaultPath: []string{"/lib"},
@@ -136,11 +162,11 @@ func newLdiffMachine(s *Scenario, seed int64, name string, cache, zyg bool, val 
 	if err := sys.SaveExecutable(ldiffExe, res.Image); err != nil {
 		s.Failf("launchdiff seed=%d: save on %s: %v", seed, name, err)
 	}
-	return &ldiffMachine{name: name, sys: sys, res: res, fresh: !cache}
+	return &ldiffMachine{name: name, sys: sys, res: res, fresh: !stable}
 }
 
 // load returns the image this round launches: a decode of the saved bytes
-// on the fresh machine, LoadExecutable's on the others, which must return
+// on the cold machine, LoadExecutable's on the other, which must return
 // the image it returned last round unless the executable was re-saved.
 func (m *ldiffMachine) load(s *Scenario, seed int64, round int, resaved bool) *objfile.Image {
 	var im *objfile.Image
@@ -201,36 +227,37 @@ func (m *ldiffMachine) checkInvariants(s *Scenario, seed int64, round int) {
 	m.lastPLT = st.PLTResolves
 }
 
-// LaunchDiffOne replays one seeded launch-and-mutate schedule on the cold,
-// warm, and zygote machines and fails the scenario on any divergence. The
+// LaunchDiffOne replays one seeded launch-and-mutate schedule on the cold
+// and zygote machines and fails the scenario on any divergence. The
 // failure message names diffSeed (the FuzzLaunchDiff input).
 func LaunchDiffOne(s *Scenario, diffSeed int64, rounds int) {
 	rng := rand.New(rand.NewSource(diffSeed))
 	val := rng.Intn(64)
 	machines := []*ldiffMachine{
-		newLdiffMachine(s, diffSeed, "cold", false, false, val),
-		newLdiffMachine(s, diffSeed, "warm", true, false, val),
-		newLdiffMachine(s, diffSeed, "zygote", true, true, val),
+		newLdiffMachine(s, diffSeed, "cold", false, val),
+		newLdiffMachine(s, diffSeed, "zygote", true, val),
 	}
-	cold, warm, zyg := machines[0], machines[1], machines[2]
+	cold, zyg := machines[0], machines[1]
 
 	ctrRounds := s.Reg.Counter("harness.launchdiff.rounds")
 	ctrArm := [...]*obsv.Counter{
 		ldiffRewrite:  s.Reg.Counter("harness.launchdiff.mutations"),
 		ldiffRecreate: s.Reg.Counter("harness.launchdiff.recreates"),
 		ldiffResave:   s.Reg.Counter("harness.launchdiff.resaves"),
+		ldiffDrop:     s.Reg.Counter("harness.launchdiff.drops"),
 	}
-	repeats := 0 // launches that repeated an unchanged module set
 	mutations := 0
 	resaves := 0
+	drops := 0
 	count := 0 // model of pub_n
 	for round := 0; round < rounds; round++ {
-		// Between launches, on all three machines alike: change the
-		// private value module (in place, or by unlink and re-create),
-		// re-save the executable, or change nothing.
+		// Between launches: change the private value module on both
+		// machines (in place, or by unlink and re-create), re-save the
+		// executable on both, drop the zygote machine's zygotes, or change
+		// nothing.
 		arm := ldiffRepeat
 		if round > 0 {
-			arm = min(rng.Intn(6), ldiffRepeat)
+			arm = min(rng.Intn(7), ldiffRepeat)
 		}
 		switch arm {
 		case ldiffRewrite, ldiffRecreate:
@@ -251,12 +278,12 @@ func LaunchDiffOne(s *Scenario, diffSeed int64, rounds int) {
 					s.Failf("launchdiff seed=%d round=%d: re-save on %s: %v", diffSeed, round, m.name, err)
 				}
 			}
+		case ldiffDrop:
+			drops++
+			zyg.sys.K.DropAllZygotes()
 		}
 		if arm != ldiffRepeat {
 			ctrArm[arm].Inc()
-		}
-		if round > 0 && (arm == ldiffResave || arm == ldiffRepeat) {
-			repeats++
 		}
 
 		// Launch on every machine, force the lazy links with language-level
@@ -269,16 +296,20 @@ func LaunchDiffOne(s *Scenario, diffSeed int64, rounds int) {
 			}
 			pgs[i] = pg
 		}
-		var addrs [3]map[string]uint32
+		addrs := make([]map[string]uint32, len(pgs))
 		for i, pg := range pgs {
 			addrs[i] = map[string]uint32{}
-			for _, sym := range []string{"svc_add", "pub_n", "val_v"} {
+			// ext_val is resolved but not touched: the run links ext.o.
+			for _, sym := range []string{"svc_add", "pub_n", "val_v", "ext_val"} {
 				v, err := pg.Var(sym)
 				if err != nil {
 					s.Failf("launchdiff seed=%d round=%d: resolve %s on %s: %v",
 						diffSeed, round, sym, machines[i].name, err)
 				}
 				addrs[i][sym] = v.Addr
+				if sym == "ext_val" {
+					continue
+				}
 				if _, err := v.Load(); err != nil {
 					s.Failf("launchdiff seed=%d round=%d: load %s on %s: %v",
 						diffSeed, round, sym, machines[i].name, err)
@@ -305,7 +336,7 @@ func LaunchDiffOne(s *Scenario, diffSeed int64, rounds int) {
 		// Run to completion: exit codes must agree with the model and with
 		// each other.
 		count++
-		want := 35 + val + count
+		want := 35 + 2*val + count
 		for i, pg := range pgs {
 			if err := pg.Run(1_000_000); err != nil {
 				s.Failf("launchdiff seed=%d round=%d: run on %s: %v", diffSeed, round, machines[i].name, err)
@@ -318,34 +349,27 @@ func LaunchDiffOne(s *Scenario, diffSeed int64, rounds int) {
 		for _, m := range machines {
 			m.checkInvariants(s, diffSeed, round)
 		}
+		if cold.sys.W.Stats != zyg.sys.W.Stats {
+			s.Failf("launchdiff seed=%d round=%d: linker stats diverged:\ncold   %+v\nzygote %+v",
+				diffSeed, round, cold.sys.W.Stats, zyg.sys.W.Stats)
+		}
 		ctrRounds.Inc()
 	}
 
 	// The fast paths must actually have engaged, or the differential
-	// silently compared three cold machines.
-	if cold.counter("ldl.linkcache_hit") != 0 || cold.counter("core.exe_cache_hit") != 0 {
-		s.Failf("launchdiff seed=%d: cold machine recorded a cache hit", diffSeed)
+	// silently compared two cold machines. Every launch after the first
+	// clones, except one after a template change (which drops the zygote)
+	// or a drop; those link cold and park again.
+	if cold.counter("core.exe_cache_hit") != 0 || cold.counter("kern.zygote_clone") != 0 {
+		s.Failf("launchdiff seed=%d: cold machine hit a cache or cloned a zygote", diffSeed)
 	}
-	for _, m := range []*ldiffMachine{warm, zyg} {
-		if hit, miss := m.counter("core.exe_cache_hit"), m.counter("core.exe_cache_miss"); hit != uint64(rounds-1-resaves) || miss != uint64(1+resaves) {
-			s.Failf("launchdiff seed=%d: %s counted %d image-cache hits and %d misses over %d rounds with %d re-saves",
-				diffSeed, m.name, hit, miss, rounds, resaves)
-		}
+	if hit, miss := zyg.counter("core.exe_cache_hit"), zyg.counter("core.exe_cache_miss"); hit != uint64(rounds-1-resaves) || miss != uint64(1+resaves) {
+		s.Failf("launchdiff seed=%d: zygote machine counted %d image-cache hits and %d misses over %d rounds with %d re-saves",
+			diffSeed, hit, miss, rounds, resaves)
 	}
-	if repeats > 0 {
-		if warm.counter("ldl.linkcache_hit") == 0 {
-			s.Failf("launchdiff seed=%d: %d repeat launches but no cache hit on warm machine", diffSeed, repeats)
-		}
-		if zyg.counter("kern.zygote_clone") == 0 {
-			s.Failf("launchdiff seed=%d: %d repeat launches but no zygote clone", diffSeed, repeats)
-		}
-	}
-	if mutations > 0 {
-		for _, m := range []*ldiffMachine{warm, zyg} {
-			if m.counter("ldl.linkcache_invalidate") == 0 {
-				s.Failf("launchdiff seed=%d: %d mutations but no cache invalidation on %s machine",
-					diffSeed, mutations, m.name)
-			}
-		}
+	clones, parks, inval := zyg.counter("kern.zygote_clone"), zyg.counter("kern.zygote_register"), zyg.counter("kern.zygote_invalidate")
+	if clones != uint64(rounds-1-mutations-drops) || parks != uint64(1+mutations+drops) || inval != uint64(mutations) {
+		s.Failf("launchdiff seed=%d: %d clones, %d parks, %d invalidations over %d rounds with %d template changes and %d drops",
+			diffSeed, clones, parks, inval, rounds, mutations, drops)
 	}
 }

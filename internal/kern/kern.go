@@ -76,6 +76,7 @@ type Kernel struct {
 	ctrASUnmaps  *obsv.Counter
 	ctrZygReg    *obsv.Counter
 	ctrZygClone  *obsv.Counter
+	ctrZygInval  *obsv.Counter
 	hRunSteps    *obsv.Histogram
 
 	pdServices []*pdService
@@ -130,6 +131,7 @@ func newKernel(fs *shmfs.FS, phys *mem.Physical) *Kernel {
 		ctrASUnmaps:  o.R.Counter("addrspace.pages_unmapped"),
 		ctrZygReg:    o.R.Counter("kern.zygote_register"),
 		ctrZygClone:  o.R.Counter("kern.zygote_clone"),
+		ctrZygInval:  o.R.Counter("kern.zygote_invalidate"),
 		hRunSteps:    o.R.Histogram("kern.run_steps"),
 		zygotes:      map[string]*zygote{},
 		nextZPID:     zygotePIDBase,

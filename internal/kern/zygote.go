@@ -12,10 +12,15 @@ import (
 // Zygote launches: after a cold launch has fully linked, the kernel can park
 // a snapshot of the linked process as a hidden template and satisfy later
 // identical launches by CoW-forking the template — the steady-state launch
-// cost becomes a fork, not a link. Templates are keyed by the same content
-// hash as the ldl link cache (image bytes + search path + uid + environment),
-// so a key match means "this launch would reach a bit-identical post-link
-// state"; the differential harness holds that to StateHash equality.
+// cost becomes a fork, not a link. Templates are keyed by the launch's
+// content hash (image bytes + search path + uid + environment), so a key
+// match means "this launch would reach a bit-identical post-link state" as
+// long as the module templates it was linked from are unchanged. Each
+// template keeps that list, the manifest, with every template's
+// shmfs.ContentVersion, and a clone first checks it: a rewritten,
+// re-created or re-pointed template drops the zygote and the launch links
+// cold. The differential harness holds clones to StateHash equality with
+// cold launches.
 //
 // Templates deliberately live outside the process table and outside the
 // normal PID sequence: guests can observe PIDs (SysGetPID), and a world that
@@ -40,7 +45,16 @@ func (p *Process) Hidden() bool { return p.PID >= zygotePIDBase }
 type zygote struct {
 	key      string
 	template *Process
+	manifest []ZygoteDep
 	clones   uint64
+}
+
+// ZygoteDep is one line of a zygote's manifest: a module template the
+// launch was linked from, and its shmfs.ContentVersion taken no later than
+// when the zygote was parked.
+type ZygoteDep struct {
+	Path string
+	CV   uint64
 }
 
 // ZygoteInfo describes one registered template for inspection (server
@@ -77,9 +91,10 @@ func (k *Kernel) spawnZygote(uid int) *Process {
 }
 
 // RegisterZygote snapshots parent (which must be freshly linked and not yet
-// run) as the template for key. A template already registered under key
-// wins; registration is idempotent.
-func (k *Kernel) RegisterZygote(key string, parent *Process) {
+// run) as the template for key, with the manifest of module templates it
+// was linked from. A template already registered under key wins;
+// registration is idempotent.
+func (k *Kernel) RegisterZygote(key string, parent *Process, manifest []ZygoteDep) {
 	k.zmu.Lock()
 	_, exists := k.zygotes[key]
 	k.zmu.Unlock()
@@ -104,7 +119,7 @@ func (k *Kernel) RegisterZygote(key string, parent *Process) {
 			delete(k.zygotes, oldest)
 		}
 	}
-	k.zygotes[key] = &zygote{key: key, template: tpl}
+	k.zygotes[key] = &zygote{key: key, template: tpl, manifest: manifest}
 	k.zorder = append(k.zorder, key)
 	k.ctrZygReg.Inc()
 	if t := k.Obs.Tracer(); t.Enabled() {
@@ -115,34 +130,44 @@ func (k *Kernel) RegisterZygote(key string, parent *Process) {
 // CloneZygote satisfies a launch from the template registered under key: the
 // returned process is a normal table-registered process (next sequential
 // PID) whose address space is a CoW clone of the fully linked template.
-// Returns false if no template is registered.
-func (k *Kernel) CloneZygote(key string) (*Process, bool) {
+// It first re-fingerprints the template's manifest; if any module template
+// changed or is gone, it drops the zygote, counts kern.zygote_invalidate
+// and reports a miss, as it does when no template is registered. A clone
+// is a whole launch, so it opens the launch's root span itself, labelled
+// name; a miss opens none, and the caller's cold launch opens its own.
+func (k *Kernel) CloneZygote(key, name string) (*Process, bool) {
 	k.zmu.Lock()
 	z, ok := k.zygotes[key]
-	if ok {
-		z.clones++
-	}
 	k.zmu.Unlock()
 	if !ok {
 		return nil, false
 	}
+	for _, d := range z.manifest {
+		if cv, err := k.FS.ContentVersion(d.Path); err != nil || cv != d.CV {
+			k.DropZygote(key)
+			k.ctrZygInval.Inc()
+			if t := k.Obs.Tracer(); t.Enabled() {
+				t.Emit(obsv.Event{Subsys: "kern", Name: "zygote_invalidate", Mod: key + " by " + d.Path})
+			}
+			return nil, false
+		}
+	}
+	t := k.Obs.Tracer()
+	sp := t.Begin("kern", "launch", 0, name)
+	zsp := t.Begin("link", "zygote_clone", 0, name)
 	child := k.Spawn(z.template.UID)
 	k.forkInto(z.template, child)
 	child.PPID = 0
+	zsp.End(0)
+	sp.End(0)
+	k.zmu.Lock()
+	z.clones++
+	k.zmu.Unlock()
 	k.ctrZygClone.Inc()
 	return child, true
 }
 
-// HasZygote reports whether a template is registered under key.
-func (k *Kernel) HasZygote(key string) bool {
-	k.zmu.Lock()
-	defer k.zmu.Unlock()
-	_, ok := k.zygotes[key]
-	return ok
-}
-
-// DropZygote removes the template for key (because its backing modules
-// changed, or the link cache invalidated) and releases its address space.
+// DropZygote removes the template for key and releases its address space.
 func (k *Kernel) DropZygote(key string) {
 	k.zmu.Lock()
 	defer k.zmu.Unlock()

@@ -15,6 +15,16 @@ const zygoteTestSrc = `
 	syscall
 `
 
+// hasZygote reports whether a template is registered under key.
+func hasZygote(k *Kernel, key string) bool {
+	for _, z := range k.Zygotes() {
+		if z.Key == key {
+			return true
+		}
+	}
+	return false
+}
+
 func TestZygoteCloneMatchesColdLaunch(t *testing.T) {
 	k := New()
 	im := buildImage(t, zygoteTestSrc)
@@ -25,8 +35,8 @@ func TestZygoteCloneMatchesColdLaunch(t *testing.T) {
 		t.Fatal(err)
 	}
 	cold.Setenv("HOME", "/")
-	k.RegisterZygote("key1", cold)
-	if !k.HasZygote("key1") {
+	k.RegisterZygote("key1", cold, nil)
+	if !hasZygote(k, "key1") {
 		t.Fatal("template not registered")
 	}
 
@@ -40,7 +50,7 @@ func TestZygoteCloneMatchesColdLaunch(t *testing.T) {
 
 	// Clones run the same program from the same snapshot, independently.
 	for i := 0; i < 3; i++ {
-		c, ok := k.CloneZygote("key1")
+		c, ok := k.CloneZygote("key1", "")
 		if !ok {
 			t.Fatal("clone failed")
 		}
@@ -70,8 +80,8 @@ func TestZygotePIDSequenceMatchesColdWorld(t *testing.T) {
 	if err := p1.Exec(im); err != nil {
 		t.Fatal(err)
 	}
-	k.RegisterZygote("k", p1)
-	p2, ok := k.CloneZygote("k")
+	k.RegisterZygote("k", p1, nil)
+	p2, ok := k.CloneZygote("k", "")
 	if !ok {
 		t.Fatal("clone failed")
 	}
@@ -97,15 +107,15 @@ func TestZygoteDropReleasesFrames(t *testing.T) {
 	if err := p.Exec(im); err != nil {
 		t.Fatal(err)
 	}
-	k.RegisterZygote("k", p)
+	k.RegisterZygote("k", p, nil)
 	if _, err := k.Run(p, 1000); err != nil { // cold proc exits, releases its AS
 		t.Fatal(err)
 	}
-	if !k.HasZygote("k") {
+	if !hasZygote(k, "k") {
 		t.Fatal("missing template")
 	}
 	k.DropZygote("k")
-	if k.HasZygote("k") {
+	if hasZygote(k, "k") {
 		t.Fatal("template survived drop")
 	}
 	if live := k.Phys.Stats().Live; live != base {
@@ -124,13 +134,13 @@ func TestZygoteCapacityEviction(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < MaxZygotes+5; i++ {
-		k.RegisterZygote(string(rune('a'+i%26))+string(rune('0'+i/26)), p)
+		k.RegisterZygote(string(rune('a'+i%26))+string(rune('0'+i/26)), p, nil)
 	}
 	if n := len(k.Zygotes()); n != MaxZygotes {
 		t.Fatalf("registry size = %d, want %d", n, MaxZygotes)
 	}
 	// Oldest evicted.
-	if k.HasZygote("a0") {
+	if hasZygote(k, "a0") {
 		t.Fatal("oldest template should have been evicted")
 	}
 }
@@ -144,9 +154,9 @@ func TestZygoteCloneStackIsolation(t *testing.T) {
 	if err := p.Exec(im); err != nil {
 		t.Fatal(err)
 	}
-	k.RegisterZygote("k", p)
-	c1, _ := k.CloneZygote("k")
-	c2, _ := k.CloneZygote("k")
+	k.RegisterZygote("k", p, nil)
+	c1, _ := k.CloneZygote("k", "")
+	c2, _ := k.CloneZygote("k", "")
 	sp := c1.CPU.Regs[29] - 64
 	if err := c1.AS.StoreWord(sp, 0xDEAD); err != nil {
 		t.Fatal(err)
@@ -156,5 +166,49 @@ func TestZygoteCloneStackIsolation(t *testing.T) {
 	}
 	if w, err := p.AS.LoadWord(sp); err != nil || w != 0 {
 		t.Fatalf("cold parent saw %08x (err %v), want 0", w, err)
+	}
+}
+
+// TestZygoteManifestMismatchDrops: a template whose manifest no longer
+// fingerprints as recorded, because a module was rewritten or removed, is
+// dropped at the next clone, which misses.
+func TestZygoteManifestMismatchDrops(t *testing.T) {
+	k := New()
+	im := buildImage(t, zygoteTestSrc)
+	if err := k.FS.WriteFile("/m.o", []byte("one"), 0o644, 0); err != nil {
+		t.Fatal(err)
+	}
+	cv, err := k.FS.ContentVersion("/m.o")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := k.Spawn(0)
+	if err := p.Exec(im); err != nil {
+		t.Fatal(err)
+	}
+	k.RegisterZygote("k", p, []ZygoteDep{{Path: "/m.o", CV: cv}})
+	if _, ok := k.CloneZygote("k", ""); !ok {
+		t.Fatal("clone of an unchanged template missed")
+	}
+	if err := k.FS.WriteFile("/m.o", []byte("two"), 0o644, 0); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := k.CloneZygote("k", ""); ok {
+		t.Fatal("clone of a changed template hit")
+	}
+	if hasZygote(k, "k") {
+		t.Fatal("stale template still registered")
+	}
+	// A template that is gone drops its zygote too.
+	cv, _ = k.FS.ContentVersion("/m.o")
+	k.RegisterZygote("k", p, []ZygoteDep{{Path: "/m.o", CV: cv}})
+	if err := k.FS.Unlink("/m.o", 0); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := k.CloneZygote("k", ""); ok || hasZygote(k, "k") {
+		t.Fatal("template of a removed module still cloned or registered")
+	}
+	if n := k.Obs.R.Snapshot().Counters["kern.zygote_invalidate"]; n != 2 {
+		t.Fatalf("kern.zygote_invalidate = %d, want 2", n)
 	}
 }

@@ -8,9 +8,9 @@ import (
 	"hemlock/internal/shmfs"
 )
 
-// exeMemoSize bounds the decoded executables a World keeps at the number
-// of zygotes the kernel parks.
-const exeMemoSize = kern.MaxZygotes
+// memoSize bounds the decoded executables, and the decoded templates, a
+// World keeps at the number of zygotes the kernel parks.
+const memoSize = kern.MaxZygotes
 
 // fileMemo maps a path to a value decoded from the file's bytes, together
 // with the file's shmfs.ContentVersion taken before those bytes were read.
@@ -32,26 +32,26 @@ type memoEntry[T any] struct {
 }
 
 // load returns decode applied to the bytes of path, read as uid, reusing
-// the value memoized for the file's current fingerprint; hit reports
-// whether it did. A hit allocates nothing. The fingerprint is taken
-// before the read, so a write racing the read and decode leaves the value
-// under the older fingerprint, which the next load no longer matches: it
-// costs a miss, never a stale hit.
-func (f *fileMemo[T]) load(fs *shmfs.FS, path string, uid int, decode func([]byte) (T, error)) (v T, hit bool, err error) {
+// the value memoized for the file's current fingerprint, and that
+// fingerprint; hit reports whether it reused a value. A hit allocates
+// nothing. The fingerprint is taken before the read, so a write racing the
+// read and decode leaves the value under the older fingerprint, which the
+// next load no longer matches: it costs a miss, never a stale hit.
+func (f *fileMemo[T]) load(fs *shmfs.FS, path string, uid int, decode func([]byte) (T, error)) (v T, cv uint64, hit bool, err error) {
 	cv, cvErr := fs.ContentVersion(path)
 	if cvErr == nil {
 		if got, ok := f.get(path, cv); ok {
-			return got, true, nil
+			return got, cv, true, nil
 		}
 	}
 	b, err := fs.ReadFile(path, uid)
 	if err != nil {
-		return v, false, err
+		return v, cv, false, err
 	}
 	if v, err = decode(b); err == nil && cvErr == nil {
 		f.put(path, cv, v)
 	}
-	return v, false, err
+	return v, cv, false, err
 }
 
 func (f *fileMemo[T]) get(path string, cv uint64) (v T, ok bool) {
@@ -89,10 +89,10 @@ func (f *fileMemo[T]) put(path string, cv uint64, v T) {
 // LoadExecutable reads the HEMX image at path. Decoded images are memoized
 // by path and content fingerprint, so loading an unchanged executable
 // again returns the same *Image without reading or decoding it. A World
-// keeps at most exeMemoSize of them, and the World a reboot makes starts
+// keeps at most memoSize of them, and the World a reboot makes starts
 // with none. Callers must not modify the image.
 func (w *World) LoadExecutable(path string) (*objfile.Image, error) {
-	im, hit, err := w.exeMemo.load(w.K.FS, path, 0, objfile.DecodeImageBytes)
+	im, _, hit, err := w.exeMemo.load(w.K.FS, path, 0, objfile.DecodeImageBytes)
 	if hit {
 		w.ctrExeHit.Inc()
 	} else {

@@ -21,15 +21,6 @@ func (pr *Proc) CloneFor(child *kern.Process) *Proc {
 		userHandler: pr.userHandler,
 		plt:         pr.plt, // stub names are immutable
 	}
-	// Children and zygote clones replay from the parent's cache entry (the
-	// live recording, if the parent is the recorder) but never record: one
-	// writer per key.
-	cl.ckey = pr.ckey
-	if pr.centry != nil {
-		cl.centry = pr.centry
-	} else {
-		cl.centry = pr.crec
-	}
 	// The child starts with its own copy of the pending image relocations.
 	// Hidden zygote templates don't count: they are parked snapshots, not
 	// running processes (their clones count when they are made).
@@ -42,6 +33,11 @@ func (pr *Proc) CloneFor(child *kern.Process) *Proc {
 	for _, in := range pr.instances {
 		c := *in
 		c.pending = append([]objfile.Reloc(nil), in.pending...)
+		if in.sh == nil {
+			// A private instance is the child's own copy: its later lazy
+			// link writes trampolines into the child's memory.
+			c.placed = in.placed.Clone()
+		}
 		c.depsLoaded = nil
 		cl.instances = append(cl.instances, &c)
 		remap[in] = &c

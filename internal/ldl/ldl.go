@@ -82,8 +82,9 @@ type Stats struct {
 
 // shared is the kernel-wide state of one public module instance.
 type shared struct {
-	path   string
-	placed *linker.Placed
+	path    string
+	placed  *linker.Placed
+	exports map[string]int // the template's export index
 
 	// lmu serializes linking of this module: two processes (on two guest
 	// CPUs) faulting into the same unlinked public module must not both
@@ -115,24 +116,16 @@ type World struct {
 	ctrPLT     *obsv.Counter
 	gImageLeft *obsv.Gauge
 
-	// Stable linking (linkcache.go). CacheEnabled turns on the persistent
-	// content-hash link cache under /var/ldl/cache; ZygoteEnabled lets
-	// launches be satisfied by CoW-cloning a parked template (core checks
-	// it — zygotes are keyed and validated by the same cache entries, so
-	// ZygoteEnabled implies CacheEnabled). Both default off: a bare World
-	// behaves exactly as it always has.
-	CacheEnabled  bool
-	ZygoteEnabled bool
-
-	cmu       sync.Mutex
-	entryMemo map[string]*cacheEntry // decoded cache entries, by key
-	memoCV    map[string]uint64      // cache-file fingerprint at decode
+	// stable turns on stable linking: launches clone a parked zygote
+	// (core checks it) and decoded templates are memoized. Off by default:
+	// a bare World reads every template afresh.
+	stable bool
 
 	// Decoded files, by path and content fingerprint (filememo.go):
 	// templates under stable linking, executables always.
 	// core.exe_cache_{hit,miss}, named for core.System.LoadExecutable,
 	// count the executable loads.
-	objMemo               fileMemo[*objfile.Object]
+	objMemo               fileMemo[*template]
 	exeMemo               fileMemo[*objfile.Image]
 	ctrExeHit, ctrExeMiss *obsv.Counter
 
@@ -141,10 +134,13 @@ type World struct {
 	// SMP workload produce exactly one cold link.
 	lgmu     sync.Mutex
 	inflight map[string]chan struct{}
-
-	ctrCHit, ctrCMiss, ctrCInval *obsv.Counter
-	gCacheBytes                  *obsv.Gauge
 }
+
+// SetStableLinking turns stable linking on or off (see World.stable).
+func (w *World) SetStableLinking(on bool) { w.stable = on }
+
+// StableLinking reports whether stable linking is on.
+func (w *World) StableLinking() bool { return w.stable }
 
 // tracer returns the kernel-wide event tracer (nil-safe).
 func (w *World) tracer() *obsv.Tracer { return w.K.Obs.Tracer() }
@@ -174,23 +170,18 @@ func NewWorld(k *kern.Kernel) *World {
 	r := k.Obs.Registry()
 	return &World{
 		K: k, LD: lds.New(k.FS), public: map[string]*shared{},
-		ctrMapped:   r.Counter("ldl.modules_mapped"),
-		ctrCreated:  r.Counter("ldl.modules_created"),
-		ctrLazy:     r.Counter("ldl.lazy_links"),
-		ctrRelocs:   r.Counter("ldl.relocs_applied"),
-		ctrPtrMaps:  r.Counter("ldl.pointer_maps"),
-		ctrPLT:      r.Counter("ldl.plt_resolves"),
-		gImageLeft:  r.Gauge("ldl.image_relocs_left"),
-		entryMemo:   map[string]*cacheEntry{},
-		memoCV:      map[string]uint64{},
-		inflight:    map[string]chan struct{}{},
-		ctrCHit:     r.Counter("ldl.linkcache_hit"),
-		ctrCMiss:    r.Counter("ldl.linkcache_miss"),
-		ctrCInval:   r.Counter("ldl.linkcache_invalidate"),
-		gCacheBytes: r.Gauge("ldl.linkcache_bytes"),
-		exeMemo:     fileMemo[*objfile.Image]{max: exeMemoSize},
-		ctrExeHit:   r.Counter("core.exe_cache_hit"),
-		ctrExeMiss:  r.Counter("core.exe_cache_miss"),
+		ctrMapped:  r.Counter("ldl.modules_mapped"),
+		ctrCreated: r.Counter("ldl.modules_created"),
+		ctrLazy:    r.Counter("ldl.lazy_links"),
+		ctrRelocs:  r.Counter("ldl.relocs_applied"),
+		ctrPtrMaps: r.Counter("ldl.pointer_maps"),
+		ctrPLT:     r.Counter("ldl.plt_resolves"),
+		gImageLeft: r.Gauge("ldl.image_relocs_left"),
+		inflight:   map[string]chan struct{}{},
+		objMemo:    fileMemo[*template]{max: memoSize},
+		exeMemo:    fileMemo[*objfile.Image]{max: memoSize},
+		ctrExeHit:  r.Counter("core.exe_cache_hit"),
+		ctrExeMiss: r.Counter("core.exe_cache_miss"),
 	}
 }
 
@@ -203,9 +194,16 @@ type Instance struct {
 	Size   uint32 // mapped size, page-granular
 	parent *Instance
 
-	obj    *objfile.Object
-	placed *linker.Placed
-	sh     *shared // public modules only
+	obj     *objfile.Object
+	placed  *linker.Placed
+	exports map[string]int // the template's export index
+	sh      *shared        // public modules only
+
+	// The template the instance was made from, and its content
+	// fingerprint when this process located it: a line of the zygote
+	// manifest (Manifest).
+	tmpl   string
+	tmplCV uint64
 
 	searchPath []string
 	deps       []objfile.ModuleRef
@@ -249,22 +247,6 @@ type Proc struct {
 	trampNext   uint32
 	userHandler kern.FaultHandler
 	plt         map[uint32]string // stub address -> function name
-
-	// Stable-linking state (linkcache.go). ckey is the launch content-hash
-	// key ("" when the cache is off). centry is the validated cache entry
-	// this process replays from; crec is the entry it is recording into (a
-	// process never does both). cev is the currently open recorded event;
-	// suppressImage short-circuits resolveImageRelocs while the "start"
-	// event replay subsumes it. statRelocs/statLazy mirror this process's
-	// own contributions to the world Stats, for event delta capture.
-	ckey          string
-	centry        *cacheEntry
-	crec          *cacheEntry
-	cev           *openEvent
-	cdeps         map[string]bool
-	suppressImage bool
-	statRelocs    int
-	statLazy      int
 }
 
 // Start runs ldl for a process that has just exec'd im: the work the
@@ -274,18 +256,6 @@ func (w *World) Start(p *kern.Process, im *objfile.Image) (*Proc, error) {
 	startSpan := w.tracer().Begin("ldl", "start", p.PID, im.Name)
 	defer startSpan.End(0)
 	pr := &Proc{W: w, P: p, Image: im, table: linker.NewTable(), trampNext: im.TrampBase}
-	if w.CacheEnabled {
-		pr.ckey = w.LaunchKey(im, p.UID, p.Env)
-		probeSpan := w.tracer().Begin("link", "cache_probe", p.PID, im.Name)
-		entry := w.probeCache(pr.ckey)
-		probeSpan.End(0)
-		if entry != nil {
-			pr.centry = entry
-		} else {
-			pr.crec = newCacheEntry(pr.ckey)
-			pr.cdeps = map[string]bool{}
-		}
-	}
 	defSpan := w.tracer().Begin("ldl", "sym_define", p.PID, im.Name)
 	for _, s := range im.Symbols {
 		if err := pr.table.Define(s.Name, s.Addr, s.Size); err != nil {
@@ -309,16 +279,6 @@ func (w *World) Start(p *kern.Process, im *objfile.Image) (*Proc, error) {
 		}
 	}
 
-	// On a validated cache hit, the recorded "start" event subsumes every
-	// image-relocation pass below: modules are still located and mapped
-	// (laziness and world bookkeeping must be real), but resolution becomes
-	// one bulk patch application at the end.
-	startEv := pr.lookupEvent(eventStart)
-	if startEv != nil {
-		pr.suppressImage = true
-	}
-	pr.beginEvent(eventStart, nil)
-
 	// Map static public modules, creating any that do not yet exist.
 	for _, sp := range im.Dyn.StaticPublic {
 		if _, err := pr.bringInPublic(sp.Name, objfile.StaticPublic, sp.Template, pr.root); err != nil {
@@ -334,25 +294,38 @@ func (w *World) Start(p *kern.Process, im *objfile.Image) (*Proc, error) {
 	// Resolve undefined references from the main load image, including
 	// references to symbols whose location was not known at static link
 	// time.
-	if startEv != nil {
-		pr.suppressImage = false
-		ok, err := pr.replayStart(startEv)
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			// World state diverged from the recording; resolve cold.
-			if err := pr.resolveImageRelocs(); err != nil {
-				return nil, err
-			}
-		}
-	} else {
-		if err := pr.resolveImageRelocs(); err != nil {
-			return nil, err
-		}
-		pr.endEvent(nil)
+	if err := pr.resolveImageRelocs(); err != nil {
+		return nil, err
 	}
 	return pr, nil
+}
+
+// Manifest lists the module templates this process was linked from, each
+// with its content fingerprint when the process located it: the zygote
+// manifest the kernel re-checks before cloning a template parked right
+// after Start.
+func (pr *Proc) Manifest() []kern.ZygoteDep {
+	m := make([]kern.ZygoteDep, len(pr.instances))
+	for i, in := range pr.instances {
+		m[i] = kern.ZygoteDep{Path: in.tmpl, CV: in.tmplCV}
+	}
+	return m
+}
+
+// CreditClone charges the linker work a zygote clone inherited from its
+// template — the modules Start mapped and the image relocations it
+// applied; Start links no module — to the world stats, so they read
+// identically in warm and cold worlds.
+func (pr *Proc) CreditClone() {
+	mapped := len(pr.instances)
+	relocs := len(pr.Image.Relocs) - len(pr.imagePend)
+	w := pr.W
+	w.mu.Lock()
+	w.Stats.ModulesMapped += mapped
+	w.Stats.RelocsApplied += relocs
+	w.mu.Unlock()
+	w.ctrMapped.Add(uint64(mapped))
+	w.ctrRelocs.Add(uint64(relocs))
 }
 
 // ProcOf returns the linker state Start attached to the process.
@@ -432,7 +405,6 @@ func (pr *Proc) bringInPublic(name string, class objfile.Class, tmplPath string,
 	w := pr.W
 	sp := w.tracer().Begin("ldl", "bring_in_public", pr.P.PID, name)
 	defer sp.End(0)
-	pr.noteDep(tmplPath)
 	instPath := lds.InstancePath(tmplPath)
 
 	// Creation of shared segments is synchronized with file locking.
@@ -446,11 +418,20 @@ func (pr *Proc) bringInPublic(name string, class objfile.Class, tmplPath string,
 	w.mu.Lock()
 	sh, known := w.public[instPath]
 	w.mu.Unlock()
-	if !known {
-		obj, err := pr.loadTemplate(tmplPath)
+	var tmplCV uint64
+	if known {
+		// The template is not read again, but a zygote parked from this
+		// launch must still be dropped when it changes.
+		if w.stable {
+			tmplCV, _ = w.K.FS.ContentVersion(tmplPath)
+		}
+	} else {
+		tm, cv, err := pr.loadTemplate(tmplPath)
 		if err != nil {
 			return nil, err
 		}
+		tmplCV = cv
+		obj := tm.obj
 		createSpan := w.tracer().Begin("ldl", "create_instance", pr.P.PID, tmplPath)
 		_, placed, created, err := w.LD.CreatePublicInstance(tmplPath, obj, pr.P.UID)
 		createSpan.End(0)
@@ -467,7 +448,7 @@ func (pr *Proc) bringInPublic(name string, class objfile.Class, tmplPath string,
 				pending = append(pending, r)
 			}
 		}
-		sh = &shared{path: instPath, placed: placed, pending: pending}
+		sh = &shared{path: instPath, placed: placed, exports: tm.exports, pending: pending}
 		sh.linked.Store(len(pending) == 0)
 		w.mu.Lock()
 		if raced, ok := w.public[instPath]; ok {
@@ -521,7 +502,10 @@ func (pr *Proc) bringInPublic(name string, class objfile.Class, tmplPath string,
 		parent:     parent,
 		obj:        sh.placed.Obj,
 		placed:     sh.placed,
+		exports:    sh.exports,
 		sh:         sh,
+		tmpl:       tmplPath,
+		tmplCV:     tmplCV,
 		searchPath: sh.placed.Obj.SearchPath,
 		deps:       sh.placed.Obj.Deps,
 		lazy:       lazy,
@@ -539,11 +523,11 @@ func (pr *Proc) bringInPublic(name string, class objfile.Class, tmplPath string,
 func (pr *Proc) bringInPrivate(name string, class objfile.Class, tmplPath string, parent *Instance) (*Instance, error) {
 	sp := pr.W.tracer().Begin("ldl", "bring_in_private", pr.P.PID, name)
 	defer sp.End(0)
-	pr.noteDep(tmplPath)
-	obj, err := pr.loadTemplate(tmplPath)
+	tm, tmplCV, err := pr.loadTemplate(tmplPath)
 	if err != nil {
 		return nil, err
 	}
+	obj := tm.obj
 	// Reserve private address space; each instance is distinct, even for
 	// the same template under different parents (Figure 2 shows two
 	// separate G.o instances).
@@ -597,6 +581,9 @@ func (pr *Proc) bringInPrivate(name string, class objfile.Class, tmplPath string
 		parent:     parent,
 		obj:        obj,
 		placed:     placed,
+		exports:    tm.exports,
+		tmpl:       tmplPath,
+		tmplCV:     tmplCV,
 		searchPath: obj.SearchPath,
 		deps:       obj.Deps,
 		pending:    pending,
@@ -612,22 +599,53 @@ func (pr *Proc) bringInPrivate(name string, class objfile.Class, tmplPath string
 	return inst, nil
 }
 
-func (pr *Proc) loadTemplate(path string) (*objfile.Object, error) {
+// template is a decoded module template and its export index: the
+// symbol index of each name whose first symbol in obj.Symbols is global
+// and defined. Scoped resolution looks names up here instead of scanning
+// the symbol table.
+type template struct {
+	obj     *objfile.Object
+	exports map[string]int
+}
+
+func decodeTemplate(b []byte) (*template, error) {
+	obj, err := objfile.DecodeBytes(b)
+	if err != nil {
+		return nil, err
+	}
+	tm := &template{obj: obj, exports: map[string]int{}}
+	// Walking backwards leaves each name at its first symbol, the one a
+	// lookup by name finds.
+	for i := len(obj.Symbols) - 1; i >= 0; i-- {
+		if sym := &obj.Symbols[i]; sym.Global && sym.Defined() {
+			tm.exports[sym.Name] = i
+		} else {
+			delete(tm.exports, sym.Name)
+		}
+	}
+	return tm, nil
+}
+
+// loadTemplate decodes the module template at path. Under stable linking
+// it also returns the file's content fingerprint, taken before the read,
+// for the zygote manifest; otherwise no zygote is parked and it returns 0.
+func (pr *Proc) loadTemplate(path string) (*template, uint64, error) {
 	sp := pr.W.tracer().Begin("ldl", "load_template", pr.P.PID, path)
 	defer sp.End(0)
 	w := pr.W
 	// Decoded templates are immutable (Place never mutates its input), so
 	// under stable linking they are memoized by path + content fingerprint:
 	// repeat launches skip the read+decode entirely.
-	if w.CacheEnabled {
-		obj, _, err := w.objMemo.load(w.K.FS, path, pr.P.UID, objfile.DecodeBytes)
-		return obj, err
+	if w.stable {
+		tm, cv, _, err := w.objMemo.load(w.K.FS, path, pr.P.UID, decodeTemplate)
+		return tm, cv, err
 	}
 	data, err := w.K.FS.ReadFile(path, pr.P.UID)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	return objfile.DecodeBytes(data)
+	tm, err := decodeTemplate(data)
+	return tm, 0, err
 }
 
 func maxu32(a, b uint32) uint32 {
@@ -659,13 +677,8 @@ func (pr *Proc) loadDeps(in *Instance) error {
 func (pr *Proc) resolveScoped(from *Instance, name string) (uint32, bool) {
 	for s := from; s != nil; s = s.parent {
 		for _, dep := range s.depsLoaded {
-			if addr, ok := dep.placed.AddrOf(name); ok {
-				if i := dep.obj.SymbolIndex(name); i >= 0 {
-					sym := dep.obj.Symbols[i]
-					if sym.Global && sym.Defined() {
-						return addr, true
-					}
-				}
+			if addr, ok := dep.export(name); ok {
+				return addr, true
 			}
 		}
 		if s == pr.root {
@@ -673,6 +686,14 @@ func (pr *Proc) resolveScoped(from *Instance, name string) (uint32, bool) {
 				return addr, true
 			}
 		}
+	}
+	return 0, false
+}
+
+// export returns the address of the instance's exported symbol name.
+func (in *Instance) export(name string) (uint32, bool) {
+	if i, ok := in.exports[name]; ok {
+		return in.placed.SymAddr(i)
 	}
 	return 0, false
 }
@@ -700,21 +721,6 @@ func (pr *Proc) LinkModule(in *Instance) error {
 	sp := pr.W.tracer().Begin("ldl", "link_module", pr.P.PID, in.Name)
 	defer sp.End(0)
 
-	// On a warm launch, a recorded link event turns the whole resolve-and-
-	// patch loop below into one bulk application of pre-resolved words.
-	evKey := linkEventKey(in)
-	if ev := pr.lookupEvent(evKey); ev != nil {
-		ok, err := pr.replayLink(in, ev)
-		if err != nil {
-			return err
-		}
-		if ok {
-			return pr.enable(in)
-		}
-		// World state diverged from the recording; link cold (unrecorded).
-	}
-
-	pr.beginEvent(evKey, pr.pendingOf(in))
 	if err := pr.loadDeps(in); err != nil {
 		return err
 	}
@@ -730,8 +736,7 @@ func (pr *Proc) LinkModule(in *Instance) error {
 			}
 			return addr, ok
 		}
-		var pat linker.Patcher = &filePatcher{fs: pr.W.K.FS, path: in.Path, base: in.Base, uid: pr.P.UID}
-		pat = pr.recordingPatcher(pat, true)
+		pat := &filePatcher{fs: pr.W.K.FS, path: in.Path, base: in.Base, uid: pr.P.UID}
 		left, err := in.placed.ApplyRelocs(in.sh.pending, guard, pat)
 		if err != nil {
 			return err
@@ -747,7 +752,7 @@ func (pr *Proc) LinkModule(in *Instance) error {
 		if err := pr.P.AS.Protect(in.Base, in.Size, addrspace.ProtRW); err != nil {
 			return err
 		}
-		left, err := in.placed.ApplyRelocs(in.pending, resolver, pr.recordingPatcher(pr.P.AS, false))
+		left, err := in.placed.ApplyRelocs(in.pending, resolver, pr.P.AS)
 		if err != nil {
 			return err
 		}
@@ -761,7 +766,6 @@ func (pr *Proc) LinkModule(in *Instance) error {
 	if err := pr.resolveImageRelocs(); err != nil {
 		return err
 	}
-	pr.endEvent(pr.pendingOf(in))
 	return pr.enable(in)
 }
 
@@ -792,17 +796,7 @@ func (w *World) LockLaunch(key string) (unlock func()) {
 	}
 }
 
-// pendingOf returns the module's current pending-relocation list (shared
-// state for public modules, per-process for private ones).
-func (pr *Proc) pendingOf(in *Instance) []objfile.Reloc {
-	if in.sh != nil {
-		return in.sh.pending
-	}
-	return in.pending
-}
-
-// addLinkStats bumps the world link counters and this process's own
-// mirrors (the mirrors feed cache-event delta capture).
+// addLinkStats bumps the world link counters.
 func (pr *Proc) addLinkStats(relocs, lazy int) {
 	pr.W.mu.Lock()
 	pr.W.Stats.RelocsApplied += relocs
@@ -812,8 +806,6 @@ func (pr *Proc) addLinkStats(relocs, lazy int) {
 		pr.W.ctrLazy.Add(uint64(lazy))
 	}
 	pr.W.mu.Unlock()
-	pr.statRelocs += relocs
-	pr.statLazy += lazy
 }
 
 // enable restores access to a module's pages after linking.
@@ -850,29 +842,21 @@ func (fp *filePatcher) StoreWord(addr, val uint32) error {
 // are now resolvable (root scope). Others stay pending; a later LinkModule
 // may satisfy them.
 func (pr *Proc) resolveImageRelocs() error {
-	if pr.suppressImage {
-		// The launch is replaying a recorded "start" event, which subsumes
-		// every image-relocation pass made while modules come in.
-		return nil
-	}
 	sp := pr.W.tracer().Begin("ldl", "resolve_image", pr.P.PID, "")
 	defer sp.End(uint64(len(pr.imagePend)))
-	pat := pr.recordingPatcher(pr.P.AS, false)
 	var left []objfile.ImageReloc
+	applied := 0
+	defer func() { pr.addLinkStats(applied, 0) }()
 	for _, r := range pr.imagePend {
 		addr, ok := pr.resolveScoped(pr.root, r.Name)
 		if !ok {
 			left = append(left, r)
 			continue
 		}
-		if err := pr.applyImageReloc(pat, r, addr); err != nil {
+		if err := pr.applyImageReloc(r, addr); err != nil {
 			return err
 		}
-		pr.W.mu.Lock()
-		pr.W.Stats.RelocsApplied++
-		pr.W.ctrRelocs.Inc()
-		pr.W.mu.Unlock()
-		pr.statRelocs++
+		applied++
 	}
 	// Shrink the pending aggregate by the number of relocations this pass
 	// applied. (ImageRelocsLeft used to be overwritten with len(left),
@@ -883,49 +867,49 @@ func (pr *Proc) resolveImageRelocs() error {
 }
 
 // applyImageReloc patches one retained relocation in the running image
-// through pat (the process address space, possibly wrapped for cache
-// recording).
-func (pr *Proc) applyImageReloc(pat linker.Patcher, r objfile.ImageReloc, symAddr uint32) error {
+// through the process address space.
+func (pr *Proc) applyImageReloc(r objfile.ImageReloc, symAddr uint32) error {
+	as := pr.P.AS
 	target := symAddr + uint32(r.Addend)
-	w, err := pat.LoadWord(r.Addr)
+	w, err := as.LoadWord(r.Addr)
 	if err != nil {
 		return err
 	}
 	switch r.Type {
 	case objfile.RelWord32:
-		return pat.StoreWord(r.Addr, target)
+		return as.StoreWord(r.Addr, target)
 	case objfile.RelHi16:
-		return pat.StoreWord(r.Addr, isa.PatchImm16(w, isa.Hi16(target)))
+		return as.StoreWord(r.Addr, isa.PatchImm16(w, isa.Hi16(target)))
 	case objfile.RelLo16:
-		return pat.StoreWord(r.Addr, isa.PatchImm16(w, isa.Lo16(target)))
+		return as.StoreWord(r.Addr, isa.PatchImm16(w, isa.Lo16(target)))
 	case objfile.RelJump26:
 		if !isa.JumpReach(r.Addr, target) {
-			tramp, err := pr.imageTrampoline(pat, target)
+			tramp, err := pr.imageTrampoline(target)
 			if err != nil {
 				return err
 			}
 			target = tramp
 		}
-		return pat.StoreWord(r.Addr, isa.PatchJump26(w, target))
+		return as.StoreWord(r.Addr, isa.PatchJump26(w, target))
 	case objfile.RelBranch16:
 		off, ok := isa.BranchOffset(r.Addr, target)
 		if !ok {
 			return fmt.Errorf("ldl: branch from 0x%08x to 0x%08x out of range", r.Addr, target)
 		}
-		return pat.StoreWord(r.Addr, isa.PatchImm16(w, off))
+		return as.StoreWord(r.Addr, isa.PatchImm16(w, off))
 	}
 	return fmt.Errorf("ldl: unsupported retained relocation %v", r.Type)
 }
 
 // imageTrampoline allocates a fragment in the image's reserved trampoline
 // area.
-func (pr *Proc) imageTrampoline(pat linker.Patcher, target uint32) (uint32, error) {
+func (pr *Proc) imageTrampoline(target uint32) (uint32, error) {
 	if pr.trampNext+isa.TrampolineSize > pr.Image.TrampBase+pr.Image.TrampSize {
 		return 0, ErrNoTrampoline
 	}
 	addr := pr.trampNext
 	for i, w := range isa.TrampolineWords(target, false) {
-		if err := pat.StoreWord(addr+uint32(i)*4, w); err != nil {
+		if err := pr.P.AS.StoreWord(addr+uint32(i)*4, w); err != nil {
 			return 0, err
 		}
 	}
@@ -1000,10 +984,8 @@ func (pr *Proc) Resolve(name string) (uint32, bool) {
 	}
 	// Fall back to any loaded instance's exports (diagnostics).
 	for _, in := range pr.instances {
-		if addr, ok := in.placed.AddrOf(name); ok {
-			if i := in.obj.SymbolIndex(name); i >= 0 && in.obj.Symbols[i].Global && in.obj.Symbols[i].Defined() {
-				return addr, true
-			}
+		if addr, ok := in.export(name); ok {
+			return addr, true
 		}
 	}
 	return 0, false

@@ -83,6 +83,18 @@ func Place(obj *objfile.Object, base uint32) (*Placed, error) {
 	}, nil
 }
 
+// Clone returns a copy of p with its own trampoline bookkeeping. A forked
+// process's private instance inherits the fragments written before the
+// fork, in its copy of the memory, but must write any later one itself.
+func (p *Placed) Clone() *Placed {
+	c := *p
+	c.trampFor = make(map[uint32]uint32, len(p.trampFor))
+	for target, addr := range p.trampFor {
+		c.trampFor[target] = addr
+	}
+	return &c
+}
+
 func align4(v uint32) uint32 { return (v + 3) &^ 3 }
 
 // TrampolineReserve returns the worst-case trampoline area size for a

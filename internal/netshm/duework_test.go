@@ -311,3 +311,109 @@ func TestTxnStatusForgetsEvictedOutcomes(t *testing.T) {
 		t.Fatalf("%d resolved commits still on the pending list", n)
 	}
 }
+
+// convergedTwoPass is Converged as it was written before it became one
+// pass: find the home's triple, then compare every machine with it.
+func convergedTwoPass(f *Fleet, path string) bool {
+	var wantE, wantG, wantT uint64
+	homes, migrating := 0, false
+	for _, n := range f.nodes {
+		n.mu.Lock()
+		s, ok := n.segs[path]
+		if ok && s.isHome {
+			homes++
+			if s.migrating != "" {
+				migrating = true
+			}
+			if homes == 1 || s.epoch > wantE {
+				wantE, wantG, wantT = s.epoch, s.gen, s.tv
+			}
+		}
+		n.mu.Unlock()
+	}
+	if homes != 1 || migrating {
+		return false
+	}
+	for _, n := range f.nodes {
+		n.mu.Lock()
+		s, ok := n.segs[path]
+		stale := !ok || s.epoch != wantE || s.gen != wantG || s.tv != wantT || s.needFull
+		n.mu.Unlock()
+		if stale {
+			return false
+		}
+	}
+	return true
+}
+
+// TestConvergedMatchesTwoPass: on every tick of a lossy 16-machine run
+// with home writes and forwarded writes (every fourth of which migrates
+// the home to its writer), the
+// one-pass Converged answers what the two-pass definition answers, and
+// allocates nothing.
+func TestConvergedMatchesTwoPass(t *testing.T) {
+	net := netsim.New()
+	f := bootLite(t, net, Config{MigrateThreshold: 4}, 16)
+	rng := rand.New(rand.NewSource(9))
+	var paths []string
+	for k := 0; k < 4; k++ {
+		p := fmt.Sprintf("/lib/conv/s%d", k)
+		if _, err := f.PublishSharded(p, make([]byte, PageSize)); err != nil {
+			t.Fatal(err)
+		}
+		paths = append(paths, p)
+	}
+	seen := map[bool]int{}
+	check := func() {
+		for _, p := range paths {
+			got, want := f.Converged(p), convergedTwoPass(f, p)
+			if got != want {
+				t.Fatalf("%s: Converged %v, two-pass %v", p, got, want)
+			}
+			seen[got]++
+		}
+	}
+	for _, p := range paths {
+		for tick := 0; !f.Converged(p); tick++ {
+			if tick == 200 {
+				t.Fatalf("%s: no initial convergence", p)
+			}
+			check()
+			f.Tick()
+		}
+	}
+	net.Drop = seqLoss(20)
+	nodes := f.Nodes()
+	ops := 120
+	if testing.Short() {
+		ops = 40
+	}
+	for i := 0; i < ops; i++ {
+		p := paths[rng.Intn(len(paths))]
+		buf := []byte{byte(i), byte(i >> 8), 1, 2}
+		if rng.Intn(2) == 0 {
+			if err := nodes[rng.Intn(len(nodes))].WriteAny(p, uint32(rng.Intn(PageSize-4)), buf); err != nil {
+				t.Fatal(err)
+			}
+		} else if home := f.Node(f.HomeFor(p)); home != nil {
+			if si, _ := home.Info(p); si.Writable() {
+				if err := home.Write(p, uint32(rng.Intn(PageSize-4)), buf); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		for tick := 0; tick < 400; tick++ {
+			check()
+			if f.Converged(p) {
+				break
+			}
+			f.Tick()
+		}
+	}
+	if seen[true] == 0 || seen[false] == 0 {
+		t.Fatalf("answers seen %v, want both", seen)
+	}
+	if n := testing.AllocsPerRun(100, func() { f.Converged(paths[0]) }); n != 0 {
+		t.Fatalf("Converged allocates %.1f times per call", n)
+	}
+}

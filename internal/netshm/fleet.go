@@ -115,37 +115,30 @@ func (f *Fleet) Run(n int) {
 // machine has applied the home's (epoch, generation, version-clock)
 // triple. During a migration two machines may briefly both claim the home
 // — that window reports not-converged until the handshake (or its abort
-// path) heals it.
+// path) heals it. Every machine holding the home's triple is the same as
+// every machine holding the first machine's, so one pass in Add order,
+// one lock hold per machine, decides it.
 func (f *Fleet) Converged(path string) bool {
 	var wantE, wantG, wantT uint64
-	homes, migrating := 0, false
-	for _, n := range f.nodes {
+	homes := 0
+	for i, name := range f.order {
+		n := f.nodes[name]
 		n.mu.Lock()
 		s, ok := n.segs[path]
-		if ok && s.isHome {
-			homes++
-			if s.migrating != "" {
-				migrating = true
-			}
-			if homes == 1 || s.epoch > wantE {
-				wantE, wantG, wantT = s.epoch, s.gen, s.tv
+		ok = ok && !s.needFull && (i == 0 || s.epoch == wantE && s.gen == wantG && s.tv == wantT)
+		if ok {
+			wantE, wantG, wantT = s.epoch, s.gen, s.tv
+			if s.isHome {
+				homes++
+				ok = s.migrating == ""
 			}
 		}
 		n.mu.Unlock()
-	}
-	if homes != 1 || migrating {
-		return false
-	}
-	for _, n := range f.nodes {
-		n.mu.Lock()
-		s, ok := n.segs[path]
-		stale := !ok || s.epoch != wantE || s.gen != wantG || s.tv != wantT || s.needFull
-		n.mu.Unlock()
-		if stale {
+		if !ok || homes > 1 {
 			return false
 		}
 	}
-	return true
+	return homes == 1
 }
 
 // WaitConverged ticks until the segment converges everywhere or maxTicks

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"hemlock/internal/fig"
-	"hemlock/internal/ldl"
 	"hemlock/internal/mem"
 	"hemlock/internal/objfile"
 	"hemlock/internal/shmfs"
@@ -45,13 +44,6 @@ func TestHostileHeadersAllocateLittle(t *testing.T) {
 		e.U32(0)        // text base
 		e.U32(64 << 20) // text blob
 	})
-	hlc1 := build(func(e *wire.Encoder) {
-		e.Raw([]byte(ldl.CacheMagic))
-		e.Str("k")
-		e.U32(0)         // deps
-		e.U32(0)         // startMapped
-		e.U32(1<<32 - 1) // events
-	})
 	datagram := build(func(e *wire.Encoder) {
 		e.Raw([]byte{wireMagic, wireVersion, msgUpdate, 0})
 		e.Str("/lib/seg")
@@ -82,30 +74,12 @@ func TestHostileHeadersAllocateLittle(t *testing.T) {
 		}
 	})
 
-	cacheFS, err := shmfs.New(mem.NewPhysical(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := cacheFS.MkdirAll(ldl.CacheDir, shmfs.DefaultDirMode, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := cacheFS.WriteFile(ldl.CacheDir+"/k", hlc1, shmfs.DefaultFileMode, 0); err != nil {
-		t.Fatal(err)
-	}
-
 	cases := []struct {
 		name   string
 		decode func() error
 	}{
 		{"HEMO with a 64 MB blob", func() error { _, err := objfile.DecodeBytes(hemo); return err }},
 		{"HEMX with a 64 MB blob", func() error { _, err := objfile.DecodeImageBytes(hemx); return err }},
-		{"HLC1 with 2^32-1 events", func() error {
-			infos := ldl.InspectCache(cacheFS)
-			if len(infos) != 1 {
-				return nil
-			}
-			return infos[0].Err
-		}},
 		{"datagram with 2^32-1 pages", func() error { _, err := decodeMsg(datagram); return err }},
 		{"HSFS with 64 empty 1 MB files", func() error {
 			_, err := shmfs.Load(bytes.NewReader(hsfs), mem.NewPhysical(0))

@@ -147,7 +147,7 @@ func TestLaunchProfileRealLaunch(t *testing.T) {
 	// Profile the cold launch pipeline: with stable linking on, every
 	// launch after the first is a ~10µs zygote clone whose only phase is
 	// link.zygote_clone — a different (and separately tested) shape.
-	s.SetStableLinking(false, false)
+	s.SetStableLinking(false)
 	if _, err := s.Asm("/lib/counter.o", `
         .data
         .globl  hits
@@ -226,13 +226,13 @@ main:   la      $t0, hits
 }
 
 // TestLaunchProfileStableLinkingPhases profiles launches with stable
-// linking enabled: the cold launch must attribute its cache probe and
-// zygote registration, and every repeat launch must show up as a
+// linking enabled: the cold launch must attribute its zygote
+// registration, and every repeat launch must show up as a
 // link.zygote_clone — so `-profile launch` explains where warm launches
 // spend their time, not just cold ones.
 func TestLaunchProfileStableLinkingPhases(t *testing.T) {
 	s := core.NewSystem()
-	s.SetStableLinking(true, true)
+	s.SetStableLinking(true)
 	if _, err := s.Asm("/bin/solo.o", ".text\n.globl main\nmain: li $v0,3\n jr $ra\n"); err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +267,7 @@ func TestLaunchProfileStableLinkingPhases(t *testing.T) {
 	}
 	// Cold-only phases ran exactly once: the other five launches skipped
 	// exec and linking entirely.
-	for _, want := range []string{"kern.exec", "link.cache_probe", "link.zygote_register"} {
+	for _, want := range []string{"kern.exec", "link.zygote_register"} {
 		if p := byName[want]; p.Count != 1 {
 			t.Fatalf("%s count = %d, want 1 (cold launch only):\n%s", want, p.Count, r.Table())
 		}

@@ -407,90 +407,6 @@ func (fs *FS) CreateAt(p string, ino int, mode Mode, uid int) (Stat, error) {
 	return fs.statOf(nd), nil
 }
 
-// allocInodeTop allocates the highest free inode slot, scanning down from
-// the top. Infrastructure files (the ldl link cache) allocate here so that
-// ordinary Create calls — whose slot number determines the segment's public
-// virtual address — see exactly the slot sequence they would in a world
-// with no cache files at all.
-func (fs *FS) allocInodeTop(typ FileType, mode Mode, uid int) (*inode, error) {
-	for i := NumInodes - 1; i >= 0; i-- {
-		if fs.inodes[i] == nil {
-			nd := &inode{ino: i, typ: typ, mode: mode, uid: uid, mtime: fs.tick()}
-			if typ == TypeDir {
-				nd.entries = map[string]int{}
-			}
-			fs.inodes[i] = nd
-			fs.nAlloc++
-			return nd, nil
-		}
-	}
-	return nil, ErrNoSpace
-}
-
-// CreateTop makes a new regular file at p like Create, but draws its inode
-// from the top of the slot space (see allocInodeTop).
-func (fs *FS) CreateTop(p string, mode Mode, uid int) (Stat, error) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	parent, leaf, err := fs.parentOf(p)
-	if err != nil {
-		return Stat{}, err
-	}
-	if _, ok := parent.entries[leaf]; ok {
-		return Stat{}, fmt.Errorf("%w: %s", ErrExist, p)
-	}
-	nd, err := fs.allocInodeTop(TypeFile, mode, uid)
-	if err != nil {
-		return Stat{}, err
-	}
-	parent.entries[leaf] = nd.ino
-	parent.mtime = fs.tick()
-	fs.tableInsert(nd.ino, Clean(p))
-	fs.ctrCreate.Inc()
-	if fs.tracer.Enabled() {
-		fs.tracer.Emit(obsv.Event{Subsys: "shmfs", Name: "create", Mod: Clean(p), Addr: AddrOf(nd.ino)})
-	}
-	return fs.statOf(nd), nil
-}
-
-// MkdirAllTop creates p and any missing parents with inodes drawn from the
-// top of the slot space.
-func (fs *FS) MkdirAllTop(p string, mode Mode, uid int) error {
-	p = Clean(p)
-	if p == "/" {
-		return nil
-	}
-	parts := strings.Split(p[1:], "/")
-	cur := ""
-	for _, part := range parts {
-		cur = cur + "/" + part
-		err := fs.mkdirTop(cur, mode, uid)
-		if err != nil && !errors.Is(err, ErrExist) {
-			return err
-		}
-	}
-	return nil
-}
-
-func (fs *FS) mkdirTop(p string, mode Mode, uid int) error {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	parent, leaf, err := fs.parentOf(p)
-	if err != nil {
-		return err
-	}
-	if _, ok := parent.entries[leaf]; ok {
-		return fmt.Errorf("%w: %s", ErrExist, p)
-	}
-	nd, err := fs.allocInodeTop(TypeDir, mode, uid)
-	if err != nil {
-		return err
-	}
-	parent.entries[leaf] = nd.ino
-	parent.mtime = fs.tick()
-	return nil
-}
-
 // ContentVersion returns a cheap fingerprint of a file's current contents:
 // a mix of its inode, size, and every backing frame's store-version counter.
 // Unlike mtime, it moves when the file is mutated *through a mapping* (a
@@ -499,9 +415,9 @@ func (fs *FS) mkdirTop(p string, mode Mode, uid int) error {
 // It also moves when the file is unlinked and re-created, even at the same
 // inode and size: fresh frames start their counters past every counter the
 // old file's frames held (see ensureFrames). Two reads of one fingerprint
-// therefore saw the same bytes, across Save and Load too. The ldl link
-// cache validates its dependency manifest against this, and ldl keys its
-// decoded templates and executables by it. It allocates nothing.
+// therefore saw the same bytes, across Save and Load too. The kernel's
+// zygote registry validates each template's manifest against this, and ldl
+// keys its decoded templates and executables by it. It allocates nothing.
 func (fs *FS) ContentVersion(p string) (uint64, error) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()

@@ -1,7 +1,6 @@
 // Package wire is the one binary codec under Hemlock's non-text formats:
-// HEMO objects and HEMX images (objfile), HLC1 link-cache entries (ldl),
-// netshm datagrams and transaction payloads (netshm), and HSFS disk images
-// (shmfs). Each format documents its own layout; this package supplies the
+// HEMO objects and HEMX images (objfile), netshm datagrams and transaction
+// payloads (netshm), and HSFS disk images (shmfs). Each format documents its own layout; this package supplies the
 // primitives they share, all big-endian like the simulated machine:
 //
 //	U8 U16 U32 U64    fixed-width integers

@@ -32,7 +32,7 @@ out=BENCH_"$n".json
 # estimate without making CI runs painful.
 {
   go test -run=NONE -bench='BenchmarkDispatch' -benchtime="$benchtime" -count=3 ./internal/vm/
-  go test -run=NONE -bench='Table1|CallNear|CallFar|PointerChase|LaunchWarm|LaunchByPath|PrestoParallel|NetShmScale|NetShmDeltaBytes' -benchtime="$benchtime" -count=3 .
+  go test -run=NONE -bench='Table1|CallNear|CallFar|PointerChase|LaunchByPath|PrestoParallel|NetShmScale|NetShmDeltaBytes' -benchtime="$benchtime" -count=3 .
 } | tee "$raw"
 
 # Tracked files only, so build output such as .bench_build/ never counts.
