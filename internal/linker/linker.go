@@ -30,10 +30,9 @@ var (
 	ErrTrampolines     = errors.New("linker: trampoline area exhausted")
 )
 
-// LayoutVersion numbers the layout Place produces. A link-cache entry
-// replays addresses that Place computed, so ldl mixes this into every
-// launch key: bump it whenever Place moves a section, and entries recorded
-// under an older layout miss and their programs link cold.
+// LayoutVersion numbers the layout Place produces. ldl mixes it into
+// every launch key, so a launch key names the layout its program is
+// linked under: bump it whenever Place moves a section.
 const LayoutVersion = 2
 
 // Placed is a module instance assigned a base address. Code comes first:

@@ -225,8 +225,7 @@ func (f *Frame) Version() uint64 { return f.ver.Load() }
 // the value an earlier run recorded, or seeding a file's newly allocated
 // frame. File fingerprints (shmfs.ContentVersion) are built from these
 // counters, so a reboot must bring them back or every fingerprint
-// recorded before the reboot — the link cache's invalidation manifest
-// among them — would look stale.
+// recorded before the reboot would look stale.
 func (f *Frame) RestoreVersion(v uint64) { f.ver.Store(v) }
 
 // Stats describes pool usage.

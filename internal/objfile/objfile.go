@@ -391,7 +391,7 @@ type Image struct {
 // with the image, so it is freed with the image. Images are never changed
 // after lds builds or DecodeImage decodes them, so the value stays right
 // for the image's life. ldl hashes the image this way at every launch to
-// derive its link-cache key. A zero hash is recomputed each call.
+// derive its launch key. A zero hash is recomputed each call.
 func (im *Image) LinkHash(hash func(*Image) uint64) uint64 {
 	if h := im.linkHash.Load(); h != 0 {
 		return h
