@@ -155,7 +155,7 @@ type Process struct {
 	PPID int
 	UID  int
 	AS   *addrspace.Space
-	CPU  *vm.CPU
+	CPU  *vm.CPU // nil for a parked zygote template, which never runs
 	Env  map[string]string
 	CWD  string
 
@@ -369,6 +369,7 @@ func (p *Process) AllocPrivate(size uint32) (uint32, error) {
 func (k *Kernel) Fork(parent *Process) (*Process, error) {
 	child := k.Spawn(parent.UID)
 	k.forkInto(parent, child)
+	child.CPU.SetArchState(parent.CPU.ArchState())
 	k.ctrForks.Inc()
 	if t := k.Obs.Tracer(); t.Enabled() {
 		t.Emit(obsv.Event{Subsys: "kern", Name: "fork", PID: parent.PID, Val: uint64(child.PID)})
@@ -376,7 +377,9 @@ func (k *Kernel) Fork(parent *Process) (*Process, error) {
 	return child, nil
 }
 
-// forkInto populates a freshly spawned child with a copy of parent's state.
+// forkInto populates a freshly spawned child with a copy of parent's state,
+// all but the CPU's, which the caller copies: a zygote template keeps its
+// architectural state instead of a CPU.
 // The private halves of the address space clone copy-on-write: the child
 // costs one page-table entry and one refcount per page, and whichever side
 // stores to a page first pays for its own copy. The public window is shared
@@ -390,8 +393,6 @@ func (k *Kernel) forkInto(parent, child *Process) {
 	// One pass over the parent's page table: private windows clone
 	// copy-on-write, the public window shares frames outright.
 	parent.AS.ForkInto(child.AS, layout.SharedBase, layout.SharedLimit, layout.KernelBase)
-	// Identical CPU state, reusing the CPU Spawn allocated for the child.
-	child.CPU.AdoptArchState(parent.CPU)
 	child.brk = parent.brk
 	child.privBase = parent.privBase
 	child.callStub = parent.callStub // stub page is in the cloned private range

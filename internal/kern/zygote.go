@@ -45,6 +45,7 @@ func (p *Process) Hidden() bool { return p.PID >= zygotePIDBase }
 type zygote struct {
 	key      string
 	template *Process
+	arch     vm.ArchState // the template's CPU state; it has no CPU
 	manifest []ZygoteDep
 	clones   uint64
 }
@@ -66,10 +67,11 @@ type ZygoteInfo struct {
 	Clones uint64 `json:"clones"`
 }
 
-// spawnZygote creates a hidden process: same wiring as Spawn, but the PID
+// spawnZygote creates a hidden process: wired like Spawn, but the PID
 // comes from the zygote range and the process is not entered in the process
 // table, so Processes(), PID allocation, and the trace stream are exactly
-// what they would be in a world without zygotes.
+// what they would be in a world without zygotes. It never runs, so it gets
+// no CPU and no file table.
 func (k *Kernel) spawnZygote(uid int) *Process {
 	k.mu.Lock()
 	defer k.mu.Unlock()
@@ -80,11 +82,9 @@ func (k *Kernel) spawnZygote(uid int) *Process {
 		AS:          addrspace.New(k.Phys),
 		Env:         map[string]string{},
 		CWD:         "/",
-		files:       map[int]*openFile{},
 		nextFD:      3,
 		mappedSlots: map[int]bool{},
 	}
-	p.CPU = vm.New(p.AS)
 	p.AS.Observe(k.Obs.Tracer(), k.ctrASMaps, k.ctrASUnmaps, p.PID)
 	k.nextZPID++
 	return p
@@ -119,7 +119,7 @@ func (k *Kernel) RegisterZygote(key string, parent *Process, manifest []ZygoteDe
 			delete(k.zygotes, oldest)
 		}
 	}
-	k.zygotes[key] = &zygote{key: key, template: tpl, manifest: manifest}
+	k.zygotes[key] = &zygote{key: key, template: tpl, arch: parent.CPU.ArchState(), manifest: manifest}
 	k.zorder = append(k.zorder, key)
 	k.ctrZygReg.Inc()
 	if t := k.Obs.Tracer(); t.Enabled() {
@@ -157,6 +157,7 @@ func (k *Kernel) CloneZygote(key, name string) (*Process, bool) {
 	zsp := t.Begin("link", "zygote_clone", 0, name)
 	child := k.Spawn(z.template.UID)
 	k.forkInto(z.template, child)
+	child.CPU.SetArchState(z.arch)
 	child.PPID = 0
 	zsp.End(0)
 	sp.End(0)

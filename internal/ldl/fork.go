@@ -15,8 +15,8 @@ func (pr *Proc) CloneFor(child *kern.Process) *Proc {
 		W:           pr.W,
 		P:           child,
 		Image:       pr.Image,
-		table:       pr.table, // static symbols are immutable after Start
-		imagePend:   append([]objfile.ImageReloc(nil), pr.imagePend...),
+		table:       pr.table,     // static symbols are immutable after Start
+		imagePend:   pr.imagePend, // replaced by each pass, never written
 		trampNext:   pr.trampNext,
 		userHandler: pr.userHandler,
 		plt:         pr.plt, // stub names are immutable

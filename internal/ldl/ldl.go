@@ -46,6 +46,7 @@ import (
 	"hemlock/internal/layout"
 	"hemlock/internal/lds"
 	"hemlock/internal/linker"
+	"hemlock/internal/mem"
 	"hemlock/internal/objfile"
 	"hemlock/internal/obsv"
 	"hemlock/internal/shmfs"
@@ -264,7 +265,9 @@ func (w *World) Start(p *kern.Process, im *objfile.Image) (*Proc, error) {
 		}
 	}
 	defSpan.End(uint64(len(im.Symbols)))
-	pr.imagePend = append([]objfile.ImageReloc(nil), im.Relocs...)
+	// Passes replace imagePend and never write into it, so it can start
+	// as the image's own list.
+	pr.imagePend = im.Relocs
 	w.addImageRelocs(len(pr.imagePend))
 	pr.root = &Instance{
 		Name:       "(program)",
@@ -770,8 +773,8 @@ func (pr *Proc) LinkModule(in *Instance) error {
 }
 
 // LockLaunch serializes launches that share a content-hash key and
-// returns the unlock. The zygote registry and the link cache were built
-// under the single-run-loop assumption: two identical launches racing down
+// returns the unlock. The zygote registry was built under the
+// single-run-loop assumption: two identical launches racing down
 // the cold path would each link cold and fight over registering the
 // template. The gate makes the first one link and register; by the time a
 // waiter proceeds, the zygote is parked and it clones warm. Launches with
@@ -847,13 +850,14 @@ func (pr *Proc) resolveImageRelocs() error {
 	var left []objfile.ImageReloc
 	applied := 0
 	defer func() { pr.addLinkStats(applied, 0) }()
+	var pg imagePage
 	for _, r := range pr.imagePend {
 		addr, ok := pr.resolveScoped(pr.root, r.Name)
 		if !ok {
 			left = append(left, r)
 			continue
 		}
-		if err := pr.applyImageReloc(r, addr); err != nil {
+		if err := pr.applyImageReloc(&pg, r, addr); err != nil {
 			return err
 		}
 		applied++
@@ -866,22 +870,51 @@ func (pr *Proc) resolveImageRelocs() error {
 	return nil
 }
 
+// imagePage is the frame behind the image page that a pass over retained
+// relocations last patched. Consecutive relocations of an image mostly
+// share a page, so a pass translates a page about once instead of twice
+// per patched word.
+type imagePage struct {
+	base  uint32
+	frame *mem.Frame
+}
+
+// word returns the frame and in-page offset of the image word at addr,
+// failing as a LoadWord followed by a StoreWord there would.
+func (pg *imagePage) word(as *addrspace.Space, addr uint32) (*mem.Frame, uint32, error) {
+	if addr%4 != 0 {
+		_, err := as.LoadWord(addr)
+		return nil, 0, err
+	}
+	if base := addrspace.PageBase(addr); pg.frame == nil || base != pg.base {
+		if _, flt := as.Translate(addr, addrspace.AccessRead); flt != nil {
+			return nil, 0, flt
+		}
+		e, flt := as.Translate(addr, addrspace.AccessWrite)
+		if flt != nil {
+			return nil, 0, flt
+		}
+		pg.base, pg.frame = base, e.Frame
+	}
+	return pg.frame, addr & (mem.PageSize - 1), nil
+}
+
 // applyImageReloc patches one retained relocation in the running image
 // through the process address space.
-func (pr *Proc) applyImageReloc(r objfile.ImageReloc, symAddr uint32) error {
-	as := pr.P.AS
-	target := symAddr + uint32(r.Addend)
-	w, err := as.LoadWord(r.Addr)
+func (pr *Proc) applyImageReloc(pg *imagePage, r objfile.ImageReloc, symAddr uint32) error {
+	f, off, err := pg.word(pr.P.AS, r.Addr)
 	if err != nil {
 		return err
 	}
+	target := symAddr + uint32(r.Addend)
+	w := f.LoadWordBE(off)
 	switch r.Type {
 	case objfile.RelWord32:
-		return as.StoreWord(r.Addr, target)
+		w = target
 	case objfile.RelHi16:
-		return as.StoreWord(r.Addr, isa.PatchImm16(w, isa.Hi16(target)))
+		w = isa.PatchImm16(w, isa.Hi16(target))
 	case objfile.RelLo16:
-		return as.StoreWord(r.Addr, isa.PatchImm16(w, isa.Lo16(target)))
+		w = isa.PatchImm16(w, isa.Lo16(target))
 	case objfile.RelJump26:
 		if !isa.JumpReach(r.Addr, target) {
 			tramp, err := pr.imageTrampoline(target)
@@ -890,15 +923,18 @@ func (pr *Proc) applyImageReloc(r objfile.ImageReloc, symAddr uint32) error {
 			}
 			target = tramp
 		}
-		return as.StoreWord(r.Addr, isa.PatchJump26(w, target))
+		w = isa.PatchJump26(w, target)
 	case objfile.RelBranch16:
-		off, ok := isa.BranchOffset(r.Addr, target)
+		d, ok := isa.BranchOffset(r.Addr, target)
 		if !ok {
 			return fmt.Errorf("ldl: branch from 0x%08x to 0x%08x out of range", r.Addr, target)
 		}
-		return as.StoreWord(r.Addr, isa.PatchImm16(w, off))
+		w = isa.PatchImm16(w, d)
+	default:
+		return fmt.Errorf("ldl: unsupported retained relocation %v", r.Type)
 	}
-	return fmt.Errorf("ldl: unsupported retained relocation %v", r.Type)
+	f.StoreWordBE(off, w)
+	return nil
 }
 
 // imageTrampoline allocates a fragment in the image's reserved trampoline

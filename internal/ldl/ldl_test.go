@@ -1,6 +1,7 @@
 package ldl_test
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -499,5 +500,51 @@ func TestModuleNotFoundError(t *testing.T) {
 	var target error = ldl.ErrModuleNotFound
 	if !strings.Contains(err.Error(), strings.TrimPrefix(target.Error(), "")) && err == nil {
 		t.Fatal("wrong error kind")
+	}
+}
+
+// TestImageRelocsAcrossPages: a main image whose retained relocations
+// span several pages is patched on every page. Each `la` refers to a
+// different word of a dynamic-public module, and the program exits with
+// the sum of the words it loaded.
+func TestImageRelocsAcrossPages(t *testing.T) {
+	s := core.NewSystem()
+	var mod, main strings.Builder
+	mod.WriteString("        .data\n")
+	main.WriteString("        .text\n        .globl main\n")
+	for i := 0; i < 64; i++ {
+		fmt.Fprintf(&mod, "        .globl v%d\nv%d: .word %d\n", i, i, i+1)
+		fmt.Fprintf(&main, "        .extern v%d\n", i)
+	}
+	main.WriteString("main:   li $a0, 0\n")
+	const refs = 800 // 4 words each: 12.5 KB of text
+	want := 0
+	for i := 0; i < refs; i++ {
+		fmt.Fprintf(&main, "        la $t0, v%d\n        lw $t1, 0($t0)\n        addu $a0, $a0, $t1\n", i%64)
+		want += i%64 + 1
+	}
+	main.WriteString("        li $v0, 1\n        syscall\n")
+	if _, err := s.Asm("/lib/vals.o", mod.String()); err != nil {
+		t.Fatal(err)
+	}
+	res := linkWith(t, s, main.String(), lds.Input{Name: "vals.o", Class: objfile.DynamicPublic})
+	pages := map[uint32]bool{}
+	for _, r := range res.Image.Relocs {
+		pages[addrspace.PageBase(r.Addr)] = true
+	}
+	if len(res.Image.Relocs) != 2*refs || len(pages) < 3 {
+		t.Fatalf("%d retained relocations on %d pages, want %d on at least 3", len(res.Image.Relocs), len(pages), 2*refs)
+	}
+	for i := 0; i < 2; i++ { // link cold and park, then clone
+		pg, err := s.Launch(res.Image, 0, map[string]string{"LD_LIBRARY_PATH": "/lib"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := pg.Run(1_000_000); err != nil {
+			t.Fatal(err)
+		}
+		if pg.P.ExitCode != want {
+			t.Fatalf("launch %d: exit %d, want %d", i, pg.P.ExitCode, want)
+		}
 	}
 }

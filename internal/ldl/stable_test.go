@@ -68,6 +68,58 @@ func TestZygoteRegisterCloneCounters(t *testing.T) {
 	}
 }
 
+// TestCloneImagePatchStaysPrivate: a relocation the main image retains
+// past start-up is patched when a later module brings its symbol in. In a
+// zygote clone that patch lands in the clone's own copy of the page; the
+// parked template, the process that parked it and the next clone still
+// hold the unpatched word.
+func TestCloneImagePatchStaysPrivate(t *testing.T) {
+	s := core.NewSystem()
+	s.Asm("/lib/late.o", ".data\n.globl late_val\nlate_val: .word 9\n")
+	res := linkWith(t, s, `
+        .text
+        .globl  main
+        .extern late_val
+main:   la      $t0, late_val
+        lw      $v0, 0($t0)
+        jr      $ra
+`)
+	addr := res.Image.Relocs[0].Addr
+	env := map[string]string{"LD_LIBRARY_PATH": "/lib"}
+	launch := func() *core.Program {
+		pg, err := s.Launch(res.Image, 0, env)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pg
+	}
+	word := func(pg *core.Program) uint32 {
+		w, err := pg.P.AS.LoadWord(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return w
+	}
+	first := launch()
+	unpatched := word(first)
+	clone := launch()
+	if _, err := clone.LDL.BringIn(objfile.ModuleRef{Name: "late.o", Class: objfile.DynamicPublic}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if word(clone) == unpatched {
+		t.Fatal("bringing late.o in did not patch the clone's image")
+	}
+	if w := word(first); w != unpatched {
+		t.Fatalf("parking process sees %#x, want the unpatched %#x", w, unpatched)
+	}
+	if w := word(launch()); w != unpatched {
+		t.Fatalf("next clone sees %#x, want the unpatched %#x", w, unpatched)
+	}
+	if c := counters(s); c["kern.zygote_clone"] != 2 {
+		t.Fatalf("clones = %d, want 2", c["kern.zygote_clone"])
+	}
+}
+
 // TestZygoteInvalidateOnModuleMutation: rewriting a module template in
 // place drops the zygote at the next launch, which links cold against the
 // new template, counts kern.zygote_invalidate and names the template in
@@ -511,22 +563,28 @@ func TestLaunchKeyPinned(t *testing.T) {
 }
 
 // TestLaunchKeepsNoImage: the image's hash lives on the image, so once
-// a launched process has exited nothing in the world holds its image.
-// Stable linking is off: a parked template keeps the image it was linked
-// from.
+// a launched process has exited and its zygote is dropped nothing in the
+// world holds its image: not the launch key, the singleflight lock, the
+// zygote manifest or the decoded-template memo. The two launches run
+// under stable linking, so the first links cold and parks and the second
+// clones; a parked template keeps the image it was linked from, so every
+// zygote is dropped before looking.
 func TestLaunchKeepsNoImage(t *testing.T) {
 	s := core.NewSystem()
 	defer runtime.KeepAlive(s)
-	s.SetStableLinking(false)
 	s.Asm("/lib/buf.o", ".data\n.globl buf_val\nbuf_val: .word 7\n")
 	freed := make(chan struct{})
 	func() {
 		res := linkWith(t, s, exitWithModuleVal, lds.Input{Name: "buf.o", Class: objfile.DynamicPrivate})
 		runtime.SetFinalizer(res.Image, func(*objfile.Image) { close(freed) })
-		for i := 0; i < 2; i++ {
+		for i := 0; i < 2; i++ { // link cold and park, then clone
 			launchRun(t, s, res.Image, map[string]string{"LD_LIBRARY_PATH": "/lib"})
 		}
 	}()
+	if c := counters(s); c["kern.zygote_register"] != 1 || c["kern.zygote_clone"] != 1 {
+		t.Fatalf("zygote register/clone = %d/%d, want 1/1", c["kern.zygote_register"], c["kern.zygote_clone"])
+	}
+	s.K.DropAllZygotes()
 	for i := 0; i < 50; i++ {
 		runtime.GC()
 		select {

@@ -23,13 +23,14 @@ import (
 //	           dir : entry count u32 | (name, ino u32)*
 //	           sym : target string
 //
-// Version 2 added the per-frame store-version counters. They are what
-// ContentVersion fingerprints are built from, so a reboot must restore
-// them: the link cache's invalidation manifests record fingerprints taken
-// before the save, and losing the counters would make every entry look
-// mutated-in-place. Version 1 images (no counters) still load; their
-// counters restart at zero, so caches recorded before the save invalidate
-// once and re-record.
+// Version 2 added the per-frame store-version counters, which
+// ContentVersion fingerprints are built from. Nothing compares a
+// fingerprint taken before a save with one taken after the load: every
+// consumer (ldl's decoded-executable and decoded-template memos, the
+// kernel's zygote manifests) lives in memory and is rebuilt at boot, so
+// the counters are written and restored only because the format has them.
+// Version 1 images (no counters) still load; their counters restart at
+// zero.
 
 const (
 	imageMagic   = "HSFS"

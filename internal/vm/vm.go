@@ -456,18 +456,33 @@ func (c *CPU) Run(maxSteps uint64) (Event, error) {
 	return EventStep, fmt.Errorf("vm: exceeded %d steps at pc 0x%08x", maxSteps, c.PC)
 }
 
-// AdoptArchState copies from's architectural state — registers, PC,
-// retired-instruction and trap counts, sampler — into c, keeping c's own
-// address space, wired counters and (cold) caches. fork uses it to reuse
-// the CPU Spawn already allocated instead of paying for a second CPU per
-// clone; cache state is deliberately not copied for the same reason
-// Snapshot omits it.
-func (c *CPU) AdoptArchState(from *CPU) {
-	c.Regs = from.Regs
-	c.PC = from.PC
-	c.Steps = from.Steps
-	c.Traps = from.Traps
-	c.sampler = from.sampler
+// ArchState is a CPU's architectural state — registers, PC,
+// retired-instruction and trap counts, sampler — without its address
+// space, wired counters or caches. Fork copies it from parent to child; a
+// parked zygote template, which never runs, keeps one instead of a CPU.
+type ArchState struct {
+	Regs    [32]uint32
+	PC      uint32
+	Steps   uint64
+	Traps   uint64
+	sampler Sampler
+}
+
+// ArchState returns c's architectural state.
+func (c *CPU) ArchState() ArchState {
+	return ArchState{Regs: c.Regs, PC: c.PC, Steps: c.Steps, Traps: c.Traps, sampler: c.sampler}
+}
+
+// SetArchState loads a into c, keeping c's own address space, wired
+// counters and (cold) caches. fork uses it to reuse the CPU Spawn already
+// allocated instead of paying for a second CPU per clone; cache state is
+// deliberately not part of it, for the reason Snapshot omits it.
+func (c *CPU) SetArchState(a ArchState) {
+	c.Regs = a.Regs
+	c.PC = a.PC
+	c.Steps = a.Steps
+	c.Traps = a.Traps
+	c.sampler = a.sampler
 }
 
 // Snapshot returns a copy of the architectural state (for fork). Cache
