@@ -33,6 +33,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -229,7 +230,11 @@ parsed:
 		if len(rest) != 1 {
 			return fmt.Errorf("rm needs <path>")
 		}
-		if err := s.FS.Unlink(rest[0], 0); err != nil {
+		err := s.FS.Unlink(rest[0], 0)
+		if errors.Is(err, shmfs.ErrIsDir) {
+			err = s.FS.Rmdir(rest[0], 0) // fails, naming the path, unless empty
+		}
+		if err != nil {
 			return err
 		}
 		dirty = true

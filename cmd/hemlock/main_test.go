@@ -116,6 +116,20 @@ func TestCLICatAndStat(t *testing.T) {
 	cliErr(t, dir, "cat", "/note.txt")
 }
 
+// TestCLIRmEmptyDirectory: rm removes a file or an empty directory; a
+// directory that still holds something fails, naming the path.
+func TestCLIRmEmptyDirectory(t *testing.T) {
+	dir := t.TempDir()
+	cli(t, dir, "mkfs")
+	cli(t, dir, "cp", writeHostFile(t, dir, "f.txt", "x"), "/d/f")
+	if err := cliErr(t, dir, "rm", "/d"); !strings.Contains(err.Error(), "/d") {
+		t.Fatalf("rm of a non-empty directory: %v, want the path named", err)
+	}
+	cli(t, dir, "rm", "/d/f")
+	cli(t, dir, "rm", "/d")
+	cliErr(t, dir, "stat", "/d")
+}
+
 func TestCLINmAndDis(t *testing.T) {
 	dir := t.TempDir()
 	cli(t, dir, "mkfs")

@@ -207,7 +207,10 @@ func (s *Space) MapAnon(addr, size uint32, prot Prot) error {
 // MapFrames installs the given frames (retaining each) at addr with the
 // given protection. This is how a shared-file-system file is mapped: the
 // file's own frames become the process's pages, so stores through the
-// mapping are stores into the file.
+// mapping are stores into the file. The caller holds its own reference to
+// every frame it passes, so no space held one of them alone, and no
+// space's cached translation of it chose the VM's private store tier;
+// only s's generation moves.
 func (s *Space) MapFrames(addr uint32, frames []*mem.Frame, prot Prot) error {
 	if addr%mem.PageSize != 0 {
 		return fmt.Errorf("addrspace: MapFrames addr 0x%08x not page aligned", addr)
@@ -427,9 +430,10 @@ func (s *Space) resolveCoW(addr uint32, a Access) (*mem.Frame, *Fault) {
 // window ([shBase, shLimit)). A cow page keeps its logical protection on
 // both sides, and whichever side stores first re-backs its own copy, so a
 // clone costs one refcount and one page-table entry per page instead of a
-// frame copy — what makes zygote launches cheap. s's generation bumps when
-// it marks a page cow: its cached write-capable translations must die the
-// moment its frames become shared.
+// frame copy — what makes zygote launches cheap. s's generation bumps
+// whenever it shares a page, cow or public: each shared frame gains a
+// second holder, so every cached translation s's CPU filled while it held
+// the frame alone (the VM's private store tier) must die now.
 func (s *Space) ForkInto(dst *Space, shBase, shLimit, kBase uint32) {
 	type ent struct {
 		vpn uint32
@@ -437,7 +441,6 @@ func (s *Space) ForkInto(dst *Space, shBase, shLimit, kBase uint32) {
 	}
 	s.mu.Lock()
 	ents := make([]ent, 0, len(s.pages))
-	marked := false
 	for p, e := range s.pages {
 		a := p << mem.PageShift
 		switch {
@@ -446,7 +449,6 @@ func (s *Space) ForkInto(dst *Space, shBase, shLimit, kBase uint32) {
 			if !e.cow {
 				e.cow = true
 				s.pages[p] = e
-				marked = true
 			}
 		case a >= shBase && a < shLimit:
 			// Public: both spaces address the same frame directly.
@@ -457,7 +459,7 @@ func (s *Space) ForkInto(dst *Space, shBase, shLimit, kBase uint32) {
 		e.frame.Retain()
 		ents = append(ents, ent{p, e})
 	}
-	if marked {
+	if len(ents) > 0 {
 		s.gen.Add(1)
 	}
 	s.mu.Unlock()

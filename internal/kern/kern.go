@@ -67,6 +67,7 @@ type Kernel struct {
 	ctrVMTraps   *obsv.Counter
 	ctrTLBHit    *obsv.Counter
 	ctrTLBMiss   *obsv.Counter
+	ctrTLBPriv   *obsv.Counter
 	ctrBlkBuild  *obsv.Counter
 	ctrBlkHit    *obsv.Counter
 	ctrBlkInval  *obsv.Counter
@@ -123,6 +124,7 @@ func newKernel(fs *shmfs.FS, phys *mem.Physical) *Kernel {
 		ctrVMTraps:   o.R.Counter("vm.traps"),
 		ctrTLBHit:    o.R.Counter("vm.tlb_hit"),
 		ctrTLBMiss:   o.R.Counter("vm.tlb_miss"),
+		ctrTLBPriv:   o.R.Counter("vm.tlb_fill_private"),
 		ctrBlkBuild:  o.R.Counter("vm.block_build"),
 		ctrBlkHit:    o.R.Counter("vm.block_hit"),
 		ctrBlkInval:  o.R.Counter("vm.block_invalidate"),
@@ -217,6 +219,7 @@ func (k *Kernel) Spawn(uid int) *Process {
 	p.CPU.CtrTraps = k.ctrVMTraps
 	p.CPU.CtrTLBHit = k.ctrTLBHit
 	p.CPU.CtrTLBMiss = k.ctrTLBMiss
+	p.CPU.CtrTLBFillPrivate = k.ctrTLBPriv
 	p.CPU.CtrBlockBuild = k.ctrBlkBuild
 	p.CPU.CtrBlockHit = k.ctrBlkHit
 	p.CPU.CtrBlockInval = k.ctrBlkInval

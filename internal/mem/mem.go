@@ -53,14 +53,20 @@ type Frame struct {
 	// loop, so the watermark never under-reports — a torn or lost update
 	// is impossible, only a wider-than-necessary range.
 	tracked atomic.Bool
+	// decoded is set once a translated block has been decoded from the
+	// frame, and never cleared. A private store bumps the version only
+	// when it is set (StorePrivateWordBE). It sits in tracked's padding.
+	decoded atomic.Bool
 	dirty   atomic.Uint64
 }
 
 // PFN returns the frame's physical frame number within its pool.
 func (f *Frame) PFN() int { return f.pfn }
 
-// Physical is a pool of physical frames with a simple free list. It is safe
-// for concurrent use.
+// Physical is a frame allocator with a live-frame limit. It keeps no free
+// list: Alloc makes each frame a new Go object, and a frame whose last
+// reference goes is left to the garbage collector. It is safe for
+// concurrent use.
 type Physical struct {
 	mu       sync.Mutex
 	limit    int // maximum number of live frames; 0 means unlimited
@@ -264,20 +270,29 @@ func (f *Frame) Copy() (*Frame, error) {
 	return g, nil
 }
 
-// ---- atomic word access -----------------------------------------------------
+// ---- word access ------------------------------------------------------------
 //
 // With true SMP, guest CPUs on different host goroutines load and store the
-// same frames concurrently. Word-granular guest accesses therefore go
-// through host-atomic 32-bit operations on the frame word, converted
-// between guest (big-endian) and host byte order here. On little-endian
-// hosts the conversion is the same bswap binary.BigEndian performed. An
-// aligned 32-bit atomic load is a plain MOV on amd64, so loads cost what
-// they did before; an atomic store is an XCHG there (STLR on arm64), a
-// full barrier that costs more than a plain store. In return concurrent
-// CPUs get tear-free words and the race detector gets a sound
-// happens-before model of guest memory. Byte and bulk accesses stay plain:
-// guests that share sub-word data must synchronise around it, exactly as
-// the paper's processes must.
+// same frames concurrently. Word-granular accesses to a frame that may be
+// shared therefore go through host-atomic 32-bit operations on the frame
+// word, converted between guest (big-endian) and host byte order here. On
+// little-endian hosts the conversion is the same bswap binary.BigEndian
+// performed. An aligned 32-bit atomic load is a plain MOV on amd64, so
+// loads cost what they did before; an atomic store is an XCHG there (STLR
+// on arm64), a full barrier that costs more than a plain store, and so is
+// the version bump in front of it. In return concurrent CPUs get tear-free
+// words and the race detector gets a sound happens-before model of guest
+// memory.
+//
+// The VM's stores to a Private frame (one holder, untracked) take
+// StorePrivateWordBE and StorePrivateByte instead: plain host stores that
+// bump the version only once a block was decoded from the frame. The VM
+// chooses the tier when it fills a D-TLB slot; docs/SMP.md states the
+// rule that keeps that sound.
+//
+// Byte and bulk accesses of shared frames stay plain: guests that share
+// sub-word data must synchronise around it, exactly as the paper's
+// processes must.
 
 // hostIsBig reports the host byte order, decided once at init.
 var hostIsBig = func() bool {
@@ -313,6 +328,43 @@ func (f *Frame) StoreWordBE(off, v uint32) {
 	f.ver.Add(1)
 	f.noteRange(off&(PageSize-1)&^3, 4)
 	atomic.StoreUint32(f.wordPtr(off), beWord(v))
+}
+
+// Private reports whether f has one holder and is not tracked by netshm:
+// the condition under which the VM's store fast path may write it with
+// plain stores. The answer goes stale only when a second holder appears
+// (netshm tracks file frames, which the file holds): ForkInto then moves
+// the sharing space's generation, and MapFrames maps only frames its
+// caller already holds (see package addrspace).
+func (f *Frame) Private() bool { return f.refs.Load() == 1 && !f.tracked.Load() }
+
+// MarkDecoded records that a translated block is decoded from f. The block
+// engine calls it before it reads the version it validates against, so
+// every later private store to f bumps the version.
+func (f *Frame) MarkDecoded() {
+	if !f.decoded.Load() {
+		f.decoded.Store(true)
+	}
+}
+
+// StorePrivateWordBE stores the guest word at the aligned frame offset with
+// a plain host store. Only the one CPU that holds f privately may call it
+// (see Private). The version bumps, before the bytes change, only if a
+// block was ever decoded from f: blocks are the only readers of a private
+// frame's version.
+func (f *Frame) StorePrivateWordBE(off, v uint32) {
+	if f.decoded.Load() {
+		f.ver.Add(1)
+	}
+	*f.wordPtr(off) = beWord(v)
+}
+
+// StorePrivateByte is StorePrivateWordBE for one byte.
+func (f *Frame) StorePrivateByte(off uint32, v byte) {
+	if f.decoded.Load() {
+		f.ver.Add(1)
+	}
+	f.Data[off&(PageSize-1)] = v
 }
 
 // SwapWordBE atomically exchanges the guest word at the aligned frame

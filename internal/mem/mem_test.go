@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestAllocZeroed(t *testing.T) {
@@ -254,5 +255,42 @@ func TestConcurrentAlloc(t *testing.T) {
 	}
 	if len(seen) != 400 {
 		t.Fatalf("got %d frames, want 400", len(seen))
+	}
+}
+
+// TestPrivateTierBits: a frame is private while it has one holder and is
+// untracked; a private store moves the version only once the frame is
+// marked decoded, and the decoded bit lives in existing padding, so a
+// frame is still its page plus 48 bytes.
+func TestPrivateTierBits(t *testing.T) {
+	if got := unsafe.Sizeof(Frame{}); got != PageSize+48 {
+		t.Fatalf("Frame is %d bytes, want %d", got, PageSize+48)
+	}
+	f, err := NewPhysical(0).Alloc()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !f.Private() {
+		t.Fatal("a fresh frame is not private")
+	}
+	f.StorePrivateWordBE(8, 0x01020304)
+	f.StorePrivateByte(12, 0xAA)
+	if f.Version() != 0 || f.LoadWordBE(8) != 0x01020304 || f.Data[12] != 0xAA {
+		t.Fatalf("undecoded private stores: version %d, word %#x, byte %#x", f.Version(), f.LoadWordBE(8), f.Data[12])
+	}
+	f.MarkDecoded()
+	f.StorePrivateWordBE(8, 5)
+	f.StorePrivateByte(12, 6)
+	if f.Version() != 2 {
+		t.Fatalf("decoded frame's version = %d after two private stores, want 2", f.Version())
+	}
+	f.Retain()
+	if f.Private() {
+		t.Fatal("a frame with two holders is private")
+	}
+	f.Release()
+	f.SetTracked(true)
+	if f.Private() {
+		t.Fatal("a tracked frame is private")
 	}
 }

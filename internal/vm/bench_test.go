@@ -78,3 +78,36 @@ func BenchmarkDispatchStep(b *testing.B) {
 		}
 	}
 }
+
+// calibSink keeps BenchmarkCalibrate's result live.
+var calibSink uint32
+
+// BenchmarkCalibrate is fixed pure-Go work that calls no Hemlock code: a
+// xorshift stream mixed into a 1 KB table, with a data-dependent branch,
+// the same kind of work as dispatch (ALU ops, L1 loads and stores,
+// branches). It measures the host, not the code under test.
+// scripts/bench.sh runs it beside BenchmarkDispatch, and
+// scripts/benchcheck.sh divides each row by it when both files carry it,
+// so a slower or busier host does not read as a regression.
+func BenchmarkCalibrate(b *testing.B) {
+	var tab [256]uint32
+	for i := range tab {
+		tab[i] = uint32(i) * 2654435761
+	}
+	x := uint32(1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := 0; j < 64; j++ {
+			x ^= x << 13
+			x ^= x >> 17
+			x ^= x << 5
+			k := x & 255
+			tab[k] += x
+			if tab[k]&1 != 0 {
+				x += tab[(k+1)&255]
+			}
+		}
+	}
+	calibSink = x
+}

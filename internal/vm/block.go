@@ -41,11 +41,17 @@ package vm
 //
 // The engine retires architectural state per op: traps leave PC and
 // registers at the faulting instruction (restartability is what the
-// paper's SIGSEGV-driven lazy linking needs), syscall/break advance PC,
-// and a batch never retires more than its budget — when the next op is a
-// fused pair that would overshoot, the tail runs through Step. The
-// differential harness holds the engine bit-identical to Step over
-// events, steps, traps, registers, PC and the whole-memory hash.
+// paper's SIGSEGV-driven lazy linking needs), and syscall/break advance
+// PC. The step budget is charged once per block: a block that fits in
+// what is left of the batch is charged whole on entry, and an exit in
+// mid-block (a trap, or a store into the block's own page) gives back
+// the budget of the ops after it, which each op records at build. A
+// syscall, break or halt ends its block, so nothing follows it. A block
+// that does not fit is not entered: the rest of the batch retires
+// through Step from the block's start, so a batch never retires more
+// than its budget, not even by splitting a fused op. The differential
+// harness holds the engine bit-identical to Step over events, steps,
+// traps, registers, PC and the whole-memory hash.
 
 import (
 	"fmt"
@@ -67,7 +73,9 @@ const (
 
 	// maxBlockInsts caps how many instructions one block may retire, so a
 	// page of straight-line code does not decode in one gulp the first
-	// time a prefix of it executes. Must stay below 1<<16 (bop.n).
+	// time a prefix of it executes. A block's budget, absorbed nops
+	// included, is at most a page's 1024 words, well below 1<<16
+	// (bop.rest).
 	maxBlockInsts = 256
 )
 
@@ -138,8 +146,8 @@ type bop struct {
 	rd   uint8
 	rs   uint8
 	rt   uint8
-	pre  uint16 // leading fused nops, retired with this op
-	n    uint16 // budget to attempt the op: pre + primary instructions
+	rest uint16 // budget of the ops after this one, given back on an exit here
+	n    uint16 // budget of the op: leading absorbed nops + primary instructions
 	imm  uint32
 	aux  uint32
 	pc   uint32 // address of the primary (first non-nop) instruction
@@ -148,6 +156,7 @@ type bop struct {
 // block is one decoded straight-line run, confined to a single page.
 type block struct {
 	pc    uint32
+	n     uint32     // budget of the whole block, charged on entry
 	gen   uint64     // addrspace generation at build
 	fver  uint64     // frame store version at build
 	frame *mem.Frame // the one page the block decodes from
@@ -233,9 +242,12 @@ func (c *CPU) buildBlock(pc uint32) (*block, error) {
 	}
 	c.stats.TLBMisses++ // one per block build, not per instruction
 	b := &block{pc: pc, gen: ent.Gen, frame: ent.Frame}
-	// Read the frame version BEFORE any instruction bytes: a store racing
-	// past this point leaves the predecode at least as old as fver, so the
-	// entry check refuses the block and rebuilds.
+	// Mark the frame decoded, then read its version, BEFORE any
+	// instruction bytes: from here on even a private store bumps the
+	// version, and a store racing past this point leaves the predecode at
+	// least as old as fver, so the entry check refuses the block and
+	// rebuilds.
+	ent.Frame.MarkDecoded()
 	b.fver = ent.Frame.Version()
 
 	base := pc &^ uint32(mem.PageSize-1)
@@ -248,17 +260,17 @@ func (c *CPU) buildBlock(pc uint32) (*block, error) {
 	for {
 		if wi >= pageWords || ninst >= maxBlockInsts {
 			fpc := base + wi*4
-			b.ops = append(b.ops, bop{kind: bFALL, pre: pre, n: pre, imm: fpc, pc: fpc})
-			return b, nil
+			b.ops = append(b.ops, bop{kind: bFALL, n: pre, imm: fpc, pc: fpc})
+			return b.charge(), nil
 		}
 		w := word(wi)
 		if w == isa.Nop {
-			pre++ // absorbed into the next op's pre count
+			pre++ // absorbed into the next op's budget
 			wi++
 			continue
 		}
 		ipc := base + wi*4
-		op := bop{pre: pre, n: pre + 1, pc: ipc}
+		op := bop{n: pre + 1, pc: ipc}
 		pre = 0
 		terminal := false
 		in := predecode(w)
@@ -335,14 +347,13 @@ func (c *CPU) buildBlock(pc uint32) (*block, error) {
 		case isa.OpLUI:
 			fop, fwords, fterm := c.fuseLUI(in, ipc, wi, word)
 			if fwords > 1 {
-				fop.pre = op.pre
-				fop.n = op.pre + fwords
+				fop.n = op.n - 1 + fwords
 				op, terminal = fop, fterm
 				wi += uint32(fwords)
 				ninst += int(op.n)
 				b.ops = append(b.ops, op)
 				if terminal {
-					return b, nil
+					return b.charge(), nil
 				}
 				continue
 			}
@@ -366,20 +377,32 @@ func (c *CPU) buildBlock(pc uint32) (*block, error) {
 		ninst += int(op.n)
 		b.ops = append(b.ops, op)
 		if terminal {
-			return b, nil
+			return b.charge(), nil
 		}
 	}
+}
+
+// charge records the block's whole budget and, in each op, the budget of
+// the ops after it.
+func (b *block) charge() *block {
+	var rest uint32
+	for i := len(b.ops) - 1; i >= 0; i-- {
+		b.ops[i].rest = uint16(rest)
+		rest += uint32(b.ops[i].n)
+	}
+	b.n = rest
+	return b
 }
 
 // RunBatch retires up to max instructions, stopping early at the first
 // non-step event or trap (EventStep with a nil error means the budget ran
 // out). It is the kernel's executor: probe (or chain into) the block at
-// PC, retire its ops, repeat until the budget is gone or an event/trap
-// exits the batch. Step accounting stays in locals (retired is folded into
-// c.Steps at every exit), register indices are masked so the compiler
-// drops the bounds checks from the hot loop, and cache statistics are
-// flushed to the obsv counters once per batch rather than once per
-// instruction.
+// PC, charge its whole budget, retire its ops, repeat until the budget is
+// gone or an event/trap exits the batch. Step accounting stays in locals
+// (retired is folded into c.Steps at every exit), register indices are
+// masked so the compiler drops the bounds checks from the hot loop, and
+// cache statistics are flushed to the obsv counters once per batch rather
+// than once per instruction.
 func (c *CPU) RunBatch(max uint64) (Event, error) {
 	left := max
 	var retired uint64 // steps retired since the last fold into c.Steps
@@ -405,30 +428,26 @@ outer:
 			edge = nil
 		}
 		for { // execute b, then follow its chain while valid
+			if uint64(b.n) > left {
+				// The rest of the budget cannot retire the whole block:
+				// finish the batch one instruction at a time through
+				// Step, from the block's start (c.PC).
+				c.Steps += retired
+				for ; left > 0; left-- {
+					if ev, err := c.Step(); err != nil || ev != EventStep {
+						c.FlushObsv()
+						return ev, err
+					}
+				}
+				c.FlushObsv()
+				return EventStep, nil
+			}
+			left -= uint64(b.n)
+			retired += uint64(b.n)
 			var slot **block
 			ops := b.ops
 			for i := range ops {
 				op := &ops[i]
-				n := uint64(op.n)
-				if n > left {
-					// The remaining budget cannot retire this (possibly
-					// fused) op atomically: finish the tail one
-					// instruction at a time through Step, starting at the
-					// op's first absorbed nop.
-					c.Steps += retired
-					c.PC = op.pc - uint32(op.pre)*4
-					c.sample(0)
-					for ; left > 0; left-- {
-						if ev, err := c.Step(); err != nil || ev != EventStep {
-							c.FlushObsv()
-							return ev, err
-						}
-					}
-					c.FlushObsv()
-					return EventStep, nil
-				}
-				retired += n
-				left -= n
 				switch op.kind {
 				case bSLL:
 					bset(regs, op.rd, regs[op.rt&31]<<op.aux)
@@ -447,7 +466,7 @@ outer:
 				case bDIV:
 					if regs[op.rt&31] == 0 {
 						c.Steps += retired
-						return c.blockTrap(op.pc, 1, ErrDivZero)
+						return c.blockTrap(op.pc, op.rest, ErrDivZero)
 					}
 					bset(regs, op.rd, uint32(int32(regs[op.rs&31])/int32(regs[op.rt&31])))
 				case bADD:
@@ -505,7 +524,7 @@ outer:
 					if err != nil {
 						bset(regs, op.rs, op.aux) // the LUI half retired
 						c.Steps += retired
-						return c.blockTrap(op.pc+4, 1, err)
+						return c.blockTrap(op.pc+4, op.rest, err)
 					}
 					bset(regs, op.rs, op.aux)
 					bset(regs, op.rd, v)
@@ -518,50 +537,67 @@ outer:
 					if err := c.storeWord(op.imm, v); err != nil {
 						bset(regs, op.rs, op.aux)
 						c.Steps += retired
-						return c.blockTrap(op.pc+4, 1, err)
+						return c.blockTrap(op.pc+4, op.rest, err)
 					}
 					bset(regs, op.rs, op.aux)
 					c.stats.FusedOps++
 					if b.fver != b.frame.Version() {
+						// Stored into own page: predecode ahead is stale.
+						left += uint64(op.rest)
+						retired -= uint64(op.rest)
 						c.PC = op.pc + 8
-						continue outer // stored into own page: predecode ahead is stale
+						continue outer
 					}
 				case bLW:
-					v, err := c.loadWord(regs[op.rs&31] + op.imm)
+					addr := regs[op.rs&31] + op.imm
+					if e := c.dhit(addr>>mem.PageShift, addrspace.ProtRead); e != nil && addr&3 == 0 {
+						c.stats.TLBHits++
+						bset(regs, op.rt, e.frame.LoadWordBE(addr))
+						break
+					}
+					v, err := c.loadWord(addr)
 					if err != nil {
 						c.Steps += retired
-						return c.blockTrap(op.pc, 1, err)
+						return c.blockTrap(op.pc, op.rest, err)
 					}
 					bset(regs, op.rt, v)
 				case bLB:
 					bv, err := c.loadByte(regs[op.rs&31] + op.imm)
 					if err != nil {
 						c.Steps += retired
-						return c.blockTrap(op.pc, 1, err)
+						return c.blockTrap(op.pc, op.rest, err)
 					}
 					bset(regs, op.rt, uint32(int32(int8(bv))))
 				case bLBU:
 					bv, err := c.loadByte(regs[op.rs&31] + op.imm)
 					if err != nil {
 						c.Steps += retired
-						return c.blockTrap(op.pc, 1, err)
+						return c.blockTrap(op.pc, op.rest, err)
 					}
 					bset(regs, op.rt, uint32(bv))
 				case bSW:
-					if err := c.storeWord(regs[op.rs&31]+op.imm, regs[op.rt&31]); err != nil {
+					addr := regs[op.rs&31] + op.imm
+					if e := c.dhit(addr>>mem.PageShift, addrspace.ProtWrite); e != nil && e.priv && addr&3 == 0 {
+						c.stats.TLBHits++
+						e.frame.StorePrivateWordBE(addr, regs[op.rt&31])
+					} else if err := c.storeWord(addr, regs[op.rt&31]); err != nil {
 						c.Steps += retired
-						return c.blockTrap(op.pc, 1, err)
+						return c.blockTrap(op.pc, op.rest, err)
 					}
 					if b.fver != b.frame.Version() {
+						left += uint64(op.rest)
+						retired -= uint64(op.rest)
 						c.PC = op.pc + 4
 						continue outer
 					}
 				case bSB:
 					if err := c.storeByte(regs[op.rs&31]+op.imm, byte(regs[op.rt&31])); err != nil {
 						c.Steps += retired
-						return c.blockTrap(op.pc, 1, err)
+						return c.blockTrap(op.pc, op.rest, err)
 					}
 					if b.fver != b.frame.Version() {
+						left += uint64(op.rest)
+						retired -= uint64(op.rest)
 						c.PC = op.pc + 4
 						continue outer
 					}
@@ -632,7 +668,7 @@ outer:
 					return EventHalt, nil
 				case bILLEGAL:
 					c.Steps += retired
-					return c.blockTrap(op.pc, 1, illegalErr(op.imm))
+					return c.blockTrap(op.pc, op.rest, illegalErr(op.imm))
 				case bFALL:
 					c.PC = op.imm
 					slot = &b.fall
@@ -661,12 +697,12 @@ func bset(regs *[32]uint32, r uint8, v uint32) {
 	}
 }
 
-// blockTrap exits block execution with a trap at pc. unwind is the number
-// of instructions charged on op entry that did not actually retire (the
-// trapping instruction itself; its absorbed nops and any fused prefix
-// did retire).
-func (c *CPU) blockTrap(pc uint32, unwind uint64, err error) (Event, error) {
-	c.Steps -= unwind
+// blockTrap exits block execution with a trap at pc. rest is the budget of
+// the ops after the trapping one, charged on block entry; it is given
+// back together with the trapping instruction itself (its absorbed nops
+// and any fused prefix did retire).
+func (c *CPU) blockTrap(pc uint32, rest uint16, err error) (Event, error) {
+	c.Steps -= uint64(rest) + 1
 	c.PC = pc
 	ev, terr := c.trap(pc, err)
 	c.FlushObsv()

@@ -8,6 +8,7 @@ package vm_test
 // generated programs.
 
 import (
+	"fmt"
 	"testing"
 
 	"hemlock/internal/addrspace"
@@ -257,5 +258,111 @@ func TestSnapshotDropsBlockCache(t *testing.T) {
 	}
 	if st := child.CacheStats(); st.BlockHits != 0 && st.BlockBuilds == 0 {
 		t.Fatalf("child hit inherited blocks: %+v", st)
+	}
+}
+
+// Budget-split program: two blocks whose exits cover every way a block
+// can leave in mid-run. The first holds absorbed nops, a fused lui+ori, a
+// fused lui+sw and a load, and ends in a syscall. The second stores into
+// its own page (patching a later instruction of the same block), holds a
+// fused lui+lw, faults on a load from an unmapped page, and ends in a
+// break; a halt follows.
+const budgetFaultPage = 0x00003000
+
+func budgetSplitCode() []uint32 {
+	patched := isa.EncodeI(isa.OpADDIU, 9, 9, 200) // addiu t1, t1, 200
+	return []uint32{
+		isa.Nop,
+		isa.EncodeI(isa.OpLUI, 8, 0, 0), // lui   t0, 0
+		isa.EncodeI(isa.OpORI, 8, 8, benchDataBase), // ori   t0, t0, data (fuses)
+		isa.EncodeI(isa.OpADDIU, 9, 0, 7),           // addiu t1, zero, 7
+		isa.Nop,
+		isa.Nop,
+		isa.EncodeI(isa.OpLUI, 10, 0, 0),              // lui   t2, 0
+		isa.EncodeI(isa.OpSW, 9, 10, benchDataBase+8), // sw    t1, data+8(t2) (fuses)
+		isa.EncodeI(isa.OpLW, 11, 8, 8),               // lw    t3, 8(t0)
+		isa.EncodeR(isa.FnSYSCALL, 0, 0, 0, 0),        // syscall
+		isa.EncodeI(isa.OpADDIU, 9, 9, 1),             // addiu t1, t1, 1
+		isa.EncodeI(isa.OpLUI, 13, 0, uint16(patched>>16)),
+		isa.EncodeI(isa.OpORI, 13, 13, uint16(patched)),  // t5 = patched word (fuses)
+		isa.EncodeI(isa.OpSW, 13, 0, benchTextBase+17*4), // sw t5, word 17: own page
+		isa.Nop,
+		isa.EncodeI(isa.OpLUI, 14, 0, 0), // lui   t6, 0
+		isa.EncodeI(isa.OpLW, 16, 14, benchDataBase+8), // lw    s0, data+8(t6) (fuses)
+		isa.EncodeI(isa.OpADDIU, 9, 9, 100),            // addiu t1, t1, 100: patched to 200
+		isa.EncodeI(isa.OpLW, 15, 17, 0),               // lw    t7, 0(s1): faults
+		isa.EncodeI(isa.OpADDIU, 9, 9, 3),              // addiu t1, t1, 3
+		isa.Nop,
+		isa.EncodeR(isa.FnBREAK, 0, 0, 0, 0), // break
+		isa.EncodeI(isa.OpADDIU, 10, 10, 5),  // addiu t2, t2, 5
+		isa.EncodeI(isa.OpHALT, 0, 0, 0),
+	}
+}
+
+// driveBudget retires up to k instructions through run, resuming after
+// what a kernel would service: a syscall or break resumes at the next
+// instruction, and a fault on budgetFaultPage maps the page and restarts
+// the load. It logs every exit.
+func driveBudget(t *testing.T, c *vm.CPU, k uint64, run func(uint64) (vm.Event, error)) []string {
+	t.Helper()
+	var log []string
+	for c.Steps < k {
+		ev, err := run(k - c.Steps)
+		log = append(log, fmt.Sprintf("ev=%v err=%v steps=%d pc=0x%08x", ev, err, c.Steps, c.PC))
+		if err != nil {
+			f, ok := vm.FaultOf(err)
+			if !ok || addrspace.PageBase(f.Addr) != budgetFaultPage {
+				t.Fatalf("budget %d: unexpected trap %v", k, err)
+			}
+			if err := c.AS.MapAnon(budgetFaultPage, mem.PageSize, addrspace.ProtRW); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		if ev == vm.EventHalt {
+			break
+		}
+	}
+	return log
+}
+
+// TestRunBatchBudgetSplitMatchesStep: RunBatch charges a block's budget
+// on entry and gives back what an exit in mid-block did not retire. For
+// every budget from 1 to past the end of the program, RunBatch must end
+// where that many Step calls end: the same exits (event, trap, steps, PC)
+// and the same registers, trap count and memory.
+func TestRunBatchBudgetSplitMatchesStep(t *testing.T) {
+	code := budgetSplitCode()
+	boot := func() *vm.CPU {
+		as := newSpace(t)
+		putCode(t, as, benchTextBase, code)
+		c := vm.New(as)
+		c.PC = benchTextBase
+		c.Regs[17] = budgetFaultPage // s1
+		return c
+	}
+	for k := uint64(1); k <= uint64(len(code))+4; k++ {
+		bc, sc := boot(), boot()
+		blog := driveBudget(t, bc, k, bc.RunBatch)
+		slog := driveBudget(t, sc, k, func(n uint64) (vm.Event, error) {
+			for ; n > 0; n-- {
+				if ev, err := sc.Step(); err != nil || ev != vm.EventStep {
+					return ev, err
+				}
+			}
+			return vm.EventStep, nil
+		})
+		if fmt.Sprint(blog) != fmt.Sprint(slog) {
+			t.Fatalf("budget %d: exits differ\nRunBatch: %v\nStep:     %v", k, blog, slog)
+		}
+		if bc.Steps != sc.Steps || bc.Traps != sc.Traps || vm.StateHash(bc) != vm.StateHash(sc) {
+			t.Fatalf("budget %d: state differs\nRunBatch:\n%s\nStep:\n%s", k, vm.DumpState(bc), vm.DumpState(sc))
+		}
+	}
+	// The last budget ran the whole program: the patched word ran.
+	c := boot()
+	driveBudget(t, c, 1000, c.RunBatch)
+	if c.Regs[9] != 7+1+200+3 || c.Regs[16] != 7 || c.Regs[10] != 5 || c.Traps != 1 {
+		t.Fatalf("full run: t1=%d s0=%d t2=%d traps=%d", c.Regs[9], c.Regs[16], c.Regs[10], c.Traps)
 	}
 }

@@ -19,10 +19,19 @@
 // slot, self-modifying code, a store from another process sharing the
 // frame — is picked up on the very next fetch.
 //
+// Stores pay for sharing only where memory is shared. A D-TLB fill
+// chooses the store tier: a frame this space holds alone, untracked by
+// netshm (mem.Frame.Private), takes plain host stores, with a version
+// bump only if a block was ever decoded from it; every other frame takes
+// the version bump and the host-atomic store. The choice lasts until the
+// space's generation moves, and every way a frame gains a second holder
+// moves it (dentry states the rule). The step budget is charged once per
+// block, not once per instruction.
+//
 // Step is the cache-free reference: every fetch, load and store goes
 // straight through the address space. The differential harness holds
 // RunBatch bit-identical to it, and the block engine uses it to retire a
-// batch's last few instructions when the budget ends inside a fused op.
+// batch's last instructions when the budget ends inside a block.
 package vm
 
 import (
@@ -97,13 +106,15 @@ const (
 	pageWords = mem.PageSize / 4
 )
 
-// tlbEnt is one software-TLB slot. Valid iff frame != nil; a slot is a hit
-// when the VPN tag matches and the space generation has not moved.
+// tlbEnt is one software-TLB slot. A slot is a hit when the VPN tag
+// matches, it grants the access and the space generation has not moved;
+// an empty slot grants nothing.
 type tlbEnt struct {
 	frame *mem.Frame
 	gen   uint64
 	vpn   uint32
 	prot  addrspace.Prot
+	priv  bool // writable and private at fill: stores take the plain tier
 }
 
 // pinst is one decoded instruction word: the fields isa.Inst carries,
@@ -132,8 +143,9 @@ func predecode(w uint32) pinst {
 // CacheStats is the cumulative D-TLB and block-engine accounting for one
 // CPU.
 type CacheStats struct {
-	TLBHits   uint64 // D-TLB hit: no lock, no map lookup
-	TLBMisses uint64 // slow-path Translate (fills a slot, or builds a block)
+	TLBHits        uint64 // D-TLB hit: no lock, no map lookup
+	TLBMisses      uint64 // slow-path Translate (fills a slot, or builds a block)
+	TLBFillPrivate uint64 // fills that chose the private store tier
 
 	BlockBuilds uint64 // basic blocks decoded (vm.block_build)
 	BlockHits   uint64 // block entries served without a build (vm.block_hit)
@@ -153,10 +165,11 @@ type CPU struct {
 	// kernel-wide vm.traps counter. Nil-safe; fork shares the pointer.
 	CtrTraps *obsv.Counter
 
-	// Cache counters (vm.tlb_hit, vm.tlb_miss), wired by kern.Spawn. The
-	// hot path accumulates in the plain per-CPU stats fields; FlushObsv
-	// folds the deltas into these shared atomics at batch boundaries.
-	CtrTLBHit, CtrTLBMiss *obsv.Counter
+	// Cache counters (vm.tlb_hit, vm.tlb_miss, vm.tlb_fill_private), wired
+	// by kern.Spawn. The hot path accumulates in the plain per-CPU stats
+	// fields; FlushObsv folds the deltas into these shared atomics at
+	// batch boundaries.
+	CtrTLBHit, CtrTLBMiss, CtrTLBFillPrivate *obsv.Counter
 
 	// Block-engine counters (vm.block_build, vm.block_hit,
 	// vm.block_invalidate, vm.fused_ops), wired by kern.Spawn and folded
@@ -207,6 +220,7 @@ func (c *CPU) CacheStats() CacheStats { return c.stats }
 func (c *CPU) FlushObsv() {
 	c.CtrTLBHit.Add(c.stats.TLBHits - c.flushed.TLBHits)
 	c.CtrTLBMiss.Add(c.stats.TLBMisses - c.flushed.TLBMisses)
+	c.CtrTLBFillPrivate.Add(c.stats.TLBFillPrivate - c.flushed.TLBFillPrivate)
 	c.CtrBlockBuild.Add(c.stats.BlockBuilds - c.flushed.BlockBuilds)
 	c.CtrBlockHit.Add(c.stats.BlockHits - c.flushed.BlockHits)
 	c.CtrBlockInval.Add(c.stats.BlockInvals - c.flushed.BlockInvals)
@@ -214,13 +228,25 @@ func (c *CPU) FlushObsv() {
 	c.flushed = c.stats
 }
 
+// dhit returns the D-TLB slot for page vp if it grants need under the
+// space's current generation, else nil. An empty slot grants nothing. It
+// is small enough to inline, so the op loop serves an lw hit, and an sw
+// hit on a private slot, without a call; everything else goes through
+// loadWord/storeWord.
+func (c *CPU) dhit(vp uint32, need addrspace.Prot) *tlbEnt {
+	e := &c.dtlb[vp&(tlbSize-1)]
+	if e.vpn == vp && e.prot&need != 0 && e.gen == c.AS.Gen() {
+		return e
+	}
+	return nil
+}
+
 // dentry returns a valid D-TLB entry for addr with the needed right,
 // filling the slot from the address space on a miss. The returned *Fault
 // is non-nil when translation fails.
 func (c *CPU) dentry(addr uint32, a addrspace.Access) (*tlbEnt, *addrspace.Fault) {
 	vp := addr >> mem.PageShift
-	e := &c.dtlb[vp&(tlbSize-1)]
-	if e.frame != nil && e.vpn == vp && e.prot&a.Need() != 0 && e.gen == c.AS.Gen() {
+	if e := c.dhit(vp, a.Need()); e != nil {
 		c.stats.TLBHits++
 		return e, nil
 	}
@@ -229,7 +255,22 @@ func (c *CPU) dentry(addr uint32, a addrspace.Access) (*tlbEnt, *addrspace.Fault
 		return nil, flt
 	}
 	c.stats.TLBMisses++
-	e.frame, e.gen, e.vpn, e.prot = ent.Frame, ent.Gen, vp, ent.Prot
+	// The store tier is chosen here and kept until the space's generation
+	// moves. A writable frame this space holds alone, untracked by netshm,
+	// is private: stores through the slot are plain host stores. That is
+	// sound because nothing else can read the frame while the slot lives.
+	// A frame gains a second holder only through addrspace.Space.ForkInto,
+	// which moves the source space's generation whenever it shares a page,
+	// or through MapFrames, whose caller already holds the frames, so none
+	// of them was private. And one CPU runs against a space at a time:
+	// each process has one vm.CPU, and a task moves between host CPUs
+	// through the scheduler's lock.
+	priv := ent.Prot&addrspace.ProtWrite != 0 && ent.Frame.Private()
+	if priv {
+		c.stats.TLBFillPrivate++
+	}
+	e := &c.dtlb[vp&(tlbSize-1)]
+	e.frame, e.gen, e.vpn, e.prot, e.priv = ent.Frame, ent.Gen, vp, ent.Prot, priv
 	return e, nil
 }
 
@@ -260,13 +301,18 @@ func (c *CPU) storeWord(addr, val uint32) error {
 	if flt != nil {
 		return flt
 	}
-	// Self-modifying-code protocol: StoreWordBE bumps the frame version
+	// Self-modifying-code protocol: the store bumps the frame version
 	// before the bytes change, so any block decoded from this frame — ours
-	// or a sibling CPU's — fails its version check on next entry. The
-	// store itself is host-atomic: a sibling CPU concurrently loading or
-	// fetching this word sees the old word or the new one, never a torn
-	// mix.
-	e.frame.StoreWordBE(addr&(mem.PageSize-1), val)
+	// or a sibling CPU's — fails its version check on next entry. A
+	// private frame skips the bump until a block is decoded from it. A
+	// shared frame's store is host-atomic: a sibling CPU concurrently
+	// loading or fetching this word sees the old word or the new one,
+	// never a torn mix.
+	if e.priv {
+		e.frame.StorePrivateWordBE(addr, val)
+	} else {
+		e.frame.StoreWordBE(addr, val)
+	}
 	return nil
 }
 
@@ -274,6 +320,10 @@ func (c *CPU) storeByte(addr uint32, val byte) error {
 	e, flt := c.dentry(addr, addrspace.AccessWrite)
 	if flt != nil {
 		return flt
+	}
+	if e.priv {
+		e.frame.StorePrivateByte(addr&(mem.PageSize-1), val)
+		return nil
 	}
 	e.frame.NoteStoreRange(addr&(mem.PageSize-1), 1)
 	e.frame.Data[addr&(mem.PageSize-1)] = val
@@ -491,18 +541,19 @@ func (c *CPU) SetArchState(a ArchState) {
 // entries could falsely validate against the parent's frames.
 func (c *CPU) Snapshot() CPU {
 	return CPU{
-		Regs:          c.Regs,
-		PC:            c.PC,
-		AS:            c.AS,
-		Steps:         c.Steps,
-		Traps:         c.Traps,
-		CtrTraps:      c.CtrTraps,
-		CtrTLBHit:     c.CtrTLBHit,
-		CtrTLBMiss:    c.CtrTLBMiss,
-		CtrBlockBuild: c.CtrBlockBuild,
-		CtrBlockHit:   c.CtrBlockHit,
-		CtrBlockInval: c.CtrBlockInval,
-		CtrFusedOps:   c.CtrFusedOps,
-		sampler:       c.sampler,
+		Regs:              c.Regs,
+		PC:                c.PC,
+		AS:                c.AS,
+		Steps:             c.Steps,
+		Traps:             c.Traps,
+		CtrTraps:          c.CtrTraps,
+		CtrTLBHit:         c.CtrTLBHit,
+		CtrTLBMiss:        c.CtrTLBMiss,
+		CtrTLBFillPrivate: c.CtrTLBFillPrivate,
+		CtrBlockBuild:     c.CtrBlockBuild,
+		CtrBlockHit:       c.CtrBlockHit,
+		CtrBlockInval:     c.CtrBlockInval,
+		CtrFusedOps:       c.CtrFusedOps,
+		sampler:           c.sampler,
 	}
 }

@@ -27,11 +27,12 @@ cd "$(dirname "$0")/.."
 raw=BENCH_"$n".txt
 out=BENCH_"$n".json
 
-# Dispatch microbenchmark (internal/vm) and the paper's macro benchmarks
-# (repo root). -count=3 gives benchstat enough samples for a variance
-# estimate without making CI runs painful.
+# Dispatch microbenchmark (internal/vm) with the host calibration
+# benchmark beside it (scripts/benchcheck.sh divides by it), and the
+# paper's macro benchmarks (repo root). -count=3 gives benchstat enough
+# samples for a variance estimate without making CI runs painful.
 {
-  go test -run=NONE -bench='BenchmarkDispatch' -benchtime="$benchtime" -count=3 ./internal/vm/
+  go test -run=NONE -bench='BenchmarkDispatch|BenchmarkCalibrate' -benchtime="$benchtime" -count=3 ./internal/vm/
   go test -run=NONE -bench='Table1|CallNear|CallFar|PointerChase|LaunchByPath|PrestoParallel|NetShmScale|NetShmDeltaBytes' -benchtime="$benchtime" -count=3 .
 } | tee "$raw"
 

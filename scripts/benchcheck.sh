@@ -10,13 +10,17 @@
 #
 # 1. Cross-file: for every benchmark name present in both files the best
 #    (minimum) ns_per_op of the samples is compared; min-of-N is robust
-#    against a noisy neighbour inflating one sample. Every delta is
-#    reported. The gate FAILS (exit 1) if a gated benchmark — name
-#    containing "Dispatch", "CallNear", or "CallFarTrampoline" — is slower
-#    than the baseline by more than threshold_pct (default 20), or if a
-#    gated name present in one file is MISSING from the other (a renamed
-#    or deleted gated benchmark must fail loudly, not silently shrink the
-#    gate).
+#    against a noisy neighbour inflating one sample. When both files carry
+#    BenchmarkCalibrate (fixed pure-Go work, internal/vm/bench_test.go),
+#    each file's rows are divided by its best calibration sample first,
+#    so a file taken on a slower or busier host does not read as a
+#    regression; otherwise raw ns/op are compared. The mode is printed.
+#    Every delta is reported. The gate FAILS (exit 1) if a gated
+#    benchmark — name containing "Dispatch", "CallNear", or
+#    "CallFarTrampoline" — is slower than the baseline by more than
+#    threshold_pct (default 20), or if a gated name present in one file is
+#    MISSING from the other (a renamed or deleted gated benchmark must
+#    fail loudly, not silently shrink the gate).
 #
 # 2. Within-candidate ratio: the stable-linking launch benchmarks are
 #    gated against their cold counterparts measured in the SAME run, so
@@ -90,7 +94,15 @@ awk -v threshold="$threshold" -v basefile="$base" -v candfile="$cand" '
   }
   END {
     gatepat = "Dispatch|CallNear|CallFarTrampoline"
+    cal = "BenchmarkCalibrate"
     printf "benchcheck: %s (baseline) vs %s, gate: (%s) > +%d%%\n", basefile, candfile, gatepat, threshold
+    if ((cal in b) && (cal in c)) {
+      bcal = b[cal]; ccal = c[cal]
+      printf "benchcheck: comparing ns/op / %s (%.2f ns in the baseline, %.2f ns in the candidate)\n", cal, bcal, ccal
+    } else {
+      bcal = 1; ccal = 1
+      printf "benchcheck: comparing raw ns/op (%s is not in both files)\n", cal
+    }
     printf "%-34s %12s %12s %8s\n", "name", "base ns/op", "new ns/op", "delta"
     fail = 0
     n = 0
@@ -103,7 +115,7 @@ awk -v threshold="$threshold" -v basefile="$base" -v candfile="$cand" '
     }
     for (i = 0; i < n; i++) {
       name = order[i]
-      delta = (c[name] - b[name]) / b[name] * 100
+      delta = (c[name] / ccal - b[name] / bcal) / (b[name] / bcal) * 100
       mark = ""
       if (name ~ gatepat && delta > threshold) { mark = "  << REGRESSION"; fail = 1 }
       printf "%-34s %12.2f %12.2f %+7.1f%%%s\n", name, b[name], c[name], delta, mark
