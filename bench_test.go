@@ -1011,30 +1011,45 @@ loop:   jal     bench_fn
 	return s, im
 }
 
+// benchCalls launches the call-loop program once and calls main once to
+// warm it, outside the timer. Each op then runs main through
+// Kernel.CallFunction, the serve daemon's call path, and checks that it
+// returned 0.
 func benchCalls(b *testing.B, far bool, jumpTables bool) {
 	s, im := callLoopImage(b, far, jumpTables)
+	pg := mustLaunch(b, s, im, nil)
+	main, ok := im.Lookup("main")
+	if !ok {
+		b.Fatal("no main in the call-loop image")
+	}
+	call := func() uint64 {
+		ret, steps, err := s.K.CallFunction(pg.P, main, [4]uint32{}, 10_000_000)
+		if err != nil || ret != 0 {
+			b.Fatalf("main returned %d, %v", ret, err)
+		}
+		return steps
+	}
+	call()
 	b.ResetTimer()
 	var steps uint64
 	for i := 0; i < b.N; i++ {
-		pg := mustLaunch(b, s, im, nil)
-		if err := pg.Run(10_000_000); err != nil {
-			b.Fatal(err)
-		}
-		steps = pg.P.CPU.Steps
+		steps = call()
 	}
 	b.ReportMetric(float64(steps)/1000.0, "instrs/call")
 }
 
-// BenchmarkCallNear: 1000 direct calls within the private text region.
+// BenchmarkCallNear: 1000 direct calls within the private text region,
+// one op per run of main in an already launched process.
 func BenchmarkCallNear(b *testing.B) { benchCalls(b, false, false) }
 
 // BenchmarkCallFarTrampoline: 1000 calls into a shared-segment function,
 // each routed through the linker's trampoline fragment (resolved eagerly
-// at start-up).
+// at start-up), one op per run of main in an already launched process.
 func BenchmarkCallFarTrampoline(b *testing.B) { benchCalls(b, true, false) }
 
-// BenchmarkCallFarPLT: the SunOS-style jump-table ablation — the first
-// call traps and patches the stub; the remaining 999 run through it.
+// BenchmarkCallFarPLT: the SunOS-style jump-table ablation — 1000 calls
+// through a PLT stub that the untimed first run of main patched.
+// BenchmarkStartupJumpTables times the first-call trap.
 func BenchmarkCallFarPLT(b *testing.B) { benchCalls(b, true, true) }
 
 // ---- E-plt: start-up cost of eager vs jump-table call resolution --------------------------

@@ -11,7 +11,9 @@ import (
 // files in scripts/testdata. When both files carry BenchmarkCalibrate the
 // cross-file gate compares ns/op divided by it, so a host 30% slower on
 // every row passes while Dispatch 30% slower at equal calibration fails;
-// a baseline without the row is compared in raw ns/op.
+// a baseline without the row is compared in raw ns/op. Each run prints
+// both files' go_loc and its change, or names the file without it, and
+// neither a larger count nor a missing one fails the gate.
 func TestBenchcheckCalibration(t *testing.T) {
 	sh, err := exec.LookPath("sh")
 	if err != nil {
@@ -20,11 +22,11 @@ func TestBenchcheckCalibration(t *testing.T) {
 	for _, tc := range []struct {
 		base, cand string
 		pass       bool
-		mode       string
+		mode, loc  string
 	}{
-		{"bench_base.json", "bench_slow_all.json", true, "comparing ns/op / BenchmarkCalibrate"},
-		{"bench_base.json", "bench_slow_dispatch.json", false, "comparing ns/op / BenchmarkCalibrate"},
-		{"bench_base_nocal.json", "bench_slow_all.json", false, "comparing raw ns/op"},
+		{"bench_base.json", "bench_slow_all.json", true, "comparing ns/op / BenchmarkCalibrate", "go_loc: 25783 -> 25900 (+117)"},
+		{"bench_base.json", "bench_slow_dispatch.json", false, "comparing ns/op / BenchmarkCalibrate", "go_loc: not in scripts/testdata/bench_slow_dispatch.json"},
+		{"bench_base_nocal.json", "bench_slow_all.json", false, "comparing raw ns/op", "go_loc: 25783 -> 25900 (+117)"},
 	} {
 		cmd := exec.Command(sh, "scripts/benchcheck.sh", "scripts/testdata/"+tc.base, "scripts/testdata/"+tc.cand, "20")
 		out, err := cmd.CombinedOutput()
@@ -34,6 +36,9 @@ func TestBenchcheckCalibration(t *testing.T) {
 		}
 		if pass := err == nil; pass != tc.pass || !strings.Contains(string(out), tc.mode) {
 			t.Errorf("%s vs %s: passed=%v, want %v, and the mode %q:\n%s", tc.base, tc.cand, pass, tc.pass, tc.mode, out)
+		}
+		if !hasLine(string(out), tc.loc, "") {
+			t.Errorf("%s vs %s: no line %q:\n%s", tc.base, tc.cand, tc.loc, out)
 		}
 		if !tc.pass && !hasLine(string(out), "BenchmarkDispatch ", "<< REGRESSION") {
 			t.Errorf("%s vs %s: BenchmarkDispatch not flagged:\n%s", tc.base, tc.cand, out)

@@ -188,12 +188,17 @@ type Program struct {
 // is parked under this launch's content-hash key and every module template
 // it was linked from is unchanged, the process is CoW-cloned from the
 // fully linked template — no exec, no linking. Cold launches park
-// themselves as the template for the next identical launch.
+// themselves as the template for the next identical launch. An image the
+// codec cannot encode has no launch key: it links cold and is not parked.
 func (s *System) Launch(im *objfile.Image, uid int, env map[string]string) (*Program, error) {
-	var key string
+	var key uint64
 	stable := s.W.StableLinking()
 	if stable {
-		key = s.W.LaunchKey(im, uid, env)
+		var err error
+		key, err = s.W.LaunchKey(im, uid, env)
+		stable = err == nil
+	}
+	if stable {
 		// Singleflight: concurrent identical launches (the serve daemon
 		// under load, an SMP workload fanning out) serialize on the key.
 		// The first one in links cold and parks the zygote; everyone who

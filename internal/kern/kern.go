@@ -45,10 +45,6 @@ type Kernel struct {
 	procs   map[int]*Process
 	nextPID int
 
-	// FaultCount counts faults delivered to user-level handlers (the
-	// E-lazy and E-ptr experiments read it).
-	FaultCount uint64
-
 	// shmTxn backs the txn_stage/txn_commit system calls (see SetShmTxn);
 	// nil on machines without a netshm endpoint.
 	shmTxn ShmTxn
@@ -86,8 +82,8 @@ type Kernel struct {
 	// launch content hash (see zygote.go). Templates live outside the
 	// process table and the normal PID sequence.
 	zmu      sync.Mutex
-	zygotes  map[string]*zygote
-	zorder   []string // registration order, for capacity eviction
+	zygotes  map[uint64]*zygote
+	zorder   []uint64 // registration order, for capacity eviction
 	nextZPID int
 }
 
@@ -135,7 +131,7 @@ func newKernel(fs *shmfs.FS, phys *mem.Physical) *Kernel {
 		ctrZygClone:  o.R.Counter("kern.zygote_clone"),
 		ctrZygInval:  o.R.Counter("kern.zygote_invalidate"),
 		hRunSteps:    o.R.Histogram("kern.run_steps"),
-		zygotes:      map[string]*zygote{},
+		zygotes:      map[uint64]*zygote{},
 		nextZPID:     zygotePIDBase,
 	}
 	phys.RegisterObsv(o.R)
@@ -439,9 +435,6 @@ func (p *Process) Exit(code int) {
 // resolve the fault — the program-provided SIGSEGV handler, if one exists.
 // A nil return means the faulting instruction should be restarted.
 func (k *Kernel) HandleFault(p *Process, f *addrspace.Fault) error {
-	k.mu.Lock()
-	k.FaultCount++
-	k.mu.Unlock()
 	k.ctrFaults.Inc()
 	if t := k.Obs.Tracer(); t.Enabled() {
 		t.Emit(obsv.Event{Subsys: "kern", Name: "fault", PID: p.PID, Addr: f.Addr, Val: uint64(f.Access)})
@@ -508,16 +501,6 @@ func (k *Kernel) MapSharedFile(p *Process, path string, size uint32, prot addrsp
 	p.mappedSlots[st.Ino] = true
 	sp.End(uint64(need))
 	return st, nil
-}
-
-// UnmapSharedSlot removes the mapping of a shared slot from this process
-// (the file itself persists).
-func (p *Process) UnmapSharedSlot(ino int) {
-	if !p.mappedSlots[ino] {
-		return
-	}
-	p.AS.Unmap(shmfs.AddrOf(ino), shmfs.SlotSize)
-	delete(p.mappedSlots, ino)
 }
 
 // ---- fault-retrying memory access (hosted programs) -------------------------

@@ -310,8 +310,8 @@ func TestFaultHandlerChaining(t *testing.T) {
 	if !errors.Is(err, ErrUnhandled) {
 		t.Fatalf("want ErrUnhandled, got %v", err)
 	}
-	if k.FaultCount != 3 {
-		t.Fatalf("fault count = %d", k.FaultCount)
+	if n := k.Obs.R.Counter("kern.faults").Value(); n != 3 {
+		t.Fatalf("kern.faults = %d, want 3", n)
 	}
 }
 

@@ -55,14 +55,14 @@ func TestPrivateSlotStoresStayOwnAcrossFork(t *testing.T) {
 					t.Fatal(err)
 				}
 			} else {
-				k.RegisterZygote("tier", p, nil)
+				k.RegisterZygote(1, p, nil)
 			}
 			if ev, err := p.CPU.RunBatch(100); err != nil || ev != vm.EventSyscall {
 				t.Fatalf("to the exit: ev=%v err=%v", ev, err)
 			}
 			if child == nil {
 				var ok bool
-				if child, ok = k.CloneZygote("tier", ""); !ok {
+				if child, ok = k.CloneZygote(1, ""); !ok {
 					t.Fatal("no clone")
 				}
 			}
@@ -140,10 +140,10 @@ func TestSMPClonesPrivateStacksSharedCounter(t *testing.T) {
 	f := frames[0]
 	ver := f.Version()
 
-	k.RegisterZygote("worker", spawnWith(t, k, tierWorkerSrc(iters)), nil)
+	k.RegisterZygote(1, spawnWith(t, k, tierWorkerSrc(iters)), nil)
 	var ps []*Process
 	for i := 0; i < workers; i++ {
-		p, ok := k.CloneZygote("worker", "")
+		p, ok := k.CloneZygote(1, "")
 		if !ok {
 			t.Fatal("no clone")
 		}

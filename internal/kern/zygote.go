@@ -1,6 +1,7 @@
 package kern
 
 import (
+	"fmt"
 	"sort"
 
 	"hemlock/internal/obsv"
@@ -13,7 +14,7 @@ import (
 // a snapshot of the linked process as a hidden template and satisfy later
 // identical launches by CoW-forking the template — the steady-state launch
 // cost becomes a fork, not a link. Templates are keyed by the launch's
-// content hash (image bytes + search path + uid + environment), so a key
+// content hash (the image's HEMX encoding + uid + environment), so a key
 // match means "this launch would reach a bit-identical post-link state" as
 // long as the module templates it was linked from are unchanged. Each
 // template keeps that list, the manifest, with every template's
@@ -43,7 +44,6 @@ const MaxZygotes = 64
 func (p *Process) Hidden() bool { return p.PID >= zygotePIDBase }
 
 type zygote struct {
-	key      string
 	template *Process
 	arch     vm.ArchState // the template's CPU state; it has no CPU
 	manifest []ZygoteDep
@@ -59,7 +59,7 @@ type ZygoteDep struct {
 }
 
 // ZygoteInfo describes one registered template for inspection (server
-// /api/info, doctor).
+// /api/info, doctor). Key is the launch key as 16 hex digits.
 type ZygoteInfo struct {
 	Key    string `json:"key"`
 	PID    int    `json:"pid"`
@@ -94,7 +94,7 @@ func (k *Kernel) spawnZygote(uid int) *Process {
 // run) as the template for key, with the manifest of module templates it
 // was linked from. A template already registered under key wins;
 // registration is idempotent.
-func (k *Kernel) RegisterZygote(key string, parent *Process, manifest []ZygoteDep) {
+func (k *Kernel) RegisterZygote(key uint64, parent *Process, manifest []ZygoteDep) {
 	k.zmu.Lock()
 	_, exists := k.zygotes[key]
 	k.zmu.Unlock()
@@ -119,7 +119,7 @@ func (k *Kernel) RegisterZygote(key string, parent *Process, manifest []ZygoteDe
 			delete(k.zygotes, oldest)
 		}
 	}
-	k.zygotes[key] = &zygote{key: key, template: tpl, arch: parent.CPU.ArchState(), manifest: manifest}
+	k.zygotes[key] = &zygote{template: tpl, arch: parent.CPU.ArchState(), manifest: manifest}
 	k.zorder = append(k.zorder, key)
 	k.ctrZygReg.Inc()
 	if t := k.Obs.Tracer(); t.Enabled() {
@@ -135,7 +135,7 @@ func (k *Kernel) RegisterZygote(key string, parent *Process, manifest []ZygoteDe
 // and reports a miss, as it does when no template is registered. A clone
 // is a whole launch, so it opens the launch's root span itself, labelled
 // name; a miss opens none, and the caller's cold launch opens its own.
-func (k *Kernel) CloneZygote(key, name string) (*Process, bool) {
+func (k *Kernel) CloneZygote(key uint64, name string) (*Process, bool) {
 	k.zmu.Lock()
 	z, ok := k.zygotes[key]
 	k.zmu.Unlock()
@@ -147,7 +147,7 @@ func (k *Kernel) CloneZygote(key, name string) (*Process, bool) {
 			k.DropZygote(key)
 			k.ctrZygInval.Inc()
 			if t := k.Obs.Tracer(); t.Enabled() {
-				t.Emit(obsv.Event{Subsys: "kern", Name: "zygote_invalidate", Mod: key + " by " + d.Path})
+				t.Emit(obsv.Event{Subsys: "kern", Name: "zygote_invalidate", Mod: fmt.Sprintf("%016x by %s", key, d.Path)})
 			}
 			return nil, false
 		}
@@ -169,7 +169,7 @@ func (k *Kernel) CloneZygote(key, name string) (*Process, bool) {
 }
 
 // DropZygote removes the template for key and releases its address space.
-func (k *Kernel) DropZygote(key string) {
+func (k *Kernel) DropZygote(key uint64) {
 	k.zmu.Lock()
 	defer k.zmu.Unlock()
 	z, ok := k.zygotes[key]
@@ -204,7 +204,7 @@ func (k *Kernel) Zygotes() []ZygoteInfo {
 	out := make([]ZygoteInfo, 0, len(k.zygotes))
 	for key, z := range k.zygotes {
 		out = append(out, ZygoteInfo{
-			Key:    key,
+			Key:    fmt.Sprintf("%016x", key),
 			PID:    z.template.PID,
 			Pages:  z.template.AS.PageCountMapped(),
 			Clones: z.clones,

@@ -1,6 +1,7 @@
 package kern
 
 import (
+	"fmt"
 	"testing"
 )
 
@@ -16,9 +17,9 @@ const zygoteTestSrc = `
 `
 
 // hasZygote reports whether a template is registered under key.
-func hasZygote(k *Kernel, key string) bool {
+func hasZygote(k *Kernel, key uint64) bool {
 	for _, z := range k.Zygotes() {
-		if z.Key == key {
+		if z.Key == fmt.Sprintf("%016x", key) {
 			return true
 		}
 	}
@@ -35,8 +36,8 @@ func TestZygoteCloneMatchesColdLaunch(t *testing.T) {
 		t.Fatal(err)
 	}
 	cold.Setenv("HOME", "/")
-	k.RegisterZygote("key1", cold, nil)
-	if !hasZygote(k, "key1") {
+	k.RegisterZygote(0xabc, cold, nil)
+	if !hasZygote(k, 0xabc) {
 		t.Fatal("template not registered")
 	}
 
@@ -50,7 +51,7 @@ func TestZygoteCloneMatchesColdLaunch(t *testing.T) {
 
 	// Clones run the same program from the same snapshot, independently.
 	for i := 0; i < 3; i++ {
-		c, ok := k.CloneZygote("key1", "")
+		c, ok := k.CloneZygote(0xabc, "")
 		if !ok {
 			t.Fatal("clone failed")
 		}
@@ -65,7 +66,7 @@ func TestZygoteCloneMatchesColdLaunch(t *testing.T) {
 		}
 	}
 	zs := k.Zygotes()
-	if len(zs) != 1 || zs[0].Clones != 3 {
+	if len(zs) != 1 || zs[0].Key != "0000000000000abc" || zs[0].Clones != 3 {
 		t.Fatalf("registry stats: %+v", zs)
 	}
 }
@@ -80,8 +81,8 @@ func TestZygotePIDSequenceMatchesColdWorld(t *testing.T) {
 	if err := p1.Exec(im); err != nil {
 		t.Fatal(err)
 	}
-	k.RegisterZygote("k", p1, nil)
-	p2, ok := k.CloneZygote("k", "")
+	k.RegisterZygote(1, p1, nil)
+	p2, ok := k.CloneZygote(1, "")
 	if !ok {
 		t.Fatal("clone failed")
 	}
@@ -107,22 +108,22 @@ func TestZygoteDropReleasesFrames(t *testing.T) {
 	if err := p.Exec(im); err != nil {
 		t.Fatal(err)
 	}
-	k.RegisterZygote("k", p, nil)
+	k.RegisterZygote(1, p, nil)
 	if _, err := k.Run(p, 1000); err != nil { // cold proc exits, releases its AS
 		t.Fatal(err)
 	}
-	if !hasZygote(k, "k") {
+	if !hasZygote(k, 1) {
 		t.Fatal("missing template")
 	}
-	k.DropZygote("k")
-	if hasZygote(k, "k") {
+	k.DropZygote(1)
+	if hasZygote(k, 1) {
 		t.Fatal("template survived drop")
 	}
 	if live := k.Phys.Stats().Live; live != base {
 		t.Fatalf("live frames = %d after drop, want %d", live, base)
 	}
 	// Idempotent.
-	k.DropZygote("k")
+	k.DropZygote(1)
 	k.DropAllZygotes()
 }
 
@@ -134,13 +135,13 @@ func TestZygoteCapacityEviction(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < MaxZygotes+5; i++ {
-		k.RegisterZygote(string(rune('a'+i%26))+string(rune('0'+i/26)), p, nil)
+		k.RegisterZygote(uint64(i), p, nil)
 	}
 	if n := len(k.Zygotes()); n != MaxZygotes {
 		t.Fatalf("registry size = %d, want %d", n, MaxZygotes)
 	}
 	// Oldest evicted.
-	if hasZygote(k, "a0") {
+	if hasZygote(k, 0) {
 		t.Fatal("oldest template should have been evicted")
 	}
 }
@@ -154,9 +155,9 @@ func TestZygoteCloneStackIsolation(t *testing.T) {
 	if err := p.Exec(im); err != nil {
 		t.Fatal(err)
 	}
-	k.RegisterZygote("k", p, nil)
-	c1, _ := k.CloneZygote("k", "")
-	c2, _ := k.CloneZygote("k", "")
+	k.RegisterZygote(1, p, nil)
+	c1, _ := k.CloneZygote(1, "")
+	c2, _ := k.CloneZygote(1, "")
 	sp := c1.CPU.Regs[29] - 64
 	if err := c1.AS.StoreWord(sp, 0xDEAD); err != nil {
 		t.Fatal(err)
@@ -186,26 +187,26 @@ func TestZygoteManifestMismatchDrops(t *testing.T) {
 	if err := p.Exec(im); err != nil {
 		t.Fatal(err)
 	}
-	k.RegisterZygote("k", p, []ZygoteDep{{Path: "/m.o", CV: cv}})
-	if _, ok := k.CloneZygote("k", ""); !ok {
+	k.RegisterZygote(1, p, []ZygoteDep{{Path: "/m.o", CV: cv}})
+	if _, ok := k.CloneZygote(1, ""); !ok {
 		t.Fatal("clone of an unchanged template missed")
 	}
 	if err := k.FS.WriteFile("/m.o", []byte("two"), 0o644, 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := k.CloneZygote("k", ""); ok {
+	if _, ok := k.CloneZygote(1, ""); ok {
 		t.Fatal("clone of a changed template hit")
 	}
-	if hasZygote(k, "k") {
+	if hasZygote(k, 1) {
 		t.Fatal("stale template still registered")
 	}
 	// A template that is gone drops its zygote too.
 	cv, _ = k.FS.ContentVersion("/m.o")
-	k.RegisterZygote("k", p, []ZygoteDep{{Path: "/m.o", CV: cv}})
+	k.RegisterZygote(1, p, []ZygoteDep{{Path: "/m.o", CV: cv}})
 	if err := k.FS.Unlink("/m.o", 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := k.CloneZygote("k", ""); ok || hasZygote(k, "k") {
+	if _, ok := k.CloneZygote(1, ""); ok || hasZygote(k, 1) {
 		t.Fatal("template of a removed module still cloned or registered")
 	}
 	if n := k.Obs.R.Snapshot().Counters["kern.zygote_invalidate"]; n != 2 {

@@ -134,7 +134,7 @@ type World struct {
 	// key, so concurrent identical launches from the serve daemon or an
 	// SMP workload produce exactly one cold link.
 	lgmu     sync.Mutex
-	inflight map[string]chan struct{}
+	inflight map[uint64]chan struct{}
 }
 
 // SetStableLinking turns stable linking on or off (see World.stable).
@@ -178,7 +178,7 @@ func NewWorld(k *kern.Kernel) *World {
 		ctrPtrMaps: r.Counter("ldl.pointer_maps"),
 		ctrPLT:     r.Counter("ldl.plt_resolves"),
 		gImageLeft: r.Gauge("ldl.image_relocs_left"),
-		inflight:   map[string]chan struct{}{},
+		inflight:   map[uint64]chan struct{}{},
 		objMemo:    fileMemo[*template]{max: memoSize},
 		exeMemo:    fileMemo[*objfile.Image]{max: memoSize},
 		ctrExeHit:  r.Counter("core.exe_cache_hit"),
@@ -779,7 +779,7 @@ func (pr *Proc) LinkModule(in *Instance) error {
 // template. The gate makes the first one link and register; by the time a
 // waiter proceeds, the zygote is parked and it clones warm. Launches with
 // different keys never touch.
-func (w *World) LockLaunch(key string) (unlock func()) {
+func (w *World) LockLaunch(key uint64) (unlock func()) {
 	for {
 		w.lgmu.Lock()
 		ch, busy := w.inflight[key]

@@ -10,7 +10,6 @@ import (
 	"hemlock/internal/ldl"
 	"hemlock/internal/lds"
 	"hemlock/internal/objfile"
-	"hemlock/internal/shmfs"
 )
 
 // TestPublicModuleCannotBindPrivateSymbol: a public module whose undefined
@@ -236,33 +235,6 @@ func TestSegmentGrowthBeyondModuleImage(t *testing.T) {
 	st, _ := s.FS.StatPath("/lib/big")
 	if st.Size < 300*1024 {
 		t.Fatalf("instance size %d < bss", st.Size)
-	}
-}
-
-// TestUnlinkedSegmentUnmapsPerProcess: unmapping a shared slot in one
-// process does not disturb another's mapping.
-func TestUnmapSharedSlotIndependence(t *testing.T) {
-	s := core.NewSystem()
-	s.FS.Create("/seg", shmfs.DefaultFileMode, 0)
-	s.FS.WriteAt("/seg", 0, []byte{0, 0, 0, 9}, 0)
-	st, _ := s.FS.StatPath("/seg")
-	res := linkWith(t, s, trivialMain)
-	p1, _ := s.Launch(res.Image, 0, nil)
-	p2, _ := s.Launch(res.Image, 0, nil)
-	if v, _ := p1.VarAt("", st.Addr).Load(); v != 9 {
-		t.Fatal("p1 initial read failed")
-	}
-	if v, _ := p2.VarAt("", st.Addr).Load(); v != 9 {
-		t.Fatal("p2 initial read failed")
-	}
-	p1.P.UnmapSharedSlot(st.Ino)
-	// p2 still mapped.
-	if v, err := p2.P.AS.LoadWord(st.Addr); err != nil || v != 9 {
-		t.Fatalf("p2 mapping disturbed: %v", err)
-	}
-	// p1 faults and remaps via pointer-following.
-	if v, err := p1.VarAt("", st.Addr).Load(); err != nil || v != 9 {
-		t.Fatalf("p1 remap failed: %v", err)
 	}
 }
 

@@ -1,8 +1,11 @@
 package ldl_test
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
 	"os"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -363,7 +366,8 @@ outer_ptr: .word inner_val
 // with it. Its one launch there left a link-cache entry under
 // /var/ldl/cache, which nothing reads any more. Launches link against the
 // current layout and exit 42, the second as a clone, and none touches the
-// old entry.
+// old entry. The file is HSFS v2; the world saves as v3, reloads with the
+// same files, and launches from there exit 42 too.
 func TestLayout1WorldLaunches(t *testing.T) {
 	f, err := os.Open("testdata/layout1-world.hsfs")
 	if err != nil {
@@ -404,6 +408,43 @@ func TestLayout1WorldLaunches(t *testing.T) {
 	if after := entries(); strings.Join(after, ",") != strings.Join(before, ",") {
 		t.Fatalf("/var/ldl/cache went from %v to %v", before, after)
 	}
+
+	var buf bytes.Buffer
+	if err := s.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if v := binary.BigEndian.Uint32(buf.Bytes()[4:]); v != 3 {
+		t.Fatalf("saved as HSFS v%d, want v3", v)
+	}
+	s2, err := core.Load(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := worldFiles(t, s2), worldFiles(t, s); !reflect.DeepEqual(got, want) {
+		t.Fatalf("files after the v3 reload:\n%v\nwant\n%v", got, want)
+	}
+	im2, err := s2.LoadExecutable("/bin/demo")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pg := launchRun(t, s2, im2, nil); pg.P.ExitCode != 42 {
+		t.Fatalf("launch after the v3 reload exit = %d, want 42", pg.P.ExitCode)
+	}
+}
+
+// worldFiles maps each file in s's file system to its stat and bytes.
+func worldFiles(t *testing.T, s *core.System) map[string]string {
+	t.Helper()
+	out := map[string]string{}
+	err := s.FS.WalkFiles(func(p string, st shmfs.Stat) error {
+		b, err := s.FS.ReadFile(p, 0)
+		out[p] = fmt.Sprintf("%+v %x", st, b)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
 }
 
 // TestZygoteWorldMatchesColdWorld: two worlds, identical inputs, one with
@@ -528,12 +569,10 @@ func TestZygoteRecreatedModuleInvalidates(t *testing.T) {
 	}
 }
 
-// TestLaunchKeyPinned: LaunchKey's value for a given image, uid and
-// environment is pinned, so a change to what it hashes is deliberate. The
-// image sets every field the key hashes.
-func TestLaunchKeyPinned(t *testing.T) {
-	im := &objfile.Image{
-		Name: "pinned", Entry: 0x400010,
+// fullImage returns a load image with every field set.
+func fullImage() *objfile.Image {
+	return &objfile.Image{
+		Name: "full", Entry: 0x400010,
 		TextBase: 0x400000, Text: []byte{0x27, 0xbd, 0xff, 0xf8, 0x03, 0xe0, 0x00, 0x08},
 		DataBase: 0x401000, Data: []byte{0, 0, 0, 42},
 		BssBase: 0x401004, BssSize: 16,
@@ -547,18 +586,145 @@ func TestLaunchKeyPinned(t *testing.T) {
 		},
 		PLT: []objfile.ImageSym{{Name: "f", Addr: 0x400020, Size: 16}},
 	}
+}
+
+// changeLeaf changes the n-th leaf under v, counted in field order, and
+// returns its path, or "" when v has fewer leaves. A leaf is a string, an
+// integer, a byte slice (grown by a byte), or a list, which counts its
+// entries' leaves and then itself (grown by a zero entry). A field of a
+// kind it does not know panics, so a new Image field cannot be skipped.
+func changeLeaf(v reflect.Value, path string, n *int) string {
+	leaf := func(change func()) string {
+		if *n > 0 {
+			*n--
+			return ""
+		}
+		change()
+		return path
+	}
+	switch v.Kind() {
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			if f := v.Type().Field(i); f.IsExported() {
+				if p := changeLeaf(v.Field(i), path+"."+f.Name, n); p != "" {
+					return p
+				}
+			}
+		}
+		return ""
+	case reflect.Slice:
+		if v.Type().Elem().Kind() == reflect.Uint8 {
+			return leaf(func() { v.SetBytes(append(v.Bytes(), 0)) })
+		}
+		for i := 0; i < v.Len(); i++ {
+			if p := changeLeaf(v.Index(i), fmt.Sprintf("%s[%d]", path, i), n); p != "" {
+				return p
+			}
+		}
+		return leaf(func() { v.Set(reflect.Append(v, reflect.Zero(v.Type().Elem()))) })
+	case reflect.String:
+		return leaf(func() { v.SetString(v.String() + "x") })
+	case reflect.Uint8, reflect.Uint32:
+		return leaf(func() { v.SetUint(v.Uint() + 1) })
+	case reflect.Int32:
+		return leaf(func() { v.SetInt(v.Int() + 1) })
+	}
+	panic(fmt.Sprintf("changeLeaf: %s is a %s", path, v.Kind()))
+}
+
+// TestLaunchKeyTellsImagesApart: a launch key hashes the image's HEMX
+// encoding, so images that encode differently get different keys. That
+// includes a pair a key built field by field, without lengths, confused:
+// text one word longer (the old data base), with the data base and data
+// shifted to match. Every leaf of a fully set image moves the key, and so
+// do the uid and each environment entry; an image decoded from another's
+// encoding shares its key.
+func TestLaunchKeyTellsImagesApart(t *testing.T) {
 	w := core.NewSystem().W
+	key := func(im *objfile.Image, uid int, env map[string]string) uint64 {
+		t.Helper()
+		k, err := w.LaunchKey(im, uid, env)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return k
+	}
+	base := key(fullImage(), 0, nil)
+
+	shifted := fullImage()
+	shifted.Text = append(shifted.Text, 0x00, 0x40, 0x10, 0x00)
+	shifted.DataBase, shifted.Data = 42, nil
+	if key(shifted, 0, nil) == base {
+		t.Error("text one word longer, data base and data shifted to match: same key")
+	}
+
+	leaves := 0
+	for ; ; leaves++ {
+		im, n := fullImage(), leaves
+		path := changeLeaf(reflect.ValueOf(im).Elem(), "Image", &n)
+		if path == "" {
+			break
+		}
+		if key(im, 0, nil) == base {
+			t.Errorf("changing %s leaves the key", path)
+		}
+	}
+	if leaves < 30 {
+		t.Fatalf("changed %d leaves of a full image, want at least 30", leaves)
+	}
+
+	b, err := fullImage().ImageBytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	copied, err := objfile.DecodeImageBytes(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if key(copied, 0, nil) != base {
+		t.Error("an image decoded from another's encoding has another key")
+	}
+
+	env := map[string]string{"LD_LIBRARY_PATH": "/lib", "A": "bc"}
+	seen := map[uint64]string{base: "uid 0, no env"}
 	for _, c := range []struct {
+		name string
 		uid  int
 		env  map[string]string
-		want string
 	}{
-		{0, nil, "46a0030bdc644e55"},
-		{7, map[string]string{"LD_LIBRARY_PATH": "/lib", "A": "b"}, "3e7474f05b913efa"},
+		{"uid 7", 7, nil},
+		{"env", 0, env},
+		{"env A changed", 0, map[string]string{"LD_LIBRARY_PATH": "/lib", "A": "bd"}},
+		{"env A split differently", 0, map[string]string{"LD_LIBRARY_PATH": "/lib", "Ab": "c"}},
+		{"env LD_LIBRARY_PATH changed", 0, map[string]string{"LD_LIBRARY_PATH": "/usr/lib", "A": "bc"}},
+		{"env without A", 0, map[string]string{"LD_LIBRARY_PATH": "/lib"}},
 	} {
-		if got := w.LaunchKey(im, c.uid, c.env); got != c.want {
-			t.Errorf("LaunchKey(uid %d, env %v) = %s, want %s", c.uid, c.env, got, c.want)
+		k := key(fullImage(), c.uid, c.env)
+		if prev, dup := seen[k]; dup {
+			t.Errorf("%s has the key of %s", c.name, prev)
 		}
+		seen[k] = c.name
+	}
+}
+
+// TestUnencodableImageLaunchesCold: an image the codec cannot encode (a
+// name over the 65535-byte string limit) has no launch key. It launches
+// and runs, links cold every time, and parks no zygote.
+func TestUnencodableImageLaunchesCold(t *testing.T) {
+	s := core.NewSystem()
+	s.Asm("/lib/buf.o", ".data\n.globl buf_val\nbuf_val: .word 7\n")
+	res := linkWith(t, s, exitWithModuleVal, lds.Input{Name: "buf.o", Class: objfile.DynamicPrivate})
+	res.Image.Name = strings.Repeat("x", 1<<16)
+	if _, err := s.W.LaunchKey(res.Image, 0, nil); err == nil {
+		t.Fatal("LaunchKey of an image the codec cannot encode succeeded")
+	}
+	for i := 0; i < 2; i++ {
+		if pg := launchRun(t, s, res.Image, map[string]string{"LD_LIBRARY_PATH": "/lib"}); pg.P.ExitCode != 7 {
+			t.Fatalf("launch %d exit = %d, want 7", i, pg.P.ExitCode)
+		}
+	}
+	if c := counters(s); c["kern.zygote_register"] != 0 || c["kern.zygote_clone"] != 0 || len(s.K.Zygotes()) != 0 {
+		t.Fatalf("zygote register/clone = %d/%d, registry %v, want none", c["kern.zygote_register"], c["kern.zygote_clone"], s.K.Zygotes())
 	}
 }
 

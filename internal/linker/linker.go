@@ -30,11 +30,6 @@ var (
 	ErrTrampolines     = errors.New("linker: trampoline area exhausted")
 )
 
-// LayoutVersion numbers the layout Place produces. ldl mixes it into
-// every launch key, so a launch key names the layout its program is
-// linked under: bump it whenever Place moves a section.
-const LayoutVersion = 2
-
 // Placed is a module instance assigned a base address. Code comes first:
 // text at Base, then the trampoline area for over-long jump fragments.
 // Data and bss follow, word-aligned, starting at the next page boundary

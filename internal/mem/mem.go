@@ -227,11 +227,10 @@ func (f *Frame) TakeDirtyRange() (lo, end uint32, ok bool) {
 func (f *Frame) Version() uint64 { return f.ver.Load() }
 
 // RestoreVersion sets the store-version counter. Only the owner of a frame
-// no CPU has cached translations against may call it: shmfs, restoring
-// the value an earlier run recorded, or seeding a file's newly allocated
-// frame. File fingerprints (shmfs.ContentVersion) are built from these
-// counters, so a reboot must bring them back or every fingerprint
-// recorded before the reboot would look stale.
+// no CPU has cached translations against may call it: shmfs seeds each
+// newly allocated file frame with it, so that a file unlinked and
+// re-created at the same inode and size does not repeat a fingerprint
+// (shmfs.ContentVersion) of the file it replaced.
 func (f *Frame) RestoreVersion(v uint64) { f.ver.Store(v) }
 
 // Stats describes pool usage.

@@ -112,17 +112,6 @@ func (b *Builder) Pointer(name, target string, addend int32, global bool) *Build
 	return b
 }
 
-// PointerAt patches an existing 4-byte data slot at off to hold the address
-// of target (+ addend).
-func (b *Builder) PointerAt(off uint32, target string, addend int32) *Builder {
-	if off+4 > uint32(len(b.o.Data)) || off%4 != 0 {
-		b.errf("objfile: PointerAt offset 0x%x invalid in %s", off, b.o.Name)
-		return b
-	}
-	b.o.Relocs = append(b.o.Relocs, Reloc{Section: SecData, Offset: off, Sym: b.symIndex(target), Type: RelWord32, Addend: addend})
-	return b
-}
-
 // Text appends instruction words with a label at their start.
 func (b *Builder) Text(label string, words []uint32, global bool) *Builder {
 	off := uint32(len(b.o.Text))

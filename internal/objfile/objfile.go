@@ -387,18 +387,27 @@ type Image struct {
 	linkHash atomic.Uint64 // LinkHash's value; 0 until first computed
 }
 
-// LinkHash returns hash(im), computing it once per image and keeping it
+// LinkHash returns the FNV-1a 64 hash of the image's HEMX encoding
+// (ImageBytes), so every field the codec carries is in it. It fails only
+// where ImageBytes does. The hash is computed once per image and kept
 // with the image, so it is freed with the image. Images are never changed
-// after lds builds or DecodeImage decodes them, so the value stays right
-// for the image's life. ldl hashes the image this way at every launch to
-// derive its launch key. A zero hash is recomputed each call.
-func (im *Image) LinkHash(hash func(*Image) uint64) uint64 {
+// after lds builds or DecodeImageBytes decodes them, so the value stays
+// right for the image's life. ldl derives each launch key from it. A zero
+// hash is recomputed each call.
+func (im *Image) LinkHash() (uint64, error) {
 	if h := im.linkHash.Load(); h != 0 {
-		return h
+		return h, nil
 	}
-	h := hash(im)
+	b, err := im.ImageBytes()
+	if err != nil {
+		return 0, err
+	}
+	h := uint64(14695981039346656037) // FNV-1a 64 offset basis
+	for _, c := range b {
+		h = (h ^ uint64(c)) * 1099511628211 // FNV-1a 64 prime
+	}
 	im.linkHash.Store(h)
-	return h
+	return h, nil
 }
 
 // Lookup returns the address of a global symbol in the image.

@@ -2,6 +2,7 @@ package shmfs
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"hemlock/internal/mem"
@@ -58,19 +59,31 @@ func TestLoadRejectsCrashInputs(t *testing.T) {
 	}
 }
 
-// TestImageSeedsReencodeByteForByte: the enc-* seeds are worlds saved
-// before the format moved onto internal/wire; each must load and save to
-// the same bytes.
+// TestImageSeedsReencodeByteForByte: the enc-* seeds are v3 worlds; each
+// must load and save to the same bytes. The v2-* seeds are the same
+// worlds saved as version 2, with a counter per page; each must load and
+// save as its enc-* twin.
 func TestImageSeedsReencodeByteForByte(t *testing.T) {
-	for name, b := range wiretest.Corpus(t, "FuzzLoadImage", "enc-") {
+	enc := wiretest.Corpus(t, "FuzzLoadImage", "enc-")
+	resave := func(name string, b, want []byte) {
 		fs, err := Load(bytes.NewReader(b), mem.NewPhysical(0))
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		var out bytes.Buffer
-		if err := fs.Save(&out); err != nil || !bytes.Equal(out.Bytes(), b) {
+		if err := fs.Save(&out); err != nil || !bytes.Equal(out.Bytes(), want) {
 			t.Errorf("%s: re-encoding differs (err %v)", name, err)
 		}
+	}
+	for name, b := range enc {
+		resave(name, b, b)
+	}
+	for name, b := range wiretest.Corpus(t, "FuzzLoadImage", "v2-") {
+		twin, ok := enc["enc-"+strings.TrimPrefix(name, "v2-")]
+		if !ok {
+			t.Fatalf("%s has no enc-* twin", name)
+		}
+		resave(name, b, twin)
 	}
 }
 

@@ -19,22 +19,23 @@ import (
 //
 //	magic "HSFS" | version u32 | inode count u32
 //	per inode: ino u32 | type u8 | mode u16 | uid u32 | mtime u64
-//	           file: size u32 | (frame store-version u64 | data bytes)*
+//	           file: size u32 | data bytes
 //	           dir : entry count u32 | (name, ino u32)*
 //	           sym : target string
 //
-// Version 2 added the per-frame store-version counters, which
-// ContentVersion fingerprints are built from. Nothing compares a
-// fingerprint taken before a save with one taken after the load: every
-// consumer (ldl's decoded-executable and decoded-template memos, the
-// kernel's zygote manifests) lives in memory and is rebuilt at boot, so
-// the counters are written and restored only because the format has them.
-// Version 1 images (no counters) still load; their counters restart at
-// zero.
+// Save writes version 3. Load also reads version 1, whose records are
+// the same, and version 2, which put each page's store-version counter
+// (u64) before its bytes and which Load skips. The counters are not
+// saved because they only build ContentVersion fingerprints, and every
+// holder of a fingerprint (ldl's decoded-file memos, the kernel's zygote
+// manifests) lives in memory and starts empty at boot. Loaded frames
+// start at version 0; ensureFrames seeds new frames past every mtime the
+// image carries, so a file re-created after the load still moves its
+// fingerprint.
 
 const (
 	imageMagic   = "HSFS"
-	imageVersion = 2
+	imageVersion = 3
 )
 
 // Save serialises the file system to w, one inode at a time.
@@ -68,7 +69,6 @@ func (fs *FS) Save(w io.Writer) error {
 			e.U32(nd.size)
 			for fi, remain := 0, nd.size; remain > 0; fi++ {
 				n := min(remain, mem.PageSize)
-				e.U64(nd.frames[fi].Version())
 				e.Raw(nd.frames[fi].Data[:n])
 				remain -= n
 			}
@@ -134,9 +134,8 @@ func Load(r io.Reader, phys *mem.Physical) (*FS, error) {
 			// Each frame is allocated only once its bytes are in hand.
 			for remain := nd.size; remain > 0; {
 				n := min(remain, mem.PageSize)
-				var ver uint64
-				if version >= 2 {
-					ver = d.U64()
+				if version == 2 {
+					d.U64() // the page's store-version counter
 				}
 				content := d.Raw(int(n))
 				if content == nil {
@@ -146,9 +145,6 @@ func Load(r io.Reader, phys *mem.Physical) (*FS, error) {
 				if err != nil {
 					return nil, err
 				}
-				f.RestoreVersion(ver)
-				// Frames allocated after the load must seed past this one.
-				fs.clock = max(fs.clock, ver>>32)
 				copy(f.Data[:], content)
 				nd.frames = append(nd.frames, f)
 				remain -= n

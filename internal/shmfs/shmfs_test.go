@@ -492,88 +492,63 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
-// TestLoadVersion1Image: images from before the per-frame store-version
-// counters still load, with their content intact.
-func TestLoadVersion1Image(t *testing.T) {
+// TestLoadEveryVersion: one world written as a version 1, 2 and 3 image
+// (v2 puts a store-version counter before each page) loads from each with
+// the same file bytes, and saves as the v3 image.
+func TestLoadEveryVersion(t *testing.T) {
 	payload := bytes.Repeat([]byte{0x5A}, mem.PageSize+10) // two frames
-	e := wire.NewEncoder(nil)
-	e.Raw([]byte("HSFS"))
-	e.U32(1) // version
-	e.U32(2) // inodes
-	e.U32(0) // root directory
-	e.U8(uint8(TypeDir))
-	e.U16(uint16(DefaultDirMode))
-	e.U32(0)
-	e.U64(1)
-	e.Count32(1)
-	e.Str("f")
-	e.U32(5)
-	e.U32(5) // the file: size, then bare page contents
-	e.U8(uint8(TypeFile))
-	e.U16(uint16(DefaultFileMode))
-	e.U32(0)
-	e.U64(2)
-	e.U32(uint32(len(payload)))
-	e.Raw(payload)
-	img, err := e.Bytes()
-	if err != nil {
-		t.Fatal(err)
+	image := func(version uint32) []byte {
+		e := wire.NewEncoder(nil)
+		e.Raw([]byte("HSFS"))
+		e.U32(version)
+		e.U32(2) // inodes
+		e.U32(0) // root directory
+		e.U8(uint8(TypeDir))
+		e.U16(uint16(DefaultDirMode))
+		e.U32(0)
+		e.U64(1)
+		e.Count32(1)
+		e.Str("f")
+		e.U32(5)
+		e.U32(5) // the file: size, then its pages
+		e.U8(uint8(TypeFile))
+		e.U16(uint16(DefaultFileMode))
+		e.U32(0)
+		e.U64(2)
+		e.U32(uint32(len(payload)))
+		for off := 0; off < len(payload); off += mem.PageSize {
+			if version == 2 {
+				e.U64(uint64(off+1) << 32)
+			}
+			e.Raw(payload[off:min(off+mem.PageSize, len(payload))])
+		}
+		img, err := e.Bytes()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return img
 	}
-	fs, err := Load(bytes.NewReader(img), mem.NewPhysical(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, err := fs.ReadFile("/f", 0); err != nil || !bytes.Equal(got, payload) {
-		t.Fatalf("v1 file content: %d bytes, %v", len(got), err)
-	}
-}
-
-// TestContentVersionSurvivesSaveLoad pins the reboot contract the link
-// cache depends on: a file's fingerprint before Save equals its
-// fingerprint after Load, and a genuinely mutated file still reads as
-// changed. Fingerprints mix the per-frame store-version counters, so the
-// image must carry them (format v2) — without that, every cache manifest
-// recorded before a reboot would look mutated-in-place.
-func TestContentVersionSurvivesSaveLoad(t *testing.T) {
-	fs := newFS(t)
-	fs.MkdirAll("/lib", DefaultDirMode, 0)
-	fs.Create("/lib/mod.o", DefaultFileMode, 0)
-	// Write twice so the frame counters are not trivially 1.
-	fs.WriteFile("/lib/mod.o", bytes.Repeat([]byte{0x11}, 5000), DefaultFileMode, 0)
-	fs.WriteFile("/lib/mod.o", bytes.Repeat([]byte{0x22}, 5000), DefaultFileMode, 0)
-	before, err := fs.ContentVersion("/lib/mod.o")
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	var buf bytes.Buffer
-	if err := fs.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	fs2, err := Load(&buf, mem.NewPhysical(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	after, err := fs2.ContentVersion("/lib/mod.o")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if after != before {
-		t.Fatalf("fingerprint changed across save/load: %016x -> %016x", before, after)
-	}
-	// Mutation on the rebooted machine still moves the fingerprint.
-	if _, err := fs2.WriteAt("/lib/mod.o", 0, []byte{0x33}, 0); err != nil {
-		t.Fatal(err)
-	}
-	if v, _ := fs2.ContentVersion("/lib/mod.o"); v == before {
-		t.Fatal("fingerprint did not move after an in-place write")
+	v3 := image(3)
+	for _, version := range []uint32{1, 2, 3} {
+		fs, err := Load(bytes.NewReader(image(version)), mem.NewPhysical(0))
+		if err != nil {
+			t.Fatalf("v%d: %v", version, err)
+		}
+		if got, err := fs.ReadFile("/f", 0); err != nil || !bytes.Equal(got, payload) {
+			t.Fatalf("v%d file content: %d bytes, %v", version, len(got), err)
+		}
+		var out bytes.Buffer
+		if err := fs.Save(&out); err != nil || !bytes.Equal(out.Bytes(), v3) {
+			t.Errorf("v%d does not save as the v3 image (err %v)", version, err)
+		}
 	}
 }
 
 // TestContentVersionMovesOnRecreate: a file unlinked and re-created at the
 // same path and size gets the same inode number back, so only the fresh
 // frames' counters can tell the two apart. The fingerprint must move, on
-// a running machine and on one booted from a saved image.
+// a running machine and on one booted from a saved image, whose frames
+// start at version 0.
 func TestContentVersionMovesOnRecreate(t *testing.T) {
 	data := bytes.Repeat([]byte{0x11}, 5000)
 	recreate := func(t *testing.T, fs *FS, before uint64, ino int) {
@@ -610,10 +585,11 @@ func TestContentVersionMovesOnRecreate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v, _ := fs2.ContentVersion("/lib/mod.o"); v != before {
-		t.Fatalf("fingerprint changed across save/load: %016x -> %016x", before, v)
+	loaded, err := fs2.ContentVersion("/lib/mod.o")
+	if err != nil {
+		t.Fatal(err)
 	}
-	recreate(t, fs2, before, st.Ino)
+	recreate(t, fs2, loaded, st.Ino)
 }
 
 // TestContentVersionMovesOnReplace: shmfs has no rename, so a name is

@@ -38,7 +38,10 @@
 #    between the two ranges, nearer the uncached one, because the cached
 #    ratio's spread is host noise (a hit costs ~0.5 us of a ~7 us launch).
 #
-# Only the result rows are compared; host metadata and go_loc are not.
+# Only the result rows are compared. go_loc, the non-test Go line count
+# bench.sh records, is printed from both files beside them, as
+# "go_loc: <base> -> <cand> (<delta>)" or naming a file without it; it
+# gates nothing.
 #
 # The interpreter fast path, the cross-segment call paths, and the
 # stable-linking repeat-launch paths are the perf contracts this repo
@@ -81,6 +84,7 @@ awk -v threshold="$threshold" -v basefile="$base" -v candfile="$cand" '
   file == 2 && match($0, /"host_cpus": [0-9]+/) {
     hostcpus = substr($0, RSTART + 13, RLENGTH - 13) + 0
   }
+  match($0, /"go_loc": [0-9]+/) { loc[file] = substr($0, RSTART + 10, RLENGTH - 10) + 0 }
   {
     if (!row($0)) next
     if (file == 1) { if (!(name in b) || ns < b[name]) b[name] = ns }
@@ -96,6 +100,10 @@ awk -v threshold="$threshold" -v basefile="$base" -v candfile="$cand" '
     gatepat = "Dispatch|CallNear|CallFarTrampoline"
     cal = "BenchmarkCalibrate"
     printf "benchcheck: %s (baseline) vs %s, gate: (%s) > +%d%%\n", basefile, candfile, gatepat, threshold
+    if ((1 in loc) && (2 in loc)) printf "go_loc: %d -> %d (%+d)\n", loc[1], loc[2], loc[2] - loc[1]
+    else if (1 in loc) printf "go_loc: not in %s\n", candfile
+    else if (2 in loc) printf "go_loc: not in %s\n", basefile
+    else printf "go_loc: not in %s or %s\n", basefile, candfile
     if ((cal in b) && (cal in c)) {
       bcal = b[cal]; ccal = c[cal]
       printf "benchcheck: comparing ns/op / %s (%.2f ns in the baseline, %.2f ns in the candidate)\n", cal, bcal, ccal
