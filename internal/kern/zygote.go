@@ -59,7 +59,7 @@ type ZygoteDep struct {
 }
 
 // ZygoteInfo describes one registered template for inspection (server
-// /api/info, doctor). Key is the launch key as 16 hex digits.
+// /api/info). Key is the launch key as 16 hex digits.
 type ZygoteInfo struct {
 	Key    string `json:"key"`
 	PID    int    `json:"pid"`
