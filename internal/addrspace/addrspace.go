@@ -235,29 +235,6 @@ func (s *Space) MapFrames(addr uint32, frames []*mem.Frame, prot Prot) error {
 	return nil
 }
 
-// Unmap removes the mapping for [addr, addr+size), releasing the frames.
-// Unmapped pages in the range are ignored.
-func (s *Space) Unmap(addr, size uint32) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	base := vpn(addr)
-	released := uint64(0)
-	for i := uint32(0); i < PageCount(size); i++ {
-		if e, ok := s.pages[base+i]; ok {
-			e.frame.Release()
-			delete(s.pages, base+i)
-			released++
-		}
-	}
-	if released > 0 {
-		s.gen.Add(1)
-	}
-	s.ctrUnmap.Add(released)
-	if released > 0 && s.tracer.Enabled() {
-		s.tracer.Emit(obsv.Event{Subsys: "addrspace", Name: "unmap", PID: s.pid, Addr: addr, Val: released})
-	}
-}
-
 // Protect changes the protection of every mapped page in [addr, addr+size).
 // It returns an error if any page in the range is unmapped.
 func (s *Space) Protect(addr, size uint32, prot Prot) error {

@@ -60,7 +60,6 @@ func TestGenerationBumps(t *testing.T) {
 	}
 	step("MapAnon", func() error { return s.MapAnon(0x1000, mem.PageSize, ProtRW) })
 	step("Protect", func() error { return s.Protect(0x1000, mem.PageSize, ProtRead) })
-	step("Unmap", func() error { s.Unmap(0x1000, mem.PageSize); return nil })
 
 	// ForkInto bumps the destination's generation.
 	src := newSpace()

@@ -256,16 +256,13 @@ func (pg *Program) Run(maxSteps uint64) error {
 }
 
 // Fork forks the program: private segments copied, public shared, linker
-// state cloned (via the CloneRuntime hook ldl installed).
+// state forked by the kernel (through the runtime's Fork).
 func (pg *Program) Fork() (*Program, error) {
 	child, err := pg.Sys.K.Fork(pg.P)
 	if err != nil {
 		return nil, err
 	}
-	pr, ok := ldl.ProcOf(child)
-	if !ok {
-		pr = pg.LDL.CloneFor(child)
-	}
+	pr, _ := ldl.ProcOf(child) // the parent's runtime forked into the child
 	return &Program{Sys: pg.Sys, P: child, LDL: pr}, nil
 }
 

@@ -104,7 +104,6 @@ func TestAtomicFaultsPropagate(t *testing.T) {
 
 func TestStoreByteAndHostFiles(t *testing.T) {
 	k := New()
-	k.FS.Create("/hf", shmfs.DefaultFileMode, 0)
 	p := k.Spawn(0)
 	if err := p.AS.MapAnon(0x20000000, 4096, addrspace.ProtRW); err != nil {
 		t.Fatal(err)
@@ -114,10 +113,6 @@ func TestStoreByteAndHostFiles(t *testing.T) {
 	}
 	if b, _ := p.LoadByte(0x20000003); b != 0xAB {
 		t.Fatalf("byte = %x", b)
-	}
-	fd, err := p.OpenHostFile("/hf", true)
-	if err != nil || fd < 3 {
-		t.Fatalf("OpenHostFile: %d, %v", fd, err)
 	}
 	if len(p.Regions()) == 0 {
 		t.Fatal("no regions reported")

@@ -1,20 +1,21 @@
 package kern
 
-// Synchronous function calls into a parked process: the mechanism the
-// serve daemon uses to invoke an exported public function on behalf of a
-// client without running the program's main. The kernel plants a one-page
-// "call return" stub (a single BREAK instruction) in the process's private
-// region, points $ra at it, sets the argument registers, and runs the CPU
-// from the target. When the callee returns, the BREAK traps back here and
-// the call's result is read out of $v0.
+// Synchronous calls into a process: CallFunction, which the serve daemon
+// uses to invoke an exported public function on a parked process without
+// running the program's main, and the protection-domain calls of
+// pdcall.go. Both go through call. The kernel plants a one-page "call
+// return" stub (a single BREAK instruction) in the process's private
+// region, points $ra at it, sets the argument registers, and runs the
+// process from the target through Kernel.Run. The run loop (runSlice) ends
+// the innermost call when the callee returns to the stub's BREAK or
+// executes pd_return; the call's result is read out of $v0.
 //
 // The target address may be anything the dynamic linker can reach: a
 // function in the image, a jump-table (PLT) stub — whose first call traps
 // and patches exactly as a compiled call would — or a symbol in a public
 // module that has not even been mapped yet, in which case the first fetch
 // faults and ldl links the module before the first instruction retires.
-// The existing BreakHandler (ldl's PLT patcher) keeps working: the call
-// wrapper chains to it for any BREAK that is not the return stub.
+// Every BREAK other than the stub's still goes to the process's Runtime.
 
 import (
 	"errors"
@@ -27,10 +28,6 @@ import (
 // ErrCallExited reports that the called function terminated the process
 // (an exit syscall or HALT) instead of returning to its caller.
 var ErrCallExited = errors.New("kern: called function exited the process")
-
-// errCallReturn is the internal sentinel the return stub's BREAK raises to
-// stop the run loop; CallFunction absorbs it.
-var errCallReturn = errors.New("kern: call returned")
 
 // ensureCallStub lazily maps the per-process return stub page and returns
 // the stub address.
@@ -49,6 +46,33 @@ func (p *Process) ensureCallStub() (uint32, error) {
 	return base, nil
 }
 
+// call runs p from entry as a subroutine, with args in $a0-$a3 and $ra at
+// the return stub, until the callee returns (result: $v0), the process
+// exits (ErrCallExited) or budget steps elapse. It leaves the rest of the
+// CPU state as the callee left it; the callers restore what they promise
+// to keep.
+func (k *Kernel) call(p *Process, entry uint32, args [4]uint32, budget uint64) (uint32, uint64, error) {
+	stub, err := p.ensureCallStub()
+	if err != nil {
+		return 0, 0, err
+	}
+	for i, a := range args {
+		p.CPU.Regs[isa.RegA0+i] = a
+	}
+	p.CPU.Regs[isa.RegRA] = stub
+	p.CPU.PC = entry
+	p.calls++
+	steps, err := k.Run(p, budget)
+	p.calls--
+	switch {
+	case err != nil:
+		return 0, steps, err
+	case p.Exited:
+		return 0, steps, fmt.Errorf("%w (exit %d)", ErrCallExited, p.ExitCode)
+	}
+	return p.CPU.Regs[isa.RegV0], steps, nil
+}
+
 // CallFunction invokes target as a subroutine on a (parked) process: args
 // land in $a0-$a3, $ra is pointed at the return stub, and the CPU runs
 // from target until the callee returns (result: $v0), the process exits
@@ -58,42 +82,10 @@ func (k *Kernel) CallFunction(p *Process, target uint32, args [4]uint32, maxStep
 	if p.Exited {
 		return 0, 0, ErrExited
 	}
-	stub, err := p.ensureCallStub()
-	if err != nil {
-		return 0, 0, err
+	savedPC, savedRA := p.CPU.PC, p.CPU.Regs[isa.RegRA]
+	ret, steps, err = k.call(p, target, args, maxSteps)
+	if !p.Exited {
+		p.CPU.PC, p.CPU.Regs[isa.RegRA] = savedPC, savedRA
 	}
-	saved := p.BreakHandler
-	p.BreakHandler = func(pp *Process) error {
-		// BREAK leaves PC just past the trapping instruction.
-		if pp.CPU.PC == stub+4 {
-			return errCallReturn
-		}
-		if saved != nil {
-			return saved(pp)
-		}
-		return fmt.Errorf("kern: pid %d hit break at 0x%08x during call", pp.PID, pp.CPU.PC)
-	}
-	savedPC, savedRA := p.CPU.PC, p.CPU.Regs[31]
-	defer func() {
-		p.BreakHandler = saved
-		if !p.Exited {
-			p.CPU.PC, p.CPU.Regs[31] = savedPC, savedRA
-		}
-	}()
-	for i, a := range args {
-		p.CPU.Regs[4+i] = a // $a0..$a3
-	}
-	p.CPU.Regs[31] = stub
-	p.CPU.PC = target
-	steps, runErr := k.Run(p, maxSteps)
-	switch {
-	case errors.Is(runErr, errCallReturn):
-		return p.CPU.Regs[2], steps, nil // $v0
-	case runErr != nil:
-		return 0, steps, runErr
-	case p.Exited:
-		return 0, steps, fmt.Errorf("%w (exit %d)", ErrCallExited, p.ExitCode)
-	default:
-		return 0, steps, fmt.Errorf("kern: call to 0x%08x stopped without returning", target)
-	}
+	return ret, steps, err
 }

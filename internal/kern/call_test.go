@@ -148,16 +148,19 @@ func TestCallFunctionBudgetExceeded(t *testing.T) {
 	}
 }
 
+// TestCallFunctionChainsExistingBreakHandler: during a call, a BREAK other
+// than the return stub's still goes to the process's runtime.
 func TestCallFunctionChainsExistingBreakHandler(t *testing.T) {
 	k, p, lookup := callTestProc(t)
 	fired := false
-	p.BreakHandler = func(pp *Process) error {
+	p.Runtime = &testRuntime{brk: func(pp *Process) error {
 		fired = true
 		// Resume past the break (PC already advanced).
 		return nil
-	}
-	// Plant a break at the start of add2: the chained handler must see it
-	// and resume; execution continues with the following instructions.
+	}}
+	// Plant a break at the start of add2: the runtime's break handler must
+	// see it and resume; execution continues with the following
+	// instructions.
 	addr := lookup("add2")
 	if err := p.AS.StoreWord(addr, isa.EncodeR(isa.FnBREAK, 0, 0, 0, 0)); err != nil {
 		t.Fatal(err)
@@ -167,10 +170,27 @@ func TestCallFunctionChainsExistingBreakHandler(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !fired {
-		t.Fatal("existing break handler not chained")
+		t.Fatal("runtime's break handler not called")
 	}
 	// The overwritten addu never ran; $v0 is whatever the call left (0 from
 	// the break-resume path running jr $ra with $v0 unset). The important
 	// assertions are the chaining and the clean return.
 	_ = ret
+}
+
+// TestCallFunctionWarmMakesNoAllocations: once the stub page is mapped and
+// the callee's blocks are built, a call allocates nothing — the run loop
+// recognises the return stub itself.
+func TestCallFunctionWarmMakesNoAllocations(t *testing.T) {
+	k, p, lookup := callTestProc(t)
+	add2 := lookup("add2")
+	call := func() {
+		if ret, _, err := k.CallFunction(p, add2, [4]uint32{40, 2}, 1000); err != nil || ret != 42 {
+			t.Fatalf("add2(40,2) = %d, %v", ret, err)
+		}
+	}
+	call()
+	if n := testing.AllocsPerRun(100, call); n != 0 {
+		t.Fatalf("warm CallFunction makes %.1f allocations, want 0", n)
+	}
 }

@@ -2,8 +2,10 @@ package kern
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"hemlock/internal/addrspace"
 	"hemlock/internal/layout"
@@ -55,13 +57,55 @@ func TestFaultRetryLimit(t *testing.T) {
 	k := New()
 	p := k.Spawn(0)
 	calls := 0
-	p.Handler = func(pr *Process, f *addrspace.Fault) error {
+	p.Runtime = &testRuntime{fault: func(pr *Process, f *addrspace.Fault) error {
 		calls++
 		return nil // "handled", but nothing changed
-	}
+	}}
 	err := p.StoreWord(0x30000000, 1)
 	if err == nil || !strings.Contains(err.Error(), "retry limit") {
 		t.Fatalf("no-progress handler: %v", err)
+	}
+	if calls != maxFaultRetries {
+		t.Fatalf("handler called %d times, want %d", calls, maxFaultRetries)
+	}
+}
+
+// TestRunNoProgressFaultFails: the run loop bounds a handler that claims
+// success without resolving anything, as host accesses do: the run ends
+// with an error naming the pid and the faulting pc.
+func TestRunNoProgressFaultFails(t *testing.T) {
+	k := New()
+	p := k.Spawn(0)
+	calls := 0
+	p.UserHandler = func(pr *Process, f *addrspace.Fault) error {
+		calls++
+		return nil // "handled", but nothing changed
+	}
+	im := buildImageSyms(t, `
+        .text
+        .globl  main
+main:   li      $t0, 0x30000000
+        .globl  load
+load:   lw      $t1, 0($t0)
+        halt
+`)
+	if err := p.Exec(im); err != nil {
+		t.Fatal(err)
+	}
+	load, _ := im.Lookup("load")
+	done := make(chan error, 1)
+	go func() {
+		_, err := k.Run(p, 1000)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		want := fmt.Sprintf("pid %d at pc 0x%08x", p.PID, load)
+		if err == nil || !strings.Contains(err.Error(), "retry limit") || !strings.Contains(err.Error(), want) {
+			t.Fatalf("no-progress handler: %v, want the retry limit at %s", err, want)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("run with a no-progress fault handler still going after 10 s")
 	}
 	if calls != maxFaultRetries {
 		t.Fatalf("handler called %d times, want %d", calls, maxFaultRetries)
@@ -72,7 +116,7 @@ func TestHandlerErrorPropagates(t *testing.T) {
 	k := New()
 	p := k.Spawn(0)
 	boom := errors.New("handler exploded")
-	p.Handler = func(pr *Process, f *addrspace.Fault) error { return boom }
+	p.Runtime = &testRuntime{fault: func(pr *Process, f *addrspace.Fault) error { return boom }}
 	if err := p.StoreWord(0x30000000, 1); !errors.Is(err, boom) {
 		t.Fatalf("handler error lost: %v", err)
 	}

@@ -36,6 +36,34 @@ var (
 // fault along (to the program's own handler, then to default disposition).
 type FaultHandler func(p *Process, f *addrspace.Fault) error
 
+// Runtime is the one hook the Hemlock run-time library (ldl.Proc) installs
+// in a process, so the kernel can reach the dynamic linker without
+// depending on its package: for the faults and BREAK traps the kernel does
+// not resolve itself, for the link_module and sym_addr system calls, and at
+// fork.
+type Runtime interface {
+	// HandleFault is the library's SIGSEGV handler: lazy linking and
+	// pointer-following. nil means resolved, and the faulting instruction
+	// restarts; an error wrapping ErrUnhandled passes the fault on to the
+	// process's UserHandler.
+	HandleFault(p *Process, f *addrspace.Fault) error
+	// HandleBreak services a BREAK trap (a jump-table stub's first call):
+	// it adjusts the CPU state, typically rewinding PC to the patched
+	// stub, and returns nil to resume.
+	HandleBreak(p *Process) error
+	// LinkByPath brings the named module into the process at root scope
+	// (mapped, lazily linked) and returns its base address.
+	LinkByPath(name string, public bool) (uint32, error)
+	// SymbolAddr resolves a symbol against the process's root scope.
+	SymbolAddr(name string) (uint32, bool)
+	// Fork returns the runtime state for a forked child, which already
+	// holds copies of the parent's private segments — fork, which the
+	// paper retains "by weight of precedent", leaves the child with
+	// working fault handling at its own private instances and the shared
+	// public ones.
+	Fork(child *Process) Runtime
+}
+
 // Kernel is the machine: physical memory, the shared file system, and the
 // process table.
 type Kernel struct {
@@ -157,28 +185,12 @@ type Process struct {
 	Env  map[string]string
 	CWD  string
 
-	// Handler is the Hemlock run-time fault handler installed by crt0;
-	// UserHandler is a program-provided SIGSEGV handler, invoked only when
-	// the dynamic linking system's handler cannot resolve a fault.
-	Handler     FaultHandler
+	// Runtime is the Hemlock run-time library crt0 installs (nil without
+	// one). UserHandler is the program-provided SIGSEGV handler, the
+	// library's replacement signal(): it runs only when the runtime
+	// cannot resolve a fault.
+	Runtime     Runtime
 	UserHandler FaultHandler
-
-	// BreakHandler services BREAK traps: ldl installs one when the image
-	// has jump-table stubs (the SunOS-style lazy function linking). The
-	// handler adjusts the CPU state (typically rewinding PC to the patched
-	// stub) and returns nil to resume.
-	BreakHandler func(p *Process) error
-
-	// CloneRuntime, when set, duplicates the per-process runtime state
-	// (the dynamic linker's bookkeeping) for a forked child. ldl installs
-	// it so that fork — which the paper retains "by weight of precedent"
-	// — leaves the child with working fault handling at its own (copied)
-	// private instances and the shared public ones.
-	CloneRuntime func(parent, child *Process)
-
-	// Runtime carries the per-process dynamic-linker state (owned by
-	// package ldl; the kernel treats it as opaque).
-	Runtime interface{}
 
 	Stdout bytes.Buffer
 
@@ -187,7 +199,8 @@ type Process struct {
 
 	brk      uint32 // heap break
 	privBase uint32 // bump allocator for dynamic private module instances
-	callStub uint32 // CallFunction's return-stub page (0 until first call)
+	callStub uint32 // the call return stub's page (0 until the first call)
+	calls    int    // calls (CallFunction, PDCall) in progress on this process
 
 	mappedSlots map[int]bool // shared-fs inodes currently mapped
 
@@ -398,12 +411,9 @@ func (k *Kernel) forkInto(parent, child *Process) {
 	for ino := range parent.mappedSlots {
 		child.mappedSlots[ino] = true
 	}
-	child.Handler = parent.Handler
 	child.UserHandler = parent.UserHandler
-	child.BreakHandler = parent.BreakHandler
-	child.CloneRuntime = parent.CloneRuntime
-	if parent.CloneRuntime != nil {
-		parent.CloneRuntime(parent, child)
+	if parent.Runtime != nil {
+		child.Runtime = parent.Runtime.Fork(child)
 	}
 }
 
@@ -431,9 +441,9 @@ func (p *Process) Exit(code int) {
 // ---- fault delivery ---------------------------------------------------------
 
 // HandleFault delivers a memory fault to the process's user-level
-// handlers: first the Hemlock run-time handler, then — if it cannot
-// resolve the fault — the program-provided SIGSEGV handler, if one exists.
-// A nil return means the faulting instruction should be restarted.
+// handlers: first the Hemlock runtime's, then — if it cannot resolve the
+// fault — the program-provided SIGSEGV handler, if one exists. A nil
+// return means the faulting instruction should be restarted.
 func (k *Kernel) HandleFault(p *Process, f *addrspace.Fault) error {
 	k.ctrFaults.Inc()
 	if t := k.Obs.Tracer(); t.Enabled() {
@@ -448,8 +458,8 @@ func (k *Kernel) HandleFault(p *Process, f *addrspace.Fault) error {
 		k.ctrStackGrow.Inc()
 		return nil
 	}
-	if p.Handler != nil {
-		err := p.Handler(p, f)
+	if p.Runtime != nil {
+		err := p.Runtime.HandleFault(p, f)
 		if err == nil {
 			return nil
 		}
@@ -505,8 +515,9 @@ func (k *Kernel) MapSharedFile(p *Process, path string, size uint32, prot addrsp
 
 // ---- fault-retrying memory access (hosted programs) -------------------------
 
-// maxFaultRetries bounds handler-retry loops: a handler that "resolves" a
-// fault without making progress must not hang the kernel.
+// maxFaultRetries bounds handler-retry loops, in host accesses and in the
+// run loop alike: a handler that "resolves" a fault without making
+// progress must not hang the kernel.
 const maxFaultRetries = 64
 
 func (p *Process) retrying(access func() error) error {

@@ -2,6 +2,7 @@ package kern
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -272,18 +273,47 @@ func TestForkCopiesEnv(t *testing.T) {
 	}
 }
 
+// testRuntime is a Runtime for tests that need only a fault or a break
+// handler; a nil one declines.
+type testRuntime struct {
+	fault FaultHandler
+	brk   func(p *Process) error
+}
+
+func (r *testRuntime) HandleFault(p *Process, f *addrspace.Fault) error {
+	if r.fault == nil {
+		return ErrUnhandled
+	}
+	return r.fault(p, f)
+}
+
+func (r *testRuntime) HandleBreak(p *Process) error {
+	if r.brk == nil {
+		return fmt.Errorf("test runtime: break at 0x%08x", p.CPU.PC)
+	}
+	return r.brk(p)
+}
+
+func (r *testRuntime) LinkByPath(string, bool) (uint32, error) {
+	return 0, errors.New("test runtime: no linker")
+}
+
+func (r *testRuntime) SymbolAddr(string) (uint32, bool) { return 0, false }
+
+func (r *testRuntime) Fork(*Process) Runtime { return r }
+
 func TestFaultHandlerChaining(t *testing.T) {
 	k := New()
 	p := k.Spawn(0)
 	var hemlockCalled, userCalled int
-	p.Handler = func(pr *Process, f *addrspace.Fault) error {
+	p.Runtime = &testRuntime{fault: func(pr *Process, f *addrspace.Fault) error {
 		hemlockCalled++
 		if f.Addr == 0x30000000 {
 			// Resolve by mapping.
 			return pr.AS.MapAnon(0x30000000, 4096, addrspace.ProtRW)
 		}
 		return ErrUnhandled
-	}
+	}}
 	p.UserHandler = func(pr *Process, f *addrspace.Fault) error {
 		userCalled++
 		if f.Addr == 0x20000000 {
@@ -415,13 +445,13 @@ func TestRunFaultRestartInVM(t *testing.T) {
 	k := New()
 	p := k.Spawn(0)
 	mapped := false
-	p.Handler = func(pr *Process, f *addrspace.Fault) error {
+	p.Runtime = &testRuntime{fault: func(pr *Process, f *addrspace.Fault) error {
 		if layout.Public(f.Addr) && !mapped {
 			mapped = true
 			return pr.AS.MapAnon(addrspace.PageBase(f.Addr), 4096, addrspace.ProtRW)
 		}
 		return ErrUnhandled
-	}
+	}}
 	im := buildImage(t, `
         .text
         li      $t0, 0x30000000

@@ -12,16 +12,15 @@ package kern
 //
 // A server process registers an entry point (a VM address, or a hosted Go
 // handler standing in for one). A client's pd_call traps into the kernel,
-// which switches to the server's domain, runs the entry with the argument
-// in $a0, and returns the server's $v0 to the client when the entry
-// executes pd_return.
+// which switches to the server's domain and calls the entry (call, in
+// call.go) with the argument in $a0 and the client's pid in $a1. The call
+// returns the server's $a0 when the entry executes pd_return (or its $v0
+// when it returns through $ra), and the server's architectural state is
+// restored afterwards.
 
 import (
 	"errors"
 	"fmt"
-
-	"hemlock/internal/isa"
-	"hemlock/internal/vm"
 )
 
 // PD system call numbers (continuing the table in syscall.go).
@@ -104,66 +103,16 @@ func (k *Kernel) PDCall(client *Process, id int, arg uint32) (uint32, error) {
 		return svc.hosted(svc.server, arg)
 	}
 
-	// Switch into the server's domain: save its CPU state, run the entry
-	// with the argument, and restore afterwards.
+	// Switch into the server's domain: save its architectural state, call
+	// the entry, and restore the state afterwards. The server keeps its
+	// D-TLB and translated blocks: the space is the same, and every entry
+	// still checks the space's generation and each frame's store version.
 	server := svc.server
-	saved := server.CPU.Snapshot()
-	defer func() {
-		server.CPU.FlushObsv() // credit cache stats before the state rollback discards them
-		*server.CPU = saved
-	}()
-	server.CPU.PC = svc.entry
-	server.CPU.Regs[isa.RegA0] = arg
-	server.CPU.Regs[isa.RegA1] = uint32(client.PID)
-
-	// Batched execution: the server body runs through RunBatch (and so
-	// through the block engine), with the budget carried as a Steps delta
-	// across turns. A turn that faults retires nothing — the trap unwinds
-	// the faulting instruction so the lazy-link handler can patch and
-	// restart it — so the turn counter, not the step budget, bounds a
-	// handler that never makes progress. The deferred rollback above
-	// copies the snapshot back over the CPU, which also discards any
-	// translated blocks the service call built.
-	start := server.CPU.Steps
-	for turns := uint64(0); turns < pdCallBudget; turns++ {
-		used := server.CPU.Steps - start
-		if used >= pdCallBudget {
-			break
-		}
-		ev, err := server.CPU.RunBatch(pdCallBudget - used)
-		if err != nil {
-			f, ok := vm.FaultOf(err)
-			if !ok {
-				return 0, fmt.Errorf("kern: pd service %d: %w", id, err)
-			}
-			if herr := k.HandleFault(server, f); herr != nil {
-				return 0, fmt.Errorf("kern: pd service %d: %w", id, herr)
-			}
-			continue
-		}
-		switch ev {
-		case vm.EventSyscall:
-			num := server.CPU.Regs[isa.RegV0]
-			if num == SysPDReturn {
-				return server.CPU.Regs[isa.RegA0], nil
-			}
-			if err := k.Syscall(server); err != nil {
-				return 0, err
-			}
-			if server.Exited {
-				return 0, fmt.Errorf("kern: pd service %d exited mid-call", id)
-			}
-		case vm.EventBreak:
-			if server.BreakHandler != nil {
-				if err := server.BreakHandler(server); err != nil {
-					return 0, err
-				}
-				continue
-			}
-			return 0, fmt.Errorf("kern: pd service %d hit break at 0x%08x", id, server.CPU.PC)
-		case vm.EventHalt:
-			return 0, fmt.Errorf("kern: pd service %d halted mid-call", id)
-		}
+	saved := server.CPU.ArchState()
+	defer server.CPU.SetArchState(saved)
+	ret, _, err := k.call(server, svc.entry, [4]uint32{arg, uint32(client.PID)}, pdCallBudget)
+	if err != nil {
+		return 0, fmt.Errorf("kern: pd service %d: %w", id, err)
 	}
-	return 0, fmt.Errorf("kern: pd service %d exceeded %d steps", id, pdCallBudget)
+	return ret, nil
 }

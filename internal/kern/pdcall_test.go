@@ -7,7 +7,46 @@ import (
 	"hemlock/internal/addrspace"
 	"hemlock/internal/isa"
 	"hemlock/internal/shmfs"
+	"hemlock/internal/vm"
 )
+
+// pdAddServerSrc registers a service that returns its argument plus 100,
+// then parks.
+const pdAddServerSrc = `
+        .text
+        li      $v0, 20         # pd_serve(entry)
+        la      $a0, entry
+        syscall
+park:   b       park
+entry:  addiu   $a0, $a0, 100
+        li      $v0, 22         # pd_return(result in $a0)
+        syscall
+`
+
+// pdVMServer execs src in a new server process and steps it through its
+// first syscall, the pd_serve that registers its entry, returning the
+// server and the service id.
+func pdVMServer(t *testing.T, k *Kernel, src string) (*Process, int) {
+	t.Helper()
+	server := k.Spawn(0)
+	if err := server.Exec(buildImage(t, src)); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 100; i++ {
+		ev, err := server.CPU.Step()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ev == vm.EventSyscall {
+			if err := k.Syscall(server); err != nil {
+				t.Fatal(err)
+			}
+			return server, int(server.CPU.Regs[isa.RegV0])
+		}
+	}
+	t.Fatal("server never called pd_serve")
+	return nil, 0
+}
 
 func TestPDCallHosted(t *testing.T) {
 	k := New()
@@ -79,38 +118,7 @@ func TestPDCallVMServer(t *testing.T) {
 	// A VM server registers its entry via pd_serve and parks; the client
 	// calls it via pd_call. The service adds 100 to its argument.
 	k := New()
-	server := k.Spawn(0)
-	serverImg := buildImage(t, `
-        .text
-        # pd_serve(entry)
-        li      $v0, 20
-        la      $a0, entry
-        syscall
-        halt                    # server parks; entry runs on demand
-entry:
-        addiu   $a0, $a0, 100
-        li      $v0, 22         # pd_return(result in $a0)
-        syscall
-`)
-	if err := server.Exec(serverImg); err != nil {
-		t.Fatal(err)
-	}
-	// Run the server until it parks (halt exits... we must capture the
-	// service id before exit). Step manually: run until the pd_serve
-	// syscall completes.
-	for {
-		ev, err := server.CPU.Step()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ev.String() == "syscall" {
-			if err := k.Syscall(server); err != nil {
-				t.Fatal(err)
-			}
-			break
-		}
-	}
-	id := int(server.CPU.Regs[isa.RegV0])
+	_, id := pdVMServer(t, k, pdAddServerSrc)
 	if id == 0 {
 		t.Fatal("pd_serve returned no id")
 	}
@@ -185,8 +193,7 @@ func TestPDReturnOutsideCall(t *testing.T) {
 func TestPDCallVMServerStateRestored(t *testing.T) {
 	// The server's CPU state is saved and restored around each call.
 	k := New()
-	server := k.Spawn(0)
-	img := buildImage(t, `
+	server, id := pdVMServer(t, k, `
         .text
         li      $s0, 777        # distinctive register state
         li      $v0, 20
@@ -200,18 +207,6 @@ entry:
         li      $v0, 22
         syscall
 `)
-	server.Exec(img)
-	for i := 0; i < 100; i++ {
-		ev, err := server.CPU.Step()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ev.String() == "syscall" {
-			k.Syscall(server)
-			break
-		}
-	}
-	id := int(server.CPU.Regs[isa.RegV0])
 	client := k.Spawn(0)
 	got, err := k.PDCall(client, id, 0)
 	if err != nil {
@@ -222,5 +217,69 @@ entry:
 	}
 	if server.CPU.Regs[16] != 777 { // $s0
 		t.Fatalf("server register state clobbered: $s0 = %d", server.CPU.Regs[16])
+	}
+}
+
+// TestPDCallVMServerKeepsBlocks: restoring the server's architectural
+// state after a call keeps its translated blocks, so a second call to the
+// same service builds none.
+func TestPDCallVMServerKeepsBlocks(t *testing.T) {
+	k := New()
+	_, id := pdVMServer(t, k, pdAddServerSrc)
+	client := k.Spawn(0)
+	if got, err := k.PDCall(client, id, 5); err != nil || got != 105 {
+		t.Fatalf("call 1: %d, %v", got, err)
+	}
+	builds := k.Obs.R.Counter("vm.block_build")
+	before := builds.Value()
+	if got, err := k.PDCall(client, id, 7); err != nil || got != 107 {
+		t.Fatalf("call 2: %d, %v", got, err)
+	}
+	if n := builds.Value() - before; n != 0 {
+		t.Fatalf("second call built %d blocks, want 0", n)
+	}
+}
+
+// TestPDCallVMServiceStepsCounted: a VM service runs through Kernel.Run, so
+// its steps count in kern.steps, while the server's own step count
+// excludes the call.
+func TestPDCallVMServiceStepsCounted(t *testing.T) {
+	k := New()
+	server, id := pdVMServer(t, k, pdAddServerSrc)
+	steps := k.Obs.R.Counter("kern.steps")
+	before, serverSteps := steps.Value(), server.CPU.Steps
+	if got, err := k.PDCall(k.Spawn(0), id, 1); err != nil || got != 101 {
+		t.Fatalf("call: %d, %v", got, err)
+	}
+	if n := steps.Value() - before; n != 4 { // addiu, li (lui+ori), syscall
+		t.Fatalf("kern.steps moved by %d over the call, want 4", n)
+	}
+	if server.CPU.Steps != serverSteps {
+		t.Fatalf("server steps %d -> %d across the call, want unchanged", serverSteps, server.CPU.Steps)
+	}
+}
+
+// TestPDCallVMServiceHaltExitsServer: a VM service that halts ends the
+// server, as a halting CallFunction callee does, and the call reports
+// ErrCallExited.
+func TestPDCallVMServiceHaltExitsServer(t *testing.T) {
+	k := New()
+	server, id := pdVMServer(t, k, `
+        .text
+        li      $v0, 20         # pd_serve(entry)
+        la      $a0, entry
+        syscall
+park:   b       park
+entry:  halt
+`)
+	client := k.Spawn(0)
+	if _, err := k.PDCall(client, id, 0); !errors.Is(err, ErrCallExited) {
+		t.Fatalf("halting service: %v, want ErrCallExited", err)
+	}
+	if !server.Exited {
+		t.Fatal("server still running after its service halted")
+	}
+	if _, err := k.PDCall(client, id, 0); !errors.Is(err, ErrNoService) {
+		t.Fatalf("call after the server exited: %v, want ErrNoService", err)
 	}
 }

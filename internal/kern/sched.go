@@ -362,9 +362,9 @@ func (s *Scheduler) sliceQuantum() uint64 {
 }
 
 // finish completes a task, mirroring what Kernel.Run does after its loop:
-// flush the CPU's cached stats and feed the kernel-wide step instruments.
+// feed the kernel-wide step instruments. (RunBatch has already flushed the
+// CPU's cached stats on its way out.)
 func (s *Scheduler) finish(t *Task, err error) {
-	t.p.CPU.FlushObsv()
 	s.k.ctrSteps.Add(t.steps)
 	s.k.hRunSteps.Observe(t.steps)
 	t.err = err

@@ -88,23 +88,11 @@ func sysName(num uint32) string {
 	return "syscall"
 }
 
-// ModuleLinker is the hook the dynamic linker installs (via
-// Process.Runtime) so the link_module and sym_addr system calls can reach
-// it without the kernel depending on the linker package. ldl.Proc
-// implements it.
-type ModuleLinker interface {
-	// LinkByPath brings the named module into the process at root scope
-	// (mapped, lazily linked) and returns its base address.
-	LinkByPath(name string, public bool) (uint32, error)
-	// SymbolAddr resolves a symbol against the process's root scope.
-	SymbolAddr(name string) (uint32, bool)
-}
-
 // ShmTxn is the hook a networked-shared-memory endpoint (netshm) installs
 // via SetShmTxn so the txn_stage/txn_commit system calls can reach the
 // fleet's transactional commit protocol without the kernel depending on
-// the netshm package — the same inversion ModuleLinker uses for the
-// dynamic linker.
+// the netshm package — the same inversion Runtime uses for the dynamic
+// linker.
 type ShmTxn interface {
 	// TxnStage stages a 32-bit word store at a replicated segment address
 	// for process pid.
@@ -249,26 +237,24 @@ func (k *Kernel) Syscall(p *Process) error {
 			ret = uint32(child.PID)
 		}
 	case SysLinkModule:
-		ml, ok := p.Runtime.(ModuleLinker)
-		if !ok {
+		if p.Runtime == nil {
 			err = fmt.Errorf("kern: no dynamic linker in this process")
 			break
 		}
 		var path string
 		path, err = p.CString(a0)
 		if err == nil {
-			ret, err = ml.LinkByPath(path, a1 != 0)
+			ret, err = p.Runtime.LinkByPath(path, a1 != 0)
 		}
 	case SysSymAddr:
-		ml, ok := p.Runtime.(ModuleLinker)
-		if !ok {
+		if p.Runtime == nil {
 			err = fmt.Errorf("kern: no dynamic linker in this process")
 			break
 		}
 		var name string
 		name, err = p.CString(a0)
 		if err == nil {
-			addr, found := ml.SymbolAddr(name)
+			addr, found := p.Runtime.SymbolAddr(name)
 			if !found {
 				err = fmt.Errorf("kern: undefined symbol %q", name)
 			}
@@ -372,13 +358,6 @@ func (k *Kernel) sysRead(p *Process, fd, buf, n uint32) (uint32, error) {
 	return uint32(got), nil
 }
 
-// OpenHostFile gives hosted (Go-level) programs the same fd interface the
-// VM syscalls use.
-func (p *Process) OpenHostFile(path string, writable bool) (int, error) {
-	fd, err := p.openPath(path, writable)
-	return int(fd), err
-}
-
 // Run drives the process's CPU until it exits, halts, traps fatally, or
 // retires maxSteps instructions. Faults are delivered to the user-level
 // handler and the faulting instruction restarted, exactly like hardware
@@ -400,14 +379,19 @@ func (k *Kernel) runLoop(p *Process, maxSteps uint64) (uint64, error) {
 	return n, fmt.Errorf("kern: pid %d exceeded %d steps", p.PID, maxSteps)
 }
 
-// runSlice is the resumable core of the run loop: it drives the CPU for at
-// most budget retired instructions and returns how many ran and whether the
-// process is finished (exited or already exited on entry). Exhausting the
-// budget with the process still runnable is NOT an error here — the SMP
-// scheduler calls runSlice repeatedly, one preemption quantum at a time,
-// interleaving other processes between slices.
+// runSlice is the resumable core of the run loop, and the only loop that
+// runs guest code: it drives the CPU for at most budget retired
+// instructions and returns how many ran and whether the run is finished —
+// the process exited (or had exited on entry), or the innermost call on it
+// returned (see call). Exhausting the budget with the process still
+// runnable is NOT an error here — the SMP scheduler calls runSlice
+// repeatedly, one preemption quantum at a time, interleaving other
+// processes between slices.
 func (k *Kernel) runSlice(p *Process, budget uint64) (uint64, bool, error) {
 	start := p.CPU.Steps
+	// stalled counts the faults taken since an instruction last retired, at
+	// step count stalledAt.
+	stalled, stalledAt := 0, start
 	// Hand the CPU its whole remaining budget and only come back here for
 	// events, faults and traps — the points the tracer observes — with or
 	// without a sink attached.
@@ -424,6 +408,13 @@ func (k *Kernel) runSlice(p *Process, budget uint64) (uint64, bool, error) {
 			if !ok {
 				return p.CPU.Steps - start, false, err
 			}
+			if p.CPU.Steps != stalledAt {
+				stalled, stalledAt = 0, p.CPU.Steps
+			}
+			if stalled == maxFaultRetries {
+				return p.CPU.Steps - start, false, fmt.Errorf("kern: pid %d at pc 0x%08x: fault retry limit exceeded", p.PID, p.CPU.PC)
+			}
+			stalled++
 			if herr := k.HandleFault(p, f); herr != nil {
 				return p.CPU.Steps - start, false, fmt.Errorf("pid %d at pc 0x%08x: %w", p.PID, p.CPU.PC, herr)
 			}
@@ -434,17 +425,25 @@ func (k *Kernel) runSlice(p *Process, budget uint64) (uint64, bool, error) {
 			p.Exit(0)
 			return p.CPU.Steps - start, true, nil
 		case vm.EventSyscall:
+			if p.calls > 0 && p.CPU.Regs[isa.RegV0] == SysPDReturn {
+				// pd_return(result): the innermost call returns result.
+				p.CPU.Regs[isa.RegV0] = p.CPU.Regs[isa.RegA0]
+				return p.CPU.Steps - start, true, nil
+			}
 			if err := k.Syscall(p); err != nil {
 				return p.CPU.Steps - start, false, err
 			}
 		case vm.EventBreak:
-			if p.BreakHandler != nil {
-				if err := p.BreakHandler(p); err != nil {
-					return p.CPU.Steps - start, false, err
-				}
-				continue
+			// BREAK leaves PC just past the trapping instruction.
+			if p.calls > 0 && p.CPU.PC == p.callStub+4 {
+				return p.CPU.Steps - start, true, nil // the callee returned to the stub
 			}
-			return p.CPU.Steps - start, false, fmt.Errorf("kern: pid %d hit break at 0x%08x", p.PID, p.CPU.PC)
+			if p.Runtime == nil {
+				return p.CPU.Steps - start, false, fmt.Errorf("kern: pid %d hit break at 0x%08x", p.PID, p.CPU.PC)
+			}
+			if err := p.Runtime.HandleBreak(p); err != nil {
+				return p.CPU.Steps - start, false, err
+			}
 		}
 	}
 	return p.CPU.Steps - start, p.Exited, nil

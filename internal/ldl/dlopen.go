@@ -8,8 +8,8 @@ package ldl
 // brings in ... Neither dld nor the explicitly-invoked Sun/SV routines
 // resolves undefined references in the main program" — ldl does both).
 //
-// These methods back the link_module and sym_addr system calls via the
-// kern.ModuleLinker interface.
+// These methods back the link_module and sym_addr system calls through
+// kern.Runtime.
 
 import "hemlock/internal/objfile"
 

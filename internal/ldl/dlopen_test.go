@@ -8,8 +8,9 @@ import (
 	"hemlock/internal/ldl"
 )
 
-// Compile-time check: ldl.Proc backs the link_module/sym_addr syscalls.
-var _ kern.ModuleLinker = (*ldl.Proc)(nil)
+// Compile-time check: ldl.Proc is the kernel's runtime hook, which backs
+// the link_module/sym_addr syscalls.
+var _ kern.Runtime = (*ldl.Proc)(nil)
 
 // TestDlopenFromVM: a program loads a module by name at run time and reads
 // a symbol from it — the dld workflow, but scoped, lazy, and able to feed

@@ -5,21 +5,21 @@ import (
 	"hemlock/internal/objfile"
 )
 
-// CloneFor duplicates the per-process linker state for a forked child.
-// Public module state (world-level) is shared — public segments are the
-// same segment in parent and child; private instance bookkeeping is
-// copied, since the child received copies of those segments at the same
-// (overloaded) private addresses.
-func (pr *Proc) CloneFor(child *kern.Process) *Proc {
+// Fork duplicates the per-process linker state for a forked child: the
+// kernel's fork installs the result as the child's Runtime. Public module
+// state (world-level) is shared — public segments are the same segment in
+// parent and child; private instance bookkeeping is copied, since the
+// child received copies of those segments at the same (overloaded)
+// private addresses.
+func (pr *Proc) Fork(child *kern.Process) kern.Runtime {
 	cl := &Proc{
-		W:           pr.W,
-		P:           child,
-		Image:       pr.Image,
-		table:       pr.table,     // static symbols are immutable after Start
-		imagePend:   pr.imagePend, // replaced by each pass, never written
-		trampNext:   pr.trampNext,
-		userHandler: pr.userHandler,
-		plt:         pr.plt, // stub names are immutable
+		W:         pr.W,
+		P:         child,
+		Image:     pr.Image,
+		table:     pr.table,     // static symbols are immutable after Start
+		imagePend: pr.imagePend, // replaced by each pass, never written
+		trampNext: pr.trampNext,
+		plt:       pr.plt, // stub names are immutable
 	}
 	// The child starts with its own copy of the pending image relocations.
 	// Hidden zygote templates don't count: they are parked snapshots, not
@@ -53,15 +53,6 @@ func (pr *Proc) CloneFor(child *kern.Process) *Proc {
 	relink(pr.root, cl.root)
 	for i, in := range pr.instances {
 		relink(in, cl.instances[i])
-	}
-	child.Runtime = cl
-	child.Handler = cl.HandleFault
-	// Never leave the child pointing at the PARENT's break handler (the
-	// kernel copies handlers wholesale before CloneRuntime runs).
-	if cl.plt != nil {
-		child.BreakHandler = cl.handleBreak
-	} else {
-		child.BreakHandler = nil
 	}
 	return cl
 }

@@ -234,20 +234,19 @@ func (in *Instance) Linked() bool {
 	return in.linked
 }
 
-// Proc is the per-process dynamic-linker state, stored in
-// kern.Process.Runtime by Start.
+// Proc is the per-process dynamic-linker state: the kern.Runtime that
+// Start installs as the process's Runtime.
 type Proc struct {
 	W     *World
 	P     *kern.Process
 	Image *objfile.Image
 
-	table       *linker.Table // image's static symbols
-	root        *Instance     // pseudo-instance: the program itself
-	instances   []*Instance
-	imagePend   []objfile.ImageReloc
-	trampNext   uint32
-	userHandler kern.FaultHandler
-	plt         map[uint32]string // stub address -> function name
+	table     *linker.Table // image's static symbols
+	root      *Instance     // pseudo-instance: the program itself
+	instances []*Instance
+	imagePend []objfile.ImageReloc
+	trampNext uint32
+	plt       map[uint32]string // stub address -> function name
 }
 
 // Start runs ldl for a process that has just exec'd im: the work the
@@ -274,13 +273,7 @@ func (w *World) Start(p *kern.Process, im *objfile.Image) (*Proc, error) {
 		searchPath: pr.runtimeDirs(),
 	}
 	p.Runtime = pr
-	p.Handler = pr.HandleFault
 	pr.installPLT()
-	p.CloneRuntime = func(parent, child *kern.Process) {
-		if ppr, ok := ProcOf(parent); ok {
-			ppr.CloneFor(child)
-		}
-	}
 
 	// Map static public modules, creating any that do not yet exist.
 	for _, sp := range im.Dyn.StaticPublic {
@@ -967,8 +960,9 @@ func (pr *Proc) instanceAt(addr uint32) *Instance {
 
 // HandleFault is the user-level SIGSEGV handler the Hemlock run-time
 // library installs. It implements lazy linking and pointer-following, and
-// chains to any program-provided handler (installed via SetUserHandler)
-// when it cannot resolve the fault.
+// returns kern.ErrUnhandled when it cannot resolve the fault, so the
+// kernel passes it on to the program's own handler (kern.Process's
+// UserHandler), if one exists.
 func (pr *Proc) HandleFault(p *kern.Process, f *addrspace.Fault) error {
 	// A fault inside a module set up for lazy linking triggers the
 	// dynamic linker.
@@ -981,10 +975,16 @@ func (pr *Proc) HandleFault(p *kern.Process, f *addrspace.Fault) error {
 	if layout.Public(f.Addr) && f.Unmapped {
 		path, _, err := pr.W.K.FS.AddrToPath(f.Addr)
 		if err != nil {
-			return pr.chain(p, f)
+			return kern.ErrUnhandled
 		}
 		if _, err := pr.W.K.MapSharedFile(p, path, 0, addrspace.ProtRWX); err != nil {
-			return pr.chain(p, f)
+			return kern.ErrUnhandled
+		}
+		// The address lies in the file's slot but past its pages (mapping
+		// is idempotent, so the file was either mapped now or before):
+		// mapping again resolves nothing.
+		if !p.AS.Mapped(f.Addr, 1) {
+			return kern.ErrUnhandled
 		}
 		pr.W.mu.Lock()
 		pr.W.Stats.PointerMaps++
@@ -993,22 +993,8 @@ func (pr *Proc) HandleFault(p *kern.Process, f *addrspace.Fault) error {
 		pr.W.emit(obsv.Event{Name: "pointer_map", PID: p.PID, Mod: path, Addr: f.Addr})
 		return nil
 	}
-	return pr.chain(p, f)
-}
-
-// chain invokes the program-provided SIGSEGV handler, if one exists: the
-// compatibility path of the library's replacement signal() call.
-func (pr *Proc) chain(p *kern.Process, f *addrspace.Fault) error {
-	if pr.userHandler != nil {
-		return pr.userHandler(p, f)
-	}
 	return kern.ErrUnhandled
 }
-
-// SetUserHandler is the library's new version of the standard signal call:
-// the program's handler runs only when the dynamic linking system's
-// handler is unable to resolve a fault.
-func (pr *Proc) SetUserHandler(h kern.FaultHandler) { pr.userHandler = h }
 
 // ---- queries -------------------------------------------------------------------
 

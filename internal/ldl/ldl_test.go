@@ -1,9 +1,11 @@
 package ldl_test
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"hemlock/internal/addrspace"
 	"hemlock/internal/core"
@@ -364,6 +366,43 @@ func TestUnmappedHoleSegfaults(t *testing.T) {
 	}
 }
 
+// TestLoadPastMappedPagesSegfaults: a guest load inside a shared file's
+// slot but past the file's pages is a segmentation fault. Pointer-following
+// maps the file, which changes nothing once it is mapped, so it must not
+// call the fault resolved and restart the load for ever.
+func TestLoadPastMappedPagesSegfaults(t *testing.T) {
+	s := core.NewSystem()
+	s.FS.MkdirAll("/data", 0644, 0)
+	s.FS.Create("/data/page", 0644, 0)
+	s.FS.WriteAt("/data/page", 0, []byte{0, 0, 0, 7}, 0) // one page
+	base, err := s.FS.PathToAddr("/data/page")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := linkWith(t, s, fmt.Sprintf(`
+        .text
+        .globl  main
+main:   li      $t0, 0x%08x
+        lw      $t1, 0($t0)     # the file's first word: maps the file
+        lw      $v0, 8192($t0)  # two pages on: past the file
+        jr      $ra
+`, base))
+	pg, err := s.Launch(res.Image, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- pg.Run(10_000) }()
+	select {
+	case err := <-done:
+		if !errors.Is(err, kern.ErrUnhandled) || !strings.Contains(err.Error(), "segmentation fault") {
+			t.Fatalf("load past the file's pages: %v, want a segmentation fault", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("load past the file's pages still running after 10 s")
+	}
+}
+
 func TestUserHandlerRecovery(t *testing.T) {
 	// Application-specific recovery: the program's own handler gets the
 	// faults ldl cannot resolve.
@@ -374,10 +413,10 @@ func TestUserHandlerRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	recovered := 0
-	pg.LDL.SetUserHandler(func(p *kern.Process, f *addrspace.Fault) error {
+	pg.P.UserHandler = func(p *kern.Process, f *addrspace.Fault) error {
 		recovered++
 		return p.AS.MapAnon(f.Addr&^4095, 4096, addrspace.ProtRW)
-	})
+	}
 	if _, err := pg.P.LoadWord(0x28000000); err != nil {
 		t.Fatalf("user handler did not recover: %v", err)
 	}

@@ -33,7 +33,7 @@ func (e *ErrUndefinedCall) Error() string {
 	return fmt.Sprintf("ldl: call to undefined function %q (stub 0x%08x)", e.Name, e.Stub)
 }
 
-// installPLT registers the break handler when the image carries stubs.
+// installPLT indexes the image's jump-table stubs for HandleBreak.
 func (pr *Proc) installPLT() {
 	if len(pr.Image.PLT) == 0 {
 		return
@@ -43,13 +43,12 @@ func (pr *Proc) installPLT() {
 	for _, s := range pr.Image.PLT {
 		pr.plt[s.Addr] = s.Name
 	}
-	pr.P.BreakHandler = pr.handleBreak
 	sp.End(uint64(len(pr.Image.PLT)))
 }
 
-// handleBreak resolves the stub whose BREAK just trapped. The CPU has
+// HandleBreak resolves the stub whose BREAK just trapped. The CPU has
 // advanced PC past the break, so the stub base is PC-4.
-func (pr *Proc) handleBreak(p *kern.Process) error {
+func (pr *Proc) HandleBreak(p *kern.Process) error {
 	stub := p.CPU.PC - 4
 	name, ok := pr.plt[stub]
 	if !ok {

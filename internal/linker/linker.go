@@ -233,16 +233,6 @@ func (t *Table) Define(name string, addr, size uint32) error {
 	return nil
 }
 
-// DefineFirst adds a symbol only if absent ("picks the first"), reporting
-// whether it was added.
-func (t *Table) DefineFirst(name string, addr, size uint32) bool {
-	if _, dup := t.syms[name]; dup {
-		return false
-	}
-	t.syms[name] = objfile.ImageSym{Name: name, Addr: addr, Size: size}
-	return true
-}
-
 // AddExports defines every global symbol of a placed module.
 func (t *Table) AddExports(p *Placed) error {
 	for _, s := range p.Exports() {

@@ -325,16 +325,10 @@ func TestTableDuplicateDetection(t *testing.T) {
 	if err := tb.Define("x", 0x2000, 4); !errors.Is(err, ErrDuplicateSymbol) {
 		t.Fatalf("want ErrDuplicateSymbol, got %v", err)
 	}
-	if tb.DefineFirst("x", 0x3000, 4) {
-		t.Fatal("DefineFirst replaced an existing symbol")
-	}
 	if addr, _ := tb.Resolve("x"); addr != 0x1000 {
 		t.Fatalf("x = 0x%x", addr)
 	}
-	if !tb.DefineFirst("y", 0x4000, 4) {
-		t.Fatal("DefineFirst failed on fresh symbol")
-	}
-	if tb.Len() != 2 {
+	if tb.Len() != 1 {
 		t.Fatalf("len = %d", tb.Len())
 	}
 }

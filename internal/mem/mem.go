@@ -147,23 +147,20 @@ func (f *Frame) Release() {
 // Refs reports the current reference count (for tests and fsck).
 func (f *Frame) Refs() int { return int(f.refs.Load()) }
 
-// NoteStore records a mutation of the frame's bytes by bumping the
-// store-version counter. Every writer — the VM's store fast path, the
-// address-space write API, the shared file system — must call it BEFORE
-// the bytes change. The VM's block-translation engine validates against
-// Version on every block entry (including entries through chain
-// pointers). That one counter is how a store into live text — ldl
-// patching a trampoline or jump-table slot, self-modifying code, a sibling
-// process writing through a shared frame — invalidates stale translated
-// blocks on the very next fetch.
-func (f *Frame) NoteStore() { f.ver.Add(1) }
-
-// NoteStoreRange is NoteStore plus the dirty-byte watermark: writers that
-// know the byte range they are about to touch (the file system's WriteAt,
-// the address-space write API, the VM's word and byte stores) call this so
-// that a tracked frame records exactly which bytes changed. The
-// replication layer (netshm) turns the watermark into byte-range deltas
-// instead of shipping whole pages.
+// NoteStoreRange records a mutation of bytes [off, off+n) of the frame by
+// bumping the store-version counter. Every writer — the VM's store fast
+// path, the address-space write API, the shared file system — must call
+// it (or go through a Store* method, which does) BEFORE the bytes change.
+// The VM's block-translation engine validates against Version on every
+// block entry (including entries through chain pointers). That one counter
+// is how a store into live text — ldl patching a trampoline or jump-table
+// slot, self-modifying code, a sibling process writing through a shared
+// frame — invalidates stale translated blocks on the very next fetch.
+//
+// The range also feeds the dirty-byte watermark, so that a tracked frame
+// records exactly which bytes changed. The replication layer (netshm)
+// turns the watermark into byte-range deltas instead of shipping whole
+// pages.
 func (f *Frame) NoteStoreRange(off, n uint32) {
 	f.ver.Add(1)
 	f.noteRange(off, n)
@@ -322,7 +319,7 @@ func (f *Frame) LoadWordBE(off uint32) uint32 {
 
 // StoreWordBE atomically stores the guest word at the aligned frame offset,
 // bumping the store-version counter first (writers bump BEFORE the bytes
-// change; see NoteStore).
+// change; see NoteStoreRange).
 func (f *Frame) StoreWordBE(off, v uint32) {
 	f.ver.Add(1)
 	f.noteRange(off&(PageSize-1)&^3, 4)

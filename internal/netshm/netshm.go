@@ -70,12 +70,15 @@ var (
 // PageSize is the replication granularity: the machine page.
 const PageSize = mem.PageSize
 
+// backoffCap is the ceiling, in ticks, on every exponential retry backoff:
+// catch-up retries, transaction forwards and migration offers.
+const backoffCap = 16
+
 // Config tunes the protocol's virtual-clock behaviour. The zero value
 // selects the defaults.
 type Config struct {
 	RetryTicks uint64 // ticks before the first catch-up retry (default 2)
 	RetryMax   int    // bounded retry: attempts per lag episode (default 8)
-	BackoffCap uint64 // ceiling on the backoff interval (default 16)
 
 	// AnnounceTicks is the period at which a home announces each segment
 	// to the replicas that lag it (default 4). Every
@@ -108,9 +111,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.RetryMax == 0 {
 		c.RetryMax = 8
-	}
-	if c.BackoffCap == 0 {
-		c.BackoffCap = 16
 	}
 	if c.AnnounceTicks == 0 {
 		c.AnnounceTicks = 4
@@ -960,11 +960,7 @@ func (n *Node) Step() {
 				} else {
 					n.sendMigrateLocked(s)
 					s.migrateTries++
-					backoff := n.cfg.RetryTicks << uint(s.migrateTries)
-					if backoff > n.cfg.BackoffCap {
-						backoff = n.cfg.BackoffCap
-					}
-					s.migrateAt = now + backoff
+					s.migrateAt = now + min(n.cfg.RetryTicks<<uint(s.migrateTries), backoffCap)
 				}
 			}
 			n.retryLocked(s, now)
@@ -1034,11 +1030,7 @@ func (n *Node) retryLocked(s *seg, now uint64) {
 		}
 		n.ctrRetries.Inc()
 		ps.attempts++
-		backoff := n.cfg.RetryTicks << uint(ps.attempts)
-		if backoff > n.cfg.BackoffCap {
-			backoff = n.cfg.BackoffCap
-		}
-		ps.nextTry = now + backoff
+		ps.nextTry = now + min(n.cfg.RetryTicks<<uint(ps.attempts), backoffCap)
 	}
 }
 

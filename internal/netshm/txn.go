@@ -338,11 +338,7 @@ func (n *Node) stepTxnLocked(now uint64) {
 		default:
 			n.sendTxnFwdLocked(f)
 			f.attempts++
-			backoff := n.cfg.RetryTicks << uint(f.attempts)
-			if backoff > n.cfg.BackoffCap {
-				backoff = n.cfg.BackoffCap
-			}
-			f.nextTry = now + backoff
+			f.nextTry = now + min(n.cfg.RetryTicks<<uint(f.attempts), backoffCap)
 		}
 		kept = append(kept, f)
 	}

@@ -201,6 +201,7 @@ func DecodeImageBytes(b []byte) (*Image, error) {
 	if err := d.Finish(); err != nil {
 		return nil, fmt.Errorf("objfile: decoding image %q: %w", im.Name, err)
 	}
+	im.linkHash.Store(fnv1a64(b))
 	return im, nil
 }
 

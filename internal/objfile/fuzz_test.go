@@ -2,6 +2,7 @@ package objfile
 
 import (
 	"bytes"
+	"hash/fnv"
 	"reflect"
 	"testing"
 
@@ -77,6 +78,11 @@ func FuzzDecodeImage(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-encode: %v", err)
 		}
+		// The codec is canonical: LinkHash of a decoded image is the hash
+		// of the bytes it came from, so they must be its encoding.
+		if !bytes.Equal(re, b) {
+			t.Fatalf("re-encoding differs from the decoded bytes:\n%x\n%x", b, re)
+		}
 		again, err := DecodeImageBytes(re)
 		if err != nil || !reflect.DeepEqual(got, again) {
 			t.Fatalf("round trip changed the image: %v\n%+v\n%+v", err, got, again)
@@ -87,7 +93,8 @@ func FuzzDecodeImage(f *testing.F) {
 // TestSeedsReencodeByteForByte: the enc-* seeds are objects and images
 // that as and lds wrote before the formats moved onto internal/wire. They
 // must decode and re-encode to the same bytes, so the move changed no
-// format.
+// format, and a decoded image's LinkHash is the FNV-1a hash of those
+// bytes.
 func TestSeedsReencodeByteForByte(t *testing.T) {
 	for name, b := range wiretest.Corpus(t, "FuzzDecodeObject", "enc-") {
 		o, err := DecodeBytes(b)
@@ -103,8 +110,14 @@ func TestSeedsReencodeByteForByte(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if re, err := im.ImageBytes(); err != nil || !bytes.Equal(re, b) {
+		re, err := im.ImageBytes()
+		if err != nil || !bytes.Equal(re, b) {
 			t.Errorf("%s: re-encoding differs (err %v)", name, err)
+		}
+		h := fnv.New64a()
+		h.Write(re)
+		if got, err := im.LinkHash(); err != nil || got != h.Sum64() {
+			t.Errorf("%s: LinkHash %x, want %x (%v)", name, got, h.Sum64(), err)
 		}
 	}
 }

@@ -390,10 +390,12 @@ type Image struct {
 // LinkHash returns the FNV-1a 64 hash of the image's HEMX encoding
 // (ImageBytes), so every field the codec carries is in it. It fails only
 // where ImageBytes does. The hash is computed once per image and kept
-// with the image, so it is freed with the image. Images are never changed
-// after lds builds or DecodeImageBytes decodes them, so the value stays
-// right for the image's life. ldl derives each launch key from it. A zero
-// hash is recomputed each call.
+// with the image, so it is freed with the image; DecodeImageBytes stores
+// the hash of the bytes it decoded, which are the image's encoding because
+// the codec is canonical (FuzzDecodeImage holds it to that). Images are
+// never changed after lds builds or DecodeImageBytes decodes them, so the
+// value stays right for the image's life. ldl derives each launch key from
+// it. A zero hash is recomputed each call.
 func (im *Image) LinkHash() (uint64, error) {
 	if h := im.linkHash.Load(); h != 0 {
 		return h, nil
@@ -402,12 +404,18 @@ func (im *Image) LinkHash() (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
+	h := fnv1a64(b)
+	im.linkHash.Store(h)
+	return h, nil
+}
+
+// fnv1a64 is the FNV-1a 64 hash of b.
+func fnv1a64(b []byte) uint64 {
 	h := uint64(14695981039346656037) // FNV-1a 64 offset basis
 	for _, c := range b {
 		h = (h ^ uint64(c)) * 1099511628211 // FNV-1a 64 prime
 	}
-	im.linkHash.Store(h)
-	return h, nil
+	return h
 }
 
 // Lookup returns the address of a global symbol in the image.

@@ -191,6 +191,11 @@ func TestImageRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The decoder keeps the hash of the bytes it read as LinkHash: the
+	// value the built image computes from its encoding.
+	if h, err := im.LinkHash(); err != nil || got.linkHash.Load() != h {
+		t.Fatalf("decoded LinkHash %x, want %x (%v)", got.linkHash.Load(), h, err)
+	}
 	if !reflect.DeepEqual(im, got) {
 		t.Fatalf("image round trip mismatch:\n got %+v\nwant %+v", got, im)
 	}

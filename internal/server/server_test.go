@@ -17,6 +17,8 @@ import (
 	"time"
 
 	"hemlock/internal/core"
+	"hemlock/internal/lds"
+	"hemlock/internal/objfile"
 	"hemlock/internal/shmfs"
 	"hemlock/internal/vm"
 )
@@ -312,6 +314,65 @@ func TestFailedRunLaunchesReaped(t *testing.T) {
 	}
 	if got := programs.Value(); got != progs {
 		t.Fatalf("server.programs = %d after five failed run launches, want %d", got, progs)
+	}
+}
+
+// TestRunPastMappedPagesAnswersError: a "run":true launch whose main loads
+// past a shared file's mapped pages ends in a segmentation fault and
+// answers an error, instead of holding the world for ever; the next
+// request is served.
+func TestRunPastMappedPagesAnswersError(t *testing.T) {
+	sys := core.NewSystem()
+	if _, err := sys.FS.Create("/page", shmfs.DefaultFileMode, 0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sys.FS.WriteAt("/page", 0, []byte{0, 0, 0, 7}, 0); err != nil { // one page
+		t.Fatal(err)
+	}
+	base, err := sys.FS.PathToAddr("/page")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sys.Asm("/bin/past.o", fmt.Sprintf(`
+        .text
+        .globl  main
+main:   li      $t0, 0x%08x
+        lw      $v0, 8192($t0)  # two pages on: past the file
+        jr      $ra
+`, base)); err != nil {
+		t.Fatal(err)
+	}
+	res, err := sys.Link(&lds.Options{
+		Output:  "past",
+		Modules: []lds.Input{{Name: "past.o", Class: objfile.StaticPrivate}},
+		LinkDir: "/bin",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.SaveExecutable("/bin/past", res.Image); err != nil {
+		t.Fatal(err)
+	}
+	s := New(sys, Config{})
+	h := s.Handler()
+	got := make(chan *httptest.ResponseRecorder, 1)
+	go func() {
+		rr := httptest.NewRecorder()
+		h.ServeHTTP(rr, httptest.NewRequest(http.MethodPost, "/api/launch", strings.NewReader(`{"exe":"/bin/past","run":true}`)))
+		got <- rr
+	}()
+	select {
+	case rr := <-got:
+		if rr.Code != http.StatusInternalServerError || !strings.Contains(rr.Body.String(), "segmentation fault") {
+			t.Fatalf("launch: %d %s, want 500 naming the segmentation fault", rr.Code, rr.Body)
+		}
+	case <-time.After(10 * time.Second):
+		// No Close: it would wait for the world the launch still holds.
+		t.Fatal("launch still running after 10 s")
+	}
+	t.Cleanup(func() { s.Close() })
+	if rr, body := getURL(t, h, "/api/info"); rr.Code != http.StatusOK {
+		t.Fatalf("info after the failed launch: %d %s", rr.Code, body)
 	}
 }
 

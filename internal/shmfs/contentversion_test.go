@@ -38,7 +38,7 @@ func TestContentVersionTracksMappedStores(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	frames[0].NoteStore()
+	frames[0].NoteStoreRange(0, 1)
 	frames[0].Data[0] = 'X'
 	v3, _ := fs.ContentVersion("/m")
 	if v3 == v1 {

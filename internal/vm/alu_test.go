@@ -93,9 +93,11 @@ func TestBlezBgtzBoundaries(t *testing.T) {
 	}
 }
 
+// TestSnapshotIsIndependent: an ArchState snapshot does not alias the live
+// registers.
 func TestSnapshotIsIndependent(t *testing.T) {
 	cpu := loadProgram(t, ".text\n li $t0, 5\n halt\n", 0x1000)
-	snap := cpu.Snapshot()
+	snap := cpu.ArchState()
 	if _, err := cpu.Run(10); err != nil {
 		t.Fatal(err)
 	}

@@ -232,9 +232,10 @@ func TestRunBatchBudgetExactWithFusion(t *testing.T) {
 	}
 }
 
-// TestSnapshotDropsBlockCache: a forked CPU must not carry translated
-// blocks — the child's space can share the parent's generation number, so
-// a stale block would execute the parent's text.
+// TestSnapshotDropsBlockCache: a CPU loaded from another's ArchState (a
+// forked child) must not carry translated blocks — the child's space can
+// share the parent's generation number, so a stale block would execute
+// the parent's text.
 func TestSnapshotDropsBlockCache(t *testing.T) {
 	as := newSpace(t)
 	putCode(t, as, benchTextBase, []uint32{
@@ -249,8 +250,8 @@ func TestSnapshotDropsBlockCache(t *testing.T) {
 
 	as2 := mapPages(t, map[uint32]addrspace.Prot{benchTextBase: addrspace.ProtRWX})
 	putCode(t, as2, benchTextBase, []uint32{isa.EncodeI(isa.OpHALT, 0, 0, 0)})
-	child := c.Snapshot()
-	child.AS = as2
+	child := vm.New(as2)
+	child.SetArchState(c.ArchState())
 	child.PC = benchTextBase
 	ev, err := child.RunBatch(10)
 	if err != nil || ev != vm.EventHalt {

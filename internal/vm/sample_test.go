@@ -75,7 +75,7 @@ func TestSamplerExactAttribution(t *testing.T) {
 }
 
 // TestSamplerSurvivesSnapshot: fork copies the sampler reference along
-// with the architectural state.
+// with the rest of the ArchState.
 func TestSamplerSurvivesSnapshot(t *testing.T) {
 	c := benchCPU(t)
 	s := newRecSampler()
@@ -83,7 +83,8 @@ func TestSamplerSurvivesSnapshot(t *testing.T) {
 	if _, err := c.RunBatch(64); err != nil {
 		t.Fatal(err)
 	}
-	child := c.Snapshot()
+	child := vm.New(c.AS)
+	child.SetArchState(c.ArchState())
 	if _, err := child.RunBatch(64); err != nil {
 		t.Fatal(err)
 	}

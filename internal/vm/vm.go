@@ -524,36 +524,17 @@ func (c *CPU) ArchState() ArchState {
 }
 
 // SetArchState loads a into c, keeping c's own address space, wired
-// counters and (cold) caches. fork uses it to reuse the CPU Spawn already
-// allocated instead of paying for a second CPU per clone; cache state is
-// deliberately not part of it, for the reason Snapshot omits it.
+// counters and caches. fork uses it to reuse the CPU Spawn already
+// allocated instead of paying for a second CPU per clone, and a
+// protection-domain call uses it to restore the server's state. Cache
+// state is deliberately not part of ArchState: a forked child runs
+// against a different address space whose generation counter starts
+// fresh, so inherited entries could falsely validate against the parent's
+// frames.
 func (c *CPU) SetArchState(a ArchState) {
 	c.Regs = a.Regs
 	c.PC = a.PC
 	c.Steps = a.Steps
 	c.Traps = a.Traps
 	c.sampler = a.sampler
-}
-
-// Snapshot returns a copy of the architectural state (for fork). Cache
-// state is deliberately NOT copied: the child runs against a different
-// address space whose generation counter starts fresh, so inherited
-// entries could falsely validate against the parent's frames.
-func (c *CPU) Snapshot() CPU {
-	return CPU{
-		Regs:              c.Regs,
-		PC:                c.PC,
-		AS:                c.AS,
-		Steps:             c.Steps,
-		Traps:             c.Traps,
-		CtrTraps:          c.CtrTraps,
-		CtrTLBHit:         c.CtrTLBHit,
-		CtrTLBMiss:        c.CtrTLBMiss,
-		CtrTLBFillPrivate: c.CtrTLBFillPrivate,
-		CtrBlockBuild:     c.CtrBlockBuild,
-		CtrBlockHit:       c.CtrBlockHit,
-		CtrBlockInval:     c.CtrBlockInval,
-		CtrFusedOps:       c.CtrFusedOps,
-		sampler:           c.sampler,
-	}
 }
