@@ -481,6 +481,7 @@ func BenchmarkNetShmScale(b *testing.B) {
 			data := make([]byte, 64)
 			totalTicks := 0
 			startBytes := net.Stats().BytesSent
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				data[0] = byte(i)

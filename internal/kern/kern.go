@@ -202,7 +202,7 @@ type Process struct {
 	callStub uint32 // the call return stub's page (0 until the first call)
 	calls    int    // calls (CallFunction, PDCall) in progress on this process
 
-	mappedSlots map[int]bool // shared-fs inodes currently mapped
+	mappedPages map[int]int // shared-fs inode -> pages of it mapped from its base
 
 	Exited   bool
 	ExitCode int
@@ -222,7 +222,7 @@ func (k *Kernel) Spawn(uid int) *Process {
 		files:       map[int]*openFile{},
 		nextFD:      3,
 		privBase:    layout.PrivDataBase + 0x10000000, // dynamic private instances
-		mappedSlots: map[int]bool{},
+		mappedPages: map[int]int{},
 	}
 	p.CPU = vm.New(p.AS)
 	p.CPU.CtrTraps = k.ctrVMTraps
@@ -408,8 +408,8 @@ func (k *Kernel) forkInto(parent, child *Process) {
 	child.brk = parent.brk
 	child.privBase = parent.privBase
 	child.callStub = parent.callStub // stub page is in the cloned private range
-	for ino := range parent.mappedSlots {
-		child.mappedSlots[ino] = true
+	for ino, pages := range parent.mappedPages {
+		child.mappedPages[ino] = pages
 	}
 	child.UserHandler = parent.UserHandler
 	if parent.Runtime != nil {
@@ -482,7 +482,10 @@ func (k *Kernel) HandleFault(p *Process, f *addrspace.Fault) error {
 // MapSharedFile maps the shared-fs file at path into the process at the
 // file's fixed address, sized to whole pages covering size bytes (or the
 // current file size if larger). The mapping aliases the file's frames, so
-// loads and stores ARE file reads and writes.
+// loads and stores ARE file reads and writes. Mapping a file again maps
+// only the pages it gained since the process last mapped it: a file
+// another writer grew reaches this process, and one that did not grow is
+// left as it is.
 func (k *Kernel) MapSharedFile(p *Process, path string, size uint32, prot addrspace.Prot) (shmfs.Stat, error) {
 	write := prot&addrspace.ProtWrite != 0
 	sp := k.Obs.Tracer().Begin("kern", "map_shared", p.PID, path)
@@ -491,25 +494,26 @@ func (k *Kernel) MapSharedFile(p *Process, path string, size uint32, prot addrsp
 		sp.End(0)
 		return shmfs.Stat{}, err
 	}
-	if p.mappedSlots[st.Ino] {
+	have := p.mappedPages[st.Ino]
+	need := max(int(addrspace.PageCount(st.Size)), 1)
+	if need <= have {
 		sp.End(0)
 		return st, nil // already mapped; idempotent
 	}
-	need := int(addrspace.PageCount(st.Size))
-	if need == 0 {
-		need = 1
+	if st.Size == 0 {
 		// Map at least one page so the segment is addressable.
 		frames, st, err = k.FS.Frames(path, mem.PageSize, p.UID, write)
 		if err != nil {
+			sp.End(0)
 			return shmfs.Stat{}, err
 		}
 	}
-	if err := p.AS.MapFrames(st.Addr, frames[:need], prot); err != nil {
+	if err := p.AS.MapFrames(st.Addr+uint32(have)*mem.PageSize, frames[have:need], prot); err != nil {
 		sp.End(0)
 		return shmfs.Stat{}, err
 	}
-	p.mappedSlots[st.Ino] = true
-	sp.End(uint64(need))
+	p.mappedPages[st.Ino] = need
+	sp.End(uint64(need - have))
 	return st, nil
 }
 

@@ -376,6 +376,69 @@ func TestMapSharedFileAliasing(t *testing.T) {
 	}
 }
 
+// TestMapSharedFileMapsGrownPages: a file that grows after a process
+// mapped it reaches the process when it maps the file again, as it does a
+// process spawned afterwards; a load past the file's current pages still
+// faults.
+func TestMapSharedFileMapsGrownPages(t *testing.T) {
+	k := New()
+	k.FS.Create("/grow", shmfs.DefaultFileMode, 0)
+	k.FS.WriteAt("/grow", 0, []byte{0, 0, 0, 7}, 0) // one page
+	p := k.Spawn(0)
+	st, err := k.MapSharedFile(p, "/grow", 0, addrspace.ProtRW)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k.FS.WriteAt("/grow", 2*4096, []byte{0, 0, 0, 9}, 0) // three pages
+	fresh := k.Spawn(0)
+	if _, err := k.MapSharedFile(fresh, "/grow", 0, addrspace.ProtRW); err != nil {
+		t.Fatal(err)
+	}
+	if v, err := fresh.AS.LoadWord(st.Addr + 2*4096); err != nil || v != 9 {
+		t.Fatalf("fresh process: third page reads %d, %v; want 9", v, err)
+	}
+	if _, err := k.MapSharedFile(p, "/grow", 0, addrspace.ProtRW); err != nil {
+		t.Fatalf("mapping the grown file again: %v", err)
+	}
+	if v, err := p.AS.LoadWord(st.Addr + 2*4096); err != nil || v != 9 {
+		t.Fatalf("third page reads %d, %v; want 9", v, err)
+	}
+	if v, err := p.AS.LoadWord(st.Addr); err != nil || v != 7 {
+		t.Fatalf("first page reads %d, %v; want 7", v, err)
+	}
+	if _, err := p.AS.LoadWord(st.Addr + 3*4096); err == nil {
+		t.Fatal("a load past the file's three pages succeeded")
+	}
+}
+
+// TestForkedChildMapsGrownFile: a child inherits how much of each shared
+// file its parent had mapped, so mapping the file after it grew maps just
+// the new pages.
+func TestForkedChildMapsGrownFile(t *testing.T) {
+	k := New()
+	k.FS.Create("/grow", shmfs.DefaultFileMode, 0)
+	k.FS.WriteAt("/grow", 0, []byte{0, 0, 0, 7}, 0)
+	parent := k.Spawn(0)
+	st, err := k.MapSharedFile(parent, "/grow", 0, addrspace.ProtRW)
+	if err != nil {
+		t.Fatal(err)
+	}
+	child, err := k.Fork(parent)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k.FS.WriteAt("/grow", 2*4096, []byte{0, 0, 0, 9}, 0)
+	if _, err := k.MapSharedFile(child, "/grow", 0, addrspace.ProtRW); err != nil {
+		t.Fatalf("child mapping the grown file: %v", err)
+	}
+	if v, err := child.AS.LoadWord(st.Addr + 2*4096); err != nil || v != 9 {
+		t.Fatalf("child: third page reads %d, %v; want 9", v, err)
+	}
+	if v, err := child.AS.LoadWord(st.Addr); err != nil || v != 7 {
+		t.Fatalf("child: first page reads %d, %v; want 7", v, err)
+	}
+}
+
 func TestMapSharedFilePermissions(t *testing.T) {
 	k := New()
 	k.FS.Create("/private.seg", shmfs.ModeOwnerRead|shmfs.ModeOwnerWrite, 100)

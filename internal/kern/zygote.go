@@ -83,7 +83,7 @@ func (k *Kernel) spawnZygote(uid int) *Process {
 		Env:         map[string]string{},
 		CWD:         "/",
 		nextFD:      3,
-		mappedSlots: map[int]bool{},
+		mappedPages: map[int]int{},
 	}
 	p.AS.Observe(k.Obs.Tracer(), k.ctrASMaps, k.ctrASUnmaps, p.PID)
 	k.nextZPID++

@@ -980,9 +980,9 @@ func (pr *Proc) HandleFault(p *kern.Process, f *addrspace.Fault) error {
 		if _, err := pr.W.K.MapSharedFile(p, path, 0, addrspace.ProtRWX); err != nil {
 			return kern.ErrUnhandled
 		}
-		// The address lies in the file's slot but past its pages (mapping
-		// is idempotent, so the file was either mapped now or before):
-		// mapping again resolves nothing.
+		// Every page the file has is mapped now, so a fault that is still
+		// unmapped lies in the file's slot but past its pages: mapping
+		// again resolves nothing.
 		if !p.AS.Mapped(f.Addr, 1) {
 			return kern.ErrUnhandled
 		}

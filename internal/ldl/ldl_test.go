@@ -368,8 +368,8 @@ func TestUnmappedHoleSegfaults(t *testing.T) {
 
 // TestLoadPastMappedPagesSegfaults: a guest load inside a shared file's
 // slot but past the file's pages is a segmentation fault. Pointer-following
-// maps the file, which changes nothing once it is mapped, so it must not
-// call the fault resolved and restart the load for ever.
+// maps the file's pages, which changes nothing once they are all mapped,
+// so it must not call the fault resolved and restart the load for ever.
 func TestLoadPastMappedPagesSegfaults(t *testing.T) {
 	s := core.NewSystem()
 	s.FS.MkdirAll("/data", 0644, 0)
@@ -400,6 +400,45 @@ main:   li      $t0, 0x%08x
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("load past the file's pages still running after 10 s")
+	}
+}
+
+// TestGuestLoadReachesGrownFile: pages a shared file gains after the
+// process mapped it reach the process by pointer-following. The guest's
+// load two pages on, past what it had mapped, reads the new word.
+func TestGuestLoadReachesGrownFile(t *testing.T) {
+	s := core.NewSystem()
+	s.FS.MkdirAll("/data", 0644, 0)
+	s.FS.Create("/data/grow", 0644, 0)
+	s.FS.WriteAt("/data/grow", 0, []byte{0, 0, 0, 7}, 0) // one page
+	base, err := s.FS.PathToAddr("/data/grow")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := linkWith(t, s, fmt.Sprintf(`
+        .text
+        .globl  main
+main:   li      $t0, 0x%08x
+        lw      $v0, 8192($t0)  # two pages on
+        jr      $ra
+`, base))
+	pg, err := s.Launch(res.Image, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v, err := pg.P.LoadWord(base); err != nil || v != 7 { // maps the one page
+		t.Fatalf("first word = %d, %v", v, err)
+	}
+	s.FS.WriteAt("/data/grow", 8192, []byte{0, 0, 0, 9}, 0) // three pages
+	done := make(chan error, 1)
+	go func() { done <- pg.Run(10_000) }()
+	select {
+	case err := <-done:
+		if err != nil || pg.P.ExitCode != 9 {
+			t.Fatalf("load from the grown file: exit %d, %v; want 9", pg.P.ExitCode, err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("load from the grown file still running after 10 s")
 	}
 }
 

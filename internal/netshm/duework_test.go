@@ -26,16 +26,31 @@ func seqLoss(pct uint32) func(from, to string, seq uint64) bool {
 type fleetRun struct {
 	snap    obsv.Snapshot
 	digests []uint64 // per machine, per segment
+	reads   [][]byte // each segment read through Node.Read, per machine, after snap
 	events  []obsv.Event
 }
 
 // runSeededFleet drives 16 machines sharing 4 sharded segments over a LAN
 // with seq-keyed 20% loss: home writes, forwarded writes and remote
-// transaction commits, each followed by convergence.
-func runSeededFleet(t *testing.T, ops int) fleetRun {
+// transaction commits, each followed by convergence. tick advances the
+// fleet one tick; nil means Fleet.Tick.
+func runSeededFleet(t *testing.T, ops int, tick func(*Fleet)) fleetRun {
 	t.Helper()
+	if tick == nil {
+		tick = (*Fleet).Tick
+	}
 	net := netsim.New()
 	f := bootLite(t, net, Config{}, 16)
+	// Fleet.WaitConverged, ticking with tick.
+	waitConverged := func(p string, maxTicks int) bool {
+		for i := 0; i < maxTicks; i++ {
+			if f.Converged(p) {
+				return true
+			}
+			tick(f)
+		}
+		return f.Converged(p)
+	}
 	ring := obsv.NewRing(1 << 18)
 	f.Trace.Attach(ring)
 	rng := rand.New(rand.NewSource(5))
@@ -50,7 +65,7 @@ func runSeededFleet(t *testing.T, ops int) fleetRun {
 		paths = append(paths, p)
 	}
 	for _, p := range paths {
-		if _, ok := f.WaitConverged(p, 200); !ok {
+		if !waitConverged(p, 200) {
 			t.Fatalf("%s: no initial convergence", p)
 		}
 	}
@@ -83,7 +98,7 @@ func runSeededFleet(t *testing.T, ops int) fleetRun {
 				t.Fatal(err)
 			}
 		}
-		if _, ok := f.WaitConverged(p, 400); !ok {
+		if !waitConverged(p, 400) {
 			t.Fatalf("op %d on %s: no convergence", i, p)
 		}
 	}
@@ -100,6 +115,15 @@ func runSeededFleet(t *testing.T, ops int) fleetRun {
 			r.digests = append(r.digests, d)
 		}
 	}
+	for _, n := range nodes {
+		for _, p := range paths {
+			b, _, err := n.Read(p, 0, PageSize+512)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r.reads = append(r.reads, b)
+		}
+	}
 	return r
 }
 
@@ -113,7 +137,7 @@ func TestFleetRunRepeatsForSeed(t *testing.T) {
 	if testing.Short() {
 		ops = 80
 	}
-	a, b := runSeededFleet(t, ops), runSeededFleet(t, ops)
+	a, b := runSeededFleet(t, ops, nil), runSeededFleet(t, ops, nil)
 	if a.snap.Counters["netsim.dropped"] == 0 || a.snap.Counters["netshm.retries"] == 0 ||
 		a.snap.Counters["netshm.write_fwd"] == 0 || a.snap.Counters["netshm.txn_commits"] == 0 {
 		t.Fatalf("workload missed a path: %v", a.snap.Counters)

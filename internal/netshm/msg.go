@@ -2,6 +2,7 @@ package netshm
 
 import (
 	"fmt"
+	"slices"
 
 	"hemlock/internal/wire"
 )
@@ -97,11 +98,12 @@ type msg struct {
 	payload []byte // msgApp / msgTxnFwd
 }
 
-// encode returns the datagram for m. Its strings (a segment path, machine
-// names) and delta lists come from inside the fleet and fit their u16
-// limits; one that did not would leave the encoding empty, and receivers
-// drop an empty datagram as they drop a runt.
-func (m *msg) encode() []byte {
+// appendTo appends the datagram for m to b and returns the extended
+// slice. Its strings (a segment path, machine names) and delta lists come
+// from inside the fleet and fit their u16 limits; one that did not would
+// append nothing, and receivers drop an empty datagram as they drop a
+// runt.
+func (m *msg) appendTo(b []byte) []byte {
 	n := 4 + 2 + len(m.path) + 4 + 4 + 8 + 8 + 8 + 2 + len(m.origin) + 8 +
 		2 + len(m.home) + 8 + 8 + 4 + 4 + len(m.payload)
 	for _, p := range m.pages {
@@ -110,7 +112,7 @@ func (m *msg) encode() []byte {
 			n += 4 + 4 + len(r.data)
 		}
 	}
-	e := wire.NewEncoder(make([]byte, 0, n))
+	e := wire.NewEncoder(slices.Grow(b, n))
 	e.U8(wireMagic)
 	e.U8(wireVersion)
 	e.U8(m.typ)
@@ -143,50 +145,66 @@ func (m *msg) encode() []byte {
 		}
 	}
 	e.Blob(m.payload)
-	b, _ := e.Bytes()
-	return b
+	out, err := e.Bytes()
+	if err != nil {
+		return b
+	}
+	return out
 }
 
-// decodeMsg parses a datagram, rejecting anything that is not a
-// well-formed protocol message (a runt, a foreign payload, a truncation).
-// All returned byte slices are copies: the caller may recycle the
-// datagram buffer immediately after decoding.
-func decodeMsg(b []byte) (*msg, error) {
+// encode returns the datagram for m in a buffer of its own.
+func (m *msg) encode() []byte { return m.appendTo(nil) }
+
+// decode parses datagram b, sent by from, into m, rejecting anything that
+// is not a well-formed protocol message (a runt, a foreign payload, a
+// truncation). It reuses m's page and delta arrays. Page contents, delta
+// data and the payload borrow from b: they are valid only while b is, and
+// release drops them. The string fields own their bytes, and the common
+// ones cost no allocation: an origin or home that names the sender is
+// from itself, and a path the receiver holds is its key in segs. Only a
+// name or path the receiver has never seen is copied out of b.
+func (m *msg) decode(b []byte, from string, segs map[string]*seg) error {
 	if len(b) < 4 || b[0] != wireMagic || b[1] != wireVersion {
-		return nil, fmt.Errorf("netshm: not a protocol datagram (%d bytes)", len(b))
+		return fmt.Errorf("netshm: not a protocol datagram (%d bytes)", len(b))
 	}
-	m := &msg{typ: b[2], flag: b[3]}
+	m.typ, m.flag = b[2], b[3]
 	if m.typ == 0 || m.typ > msgTxnResult {
-		return nil, fmt.Errorf("netshm: unknown message type %d", m.typ)
+		return fmt.Errorf("netshm: unknown message type %d", m.typ)
 	}
 	d := wire.NewDecoder(b[4:])
-	m.path = d.Str()
+	path := d.Raw(int(d.U16()))
+	if s := segs[string(path)]; s != nil {
+		m.path = s.path
+	} else {
+		m.path = string(path)
+	}
 	m.base = d.U32()
 	m.size = d.U32()
 	m.epoch = d.U64()
 	m.gen = d.U64()
 	m.tv = d.U64()
-	m.origin = d.Str()
+	m.origin = sameOr(d.Raw(int(d.U16())), from)
 	m.stick = d.U64()
-	m.home = d.Str()
+	m.home = sameOr(d.Raw(int(d.U16())), from)
 	m.lease = d.U64()
 	m.txid = d.U64()
+	m.pages = m.pages[:0]
 	if n := d.Count32(15); n > 0 { // a page is at least idx, gen, kind and a delta count
-		m.pages = make([]page, n)
+		m.pages = slices.Grow(m.pages, n)[:n]
 		for i := range m.pages {
 			p := &m.pages[i]
 			p.idx = d.U32()
 			p.gen = d.U64()
+			p.full, p.deltas = nil, p.deltas[:0]
 			switch kind := d.U8(); kind {
 			case 0:
-				if p.full = d.Blob(); p.full == nil {
-					p.full = []byte{} // keep the full-vs-delta distinction for empty pages
-				}
+				// Non-nil even when empty: an empty full page stays full.
+				p.full = d.Raw(int(d.U32()))
 			case 1:
 				if nd := d.Count16(8); nd > 0 {
-					p.deltas = make([]rng, nd)
+					p.deltas = slices.Grow(p.deltas, nd)[:nd]
 					for j := range p.deltas {
-						p.deltas[j] = rng{off: d.U32(), data: d.Blob()}
+						p.deltas[j] = rng{off: d.U32(), data: d.Raw(int(d.U32()))}
 					}
 				}
 			default:
@@ -194,9 +212,27 @@ func decodeMsg(b []byte) (*msg, error) {
 			}
 		}
 	}
-	m.payload = d.Blob()
+	m.payload = d.Raw(int(d.U32()))
 	if err := d.Finish(); err != nil {
-		return nil, fmt.Errorf("netshm: %w", err)
+		return fmt.Errorf("netshm: %w", err)
 	}
-	return m, nil
+	return nil
+}
+
+// sameOr returns known when raw spells it, else a copy of raw.
+func sameOr(raw []byte, known string) string {
+	if string(raw) == known {
+		return known
+	}
+	return string(raw)
+}
+
+// release drops every reference m holds into the datagram it was decoded
+// from, keeping the page and delta arrays for the next decode.
+func (m *msg) release() {
+	for i := range m.pages {
+		m.pages[i].full = nil
+		clear(m.pages[i].deltas)
+	}
+	m.payload = nil
 }

@@ -5,6 +5,16 @@ import (
 	"testing"
 )
 
+// decodeMsg decodes b into a fresh message, as a receiver that holds no
+// segment and knows no sender would: every string is copied out of b.
+func decodeMsg(b []byte) (*msg, error) {
+	m := new(msg)
+	if err := m.decode(b, "", nil); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
 func TestMsgRoundTrip(t *testing.T) {
 	cases := []*msg{
 		{typ: msgUpdate, path: "/lib/whod", base: 0x30007000, size: 9000, epoch: 2, gen: 42, tv: 7,

@@ -229,6 +229,13 @@ type Node struct {
 	segList []*seg // the same segments in registration order, which Step visits
 	onApp   func(from string, payload []byte)
 
+	// rx is the message each received datagram decodes into; it borrows
+	// from the datagram until receive releases it. out is the buffer every
+	// send under mu encodes into: netsim copies a payload per receiver
+	// before Send or Broadcast returns, so the next send may reuse it.
+	rx  msg
+	out []byte
+
 	// Outbound transaction state (Txn forwards).
 	txnNext    uint64
 	txnPending []*fwdTxn    // unresolved forwarded commits, in txid order
@@ -445,7 +452,7 @@ func (n *Node) WriteAny(path string, off uint32, data []byte) error {
 	m := n.stamp(&msg{typ: msgWriteFwd, path: s.path, base: s.base, epoch: s.epoch,
 		pages: rangesToPages(off, data)})
 	n.ctrWriteFwd.Inc()
-	return n.nd.Send(s.home, m.encode())
+	return n.sendLocked(s.home, m)
 }
 
 // writableLocked resolves a segment this machine may write right now.
@@ -691,7 +698,7 @@ func (n *Node) sendMigrateLocked(s *seg) {
 	m := n.stamp(&msg{typ: msgMigrate, path: s.path, base: s.base, size: s.size,
 		epoch: s.epoch + 1, gen: s.gen, tv: s.tv, home: s.migrating,
 		lease: n.cfg.LeaseTicks, pages: pages})
-	n.nd.Send(s.migrating, m.encode())
+	n.sendLocked(s.migrating, m)
 }
 
 // maybeAutoMigrateLocked moves the home toward the hottest forwarded
@@ -754,7 +761,7 @@ func (n *Node) Read(path string, off, length uint32) ([]byte, bool, error) {
 			s.renewAt = now + n.cfg.RetryTicks
 			m := n.stamp(&msg{typ: msgLeaseRenew, path: s.path, base: s.base,
 				epoch: s.epoch, gen: s.gen})
-			n.nd.Send(s.home, m.encode())
+			n.sendLocked(s.home, m)
 		}
 	}
 	return buf, fresh, nil
@@ -896,20 +903,23 @@ func (n *Node) pullLocked(s *seg) {
 		epoch = 0
 	}
 	m := n.stamp(&msg{typ: msgPull, path: s.path, base: s.base, epoch: epoch, gen: s.gen})
-	n.nd.Send(s.home, m.encode())
+	n.sendLocked(s.home, m)
 }
 
 // ---- application payloads ----------------------------------------------------
 
 // OnApp installs the handler for application datagrams multiplexed over
 // the protocol NIC (rwho status packets travelling to the segment's home).
+// The payload borrows from the received datagram and is valid only during
+// the call: a handler copies what it keeps.
 func (n *Node) OnApp(fn func(from string, payload []byte)) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.onApp = fn
 }
 
-// SendApp unicasts an application payload to another machine.
+// SendApp unicasts an application payload to another machine. It runs
+// without the node lock, so it encodes into a buffer of its own.
 func (n *Node) SendApp(to string, payload []byte) error {
 	m := n.stamp(&msg{typ: msgApp, payload: payload})
 	return n.nd.Send(to, m.encode())
@@ -929,15 +939,38 @@ func (n *Node) Step() {
 		if !ok {
 			break
 		}
-		m, err := decodeMsg(d.Payload)
-		// decodeMsg copies every field, so the datagram buffer can back a
-		// future datagram immediately.
+		n.receive(d.From, d.Payload)
 		n.net.Recycle(d.Payload)
-		if err != nil {
-			continue // runt or foreign datagram; drop like rwhod does
-		}
-		n.handle(d.From, m)
 	}
+	n.runTimers()
+}
+
+// receive handles one datagram. It decodes into n.rx, which borrows from
+// b until it is released here, so the caller may hand b back to the
+// network's pool as soon as receive returns: handlers copy what they
+// keep, and an application payload is valid only during OnApp's call.
+func (n *Node) receive(from string, b []byte) {
+	n.mu.Lock()
+	m := &n.rx
+	var app func(from string, payload []byte)
+	if err := m.decode(b, from, n.segs); err != nil {
+		// runt or foreign datagram; drop like rwhod does
+	} else if m.typ == msgApp {
+		app = n.onApp
+	} else {
+		n.handleLocked(from, m)
+	}
+	payload := m.payload
+	m.release()
+	n.mu.Unlock()
+	if app != nil {
+		app(from, payload)
+	}
+}
+
+// runTimers is Step after the inbox is drained: the home-side retry,
+// announce and migration timers, overdue pulls and forwarded commits.
+func (n *Node) runTimers() {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	now := n.fleet.Now()
@@ -987,15 +1020,16 @@ func (n *Node) announceDueLocked(s *seg, now uint64) {
 		n.announceLocked(s)
 		return
 	}
-	var b []byte
+	encoded := false
 	for _, ps := range s.peerList {
 		if ps.acked >= s.gen {
 			continue
 		}
-		if b == nil {
-			b = n.announceMsg(s).encode()
+		if !encoded {
+			n.out = n.announceMsg(s).appendTo(n.out[:0])
+			encoded = true
 		}
-		n.nd.Send(ps.name, b)
+		n.nd.Send(ps.name, n.out)
 		n.emit(obsv.Event{Name: "announce", Mod: ps.name, Val: s.gen})
 	}
 }
@@ -1008,7 +1042,8 @@ func (n *Node) announceMsg(s *seg) *msg {
 
 // announceLocked broadcasts the segment's existence and version.
 func (n *Node) announceLocked(s *seg) {
-	n.nd.Broadcast(n.announceMsg(s).encode())
+	n.out = n.announceMsg(s).appendTo(n.out[:0])
+	n.nd.Broadcast(n.out)
 	n.emit(obsv.Event{Name: "announce", Mod: "*", Val: s.gen})
 }
 
@@ -1045,7 +1080,7 @@ func (n *Node) sendSyncLocked(s *seg, to string, sinceGen uint64) {
 	}
 	m := n.stamp(&msg{typ: msgSync, path: s.path, base: s.base, size: s.size,
 		epoch: s.epoch, gen: s.gen, tv: s.tv, lease: n.cfg.LeaseTicks, pages: pages})
-	n.nd.Send(to, m.encode())
+	n.sendLocked(to, m)
 }
 
 // sendFullSyncLocked ships every page — the answer to a lower-epoch pull:
@@ -1059,22 +1094,19 @@ func (n *Node) sendFullSyncLocked(s *seg, to string) {
 		size: s.size, epoch: s.epoch, gen: s.gen, tv: s.tv,
 		lease: n.cfg.LeaseTicks, pages: pages})
 	n.ctrEpochResyncs.Inc()
-	n.nd.Send(to, m.encode())
+	n.sendLocked(to, m)
 }
 
-// handle dispatches one decoded protocol message.
-func (n *Node) handle(from string, m *msg) {
-	if m.typ == msgApp {
-		n.mu.Lock()
-		fn := n.onApp
-		n.mu.Unlock()
-		if fn != nil {
-			fn(from, m.payload)
-		}
-		return
-	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
+// sendLocked encodes m into the node's send buffer and unicasts it;
+// caller holds n.mu.
+func (n *Node) sendLocked(to string, m *msg) error {
+	n.out = m.appendTo(n.out[:0])
+	return n.nd.Send(to, n.out)
+}
+
+// handleLocked dispatches one decoded protocol message other than an
+// application payload; caller holds n.mu.
+func (n *Node) handleLocked(from string, m *msg) {
 	switch m.typ {
 	case msgUpdate, msgSync:
 		s := n.adoptLocked(from, m)
@@ -1169,7 +1201,7 @@ func (n *Node) handle(from string, m *msg) {
 			g := n.stamp(&msg{typ: msgLeaseGrant, path: s.path, base: s.base,
 				epoch: s.epoch, gen: s.gen, tv: s.tv, lease: n.cfg.LeaseTicks})
 			n.ctrLeaseGrants.Inc()
-			n.nd.Send(from, g.encode())
+			n.sendLocked(from, g)
 		} else if m.epoch < s.epoch {
 			n.sendFullSyncLocked(s, from)
 		} else {
@@ -1317,7 +1349,7 @@ func (n *Node) recvMigrateLocked(from string, m *msg) {
 			// Duplicate offer for the epoch this machine already rules:
 			// the ack was lost; re-ack idempotently.
 			a := n.stamp(&msg{typ: msgMigrateAck, path: s.path, base: s.base, epoch: s.epoch})
-			n.nd.Send(from, a.encode())
+			n.sendLocked(from, a)
 		}
 		return
 	}
@@ -1353,7 +1385,7 @@ func (n *Node) recvMigrateLocked(from string, m *msg) {
 	n.ctrMigrations.Inc()
 	n.emit(obsv.Event{Name: "migrate_promote", Mod: s.path, Val: s.epoch})
 	a := n.stamp(&msg{typ: msgMigrateAck, path: s.path, base: s.base, epoch: s.epoch})
-	n.nd.Send(from, a.encode())
+	n.sendLocked(from, a)
 	n.announceLocked(s)
 }
 
@@ -1463,7 +1495,7 @@ func (n *Node) applyLocked(s *seg, m *msg) {
 // ackLocked reports the replica's applied generation to the home.
 func (n *Node) ackLocked(s *seg) {
 	m := n.stamp(&msg{typ: msgAck, path: s.path, base: s.base, epoch: s.epoch, gen: s.gen})
-	n.nd.Send(s.home, m.encode())
+	n.sendLocked(s.home, m)
 }
 
 func parentDir(p string) string {

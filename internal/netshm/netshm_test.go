@@ -293,8 +293,10 @@ func TestSendAppRoundTrip(t *testing.T) {
 }
 
 // TestConcurrentReadersDuringTicks drives the protocol while other
-// goroutines read replicas — the lock discipline this exercises is what
-// the -race run in CI checks.
+// goroutines read replicas, forward writes and commit transactions — the
+// lock discipline this exercises is what the -race run in CI checks. The
+// forwards and commits encode into the node's send buffer, which Step's
+// own sends share.
 func TestConcurrentReadersDuringTicks(t *testing.T) {
 	net := netsim.New()
 	net.Drop = func(from, to string, seq uint64) bool { return seq%5 == 0 }
@@ -304,29 +306,77 @@ func TestConcurrentReadersDuringTicks(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	const writesEach = 200
 	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	for _, n := range f.Nodes()[1:] {
+	var wg, writing sync.WaitGroup
+	for i, n := range f.Nodes()[1:] {
 		wg.Add(1)
-		go func(n *Node) {
+		writing.Add(1)
+		go func(n *Node, off uint32) {
 			defer wg.Done()
-			for {
+			for writes := 0; ; {
 				select {
 				case <-stop:
 					return
 				default:
 					n.Read("/lib/seg", 0, 64)
 					n.Gen("/lib/seg")
+					if writes == writesEach {
+						continue
+					}
+					// Until the publish reaches it, a replica does not
+					// know the segment.
+					err := n.WriteAny("/lib/seg", off, []byte{byte(writes)})
+					if errors.Is(err, ErrUnknownSeg) {
+						continue
+					}
+					if err != nil {
+						t.Errorf("%s: WriteAny: %v", n.Name(), err)
+					}
+					writes++
+					tx := n.Begin()
+					tx.WriteWord("/lib/seg", 128+off*4, uint32(writes))
+					if _, err := tx.Commit(); err != nil && !errors.Is(err, ErrMigrating) {
+						t.Errorf("%s: Commit: %v", n.Name(), err)
+					}
+					if writes == writesEach {
+						writing.Done()
+					}
 				}
 			}
-		}(n)
+		}(n, uint32(64+i))
 	}
-	for i := 0; i < 30; i++ {
-		home.Write("/lib/seg", uint32(i%PageSize), []byte{byte(i)})
+	written := make(chan struct{})
+	go func() {
+		writing.Wait()
+		close(written)
+	}()
+	// With one CPU, or a loaded machine, the writers may first run after
+	// many ticks, so the fleet ticks until every writer is done and a
+	// forwarded commit has been applied, not for a fixed count.
+	commits := f.Reg.Counter("netshm.txn_commits")
+	done := func() bool {
+		select {
+		case <-written:
+			return commits.Value() > 0
+		default:
+			return false
+		}
+	}
+	const maxTicks = 100000
+	ticks := 0
+	for ; ticks < maxTicks && (ticks < 30 || !done()); ticks++ {
+		home.Write("/lib/seg", uint32(ticks%PageSize), []byte{byte(ticks)})
 		f.Tick()
 	}
 	close(stop)
 	wg.Wait()
+	if !done() {
+		t.Fatalf("writers not done and committed after %d ticks", maxTicks)
+	}
+	if c := f.Reg.Snapshot().Counters; c["netshm.write_fwd"] == 0 || c["netshm.txn_commits"] == 0 {
+		t.Fatalf("no forwarded write or commit ran during the ticks: %v", c)
+	}
 	if _, ok := f.WaitConverged("/lib/seg", 300); !ok {
 		t.Fatal("no convergence")
 	}

@@ -300,7 +300,7 @@ type fwdTxn struct {
 
 func (n *Node) sendTxnFwdLocked(f *fwdTxn) {
 	m := n.stamp(&msg{typ: msgTxnFwd, path: f.path, txid: f.id, payload: f.payload})
-	n.nd.Send(f.home, m.encode())
+	n.sendLocked(f.home, m)
 }
 
 // pendingTxnLocked returns the index of the unresolved commit txid in
@@ -400,7 +400,7 @@ func (n *Node) recvTxnFwdLocked(from string, m *msg) {
 
 func (n *Node) replyTxnLocked(to string, txid uint64, flag byte) {
 	r := n.stamp(&msg{typ: msgTxnResult, flag: flag, txid: txid})
-	n.nd.Send(to, r.encode())
+	n.sendLocked(to, r)
 }
 
 // recvTxnResultLocked records the fate of a forwarded commit at its origin.

@@ -5,8 +5,11 @@
 // its peers." Besides the broadcast bus it provides unicast Send, which
 // carries the netshm replication protocol.
 //
-// Datagrams are copied per receiver (UDP semantics), queues are bounded,
-// and optional deterministic adversary functions model a misbehaving LAN:
+// Datagrams are copied per receiver (UDP semantics) into buffers drawn
+// from two pooled size classes, 512 B and 8 KB, which receivers hand back
+// with Recycle; queues are bounded, and a node's queue reuses one array,
+// so steady-state delivery allocates nothing. Optional deterministic
+// adversary functions model a misbehaving LAN:
 // Drop (loss), Dup (duplicate delivery), Reorder (queue overtaking) and
 // DelayTicks (datagrams held in flight until enough Advance ticks pass).
 // Every knob's effect is accounted separately, network-wide and per node,
@@ -17,6 +20,7 @@ package netsim
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -56,7 +60,8 @@ type Stats struct {
 	// (dropped copies were on the wire too); BytesDelivered counts payload
 	// bytes that reached an inbox. The pair is the bytes-on-wire metric the
 	// netshm delta benchmarks gate on. AllocBytes counts bytes of fresh
-	// datagram-buffer allocation — a pooled steady state keeps it flat.
+	// datagram-buffer allocation, a pool miss at its class size and an
+	// oversize payload at its own — a pooled steady state keeps it flat.
 	BytesSent      uint64
 	BytesDelivered uint64
 	AllocBytes     uint64
@@ -106,12 +111,13 @@ type Network struct {
 	stats   Stats
 	delayed []delayedDatagram
 
-	// Bounded free list of datagram buffers. Every per-receiver copy of a
-	// payload that fits poolBufCap draws from here; receivers hand buffers
-	// back with Recycle once the payload is consumed. At 1024-node fan-out
-	// this turns the per-tick copy storm into reuse of a few hundred
-	// buffers instead of a fresh allocation per copy.
-	pool [][]byte
+	// Bounded free lists of datagram buffers, one per size class
+	// (classCap). Every per-receiver copy of a payload that fits a class
+	// draws from the smallest class it fits; receivers hand buffers back
+	// with Recycle once the payload is consumed. At 1024-node fan-out this
+	// turns the per-tick copy storm into reuse of a few hundred buffers
+	// instead of a fresh allocation per copy.
+	pools [len(classCap)][][]byte
 
 	// inboxTotal is the network-wide queued-datagram count, maintained
 	// incrementally (O(changed), not O(nodes)) so the observability gauge
@@ -136,12 +142,29 @@ type Network struct {
 	ctrAllocBytes *obsv.Counter
 }
 
-// poolBufCap is the pooled datagram buffer class; larger payloads get an
-// exact-size unpooled allocation.
-const poolBufCap = 8192
+// The pooled datagram buffer classes. Acks, announces, pulls and small
+// deltas fit smallBufCap; page-carrying updates and syncs poolBufCap.
+// Larger payloads get an exact-size unpooled allocation.
+const (
+	smallBufCap = 512
+	poolBufCap  = 8192
+)
 
-// poolMax bounds the free list (poolMax * poolBufCap bytes worst case).
+var classCap = [...]int{smallBufCap, poolBufCap}
+
+// poolMax bounds each class's free list (poolMax buffers of the class).
 const poolMax = 4096
+
+// class returns the index of the smallest buffer class that holds size
+// bytes, or -1 when none does.
+func class(size int) int {
+	for c, cp := range classCap {
+		if size <= cp {
+			return c
+		}
+	}
+	return -1
+}
 
 // maxInboxGauges caps how many per-node inbox gauges are registered. A
 // 1024-machine fleet does not want 1024 gauge rows in every snapshot; the
@@ -223,14 +246,17 @@ func (n *Network) registerInboxGauge(name string) {
 
 // Node is one machine's network interface.
 type Node struct {
-	name     string
-	net      *Network
+	name string
+	net  *Network
+	// inbox[head:] is the queue. Recv advances head instead of re-slicing,
+	// so the array is reused: head returns to 0 whenever the queue drains.
 	inbox    []Datagram
+	head     int
 	detached bool
 	stats    NodeStats
 
-	// depth mirrors len(inbox) atomically so the inbox gauges can read it
-	// without the network lock.
+	// depth mirrors the queue length atomically so the inbox gauges can
+	// read it without the network lock.
 	depth atomic.Int64
 }
 
@@ -298,42 +324,47 @@ func (nd *Node) Stats() NodeStats {
 	return nd.stats
 }
 
-// copyBuf returns a copy of payload drawn from the datagram buffer pool
-// (exact-size unpooled allocation for oversize payloads); caller holds
-// n.mu. Fresh allocations are charged to alloc_bytes at their capacity.
+// copyBuf returns a copy of payload drawn from the free list of the
+// smallest class it fits (exact-size unpooled allocation for oversize
+// payloads); caller holds n.mu. Fresh allocations are charged to
+// alloc_bytes at their capacity: the class size, or the payload's size.
 func (n *Network) copyBuf(payload []byte) []byte {
+	size := len(payload)
 	var cp []byte
-	if len(payload) <= poolBufCap {
-		if k := len(n.pool); k > 0 {
-			cp = n.pool[k-1][:len(payload)]
-			n.pool[k-1] = nil
-			n.pool = n.pool[:k-1]
-		} else {
-			cp = make([]byte, len(payload), poolBufCap)
-			n.stats.AllocBytes += poolBufCap
-			n.ctrAllocBytes.Add(poolBufCap)
+	if c := class(size); c >= 0 {
+		size = classCap[c]
+		if free := n.pools[c]; len(free) > 0 {
+			cp = free[len(free)-1]
+			free[len(free)-1] = nil
+			n.pools[c] = free[:len(free)-1]
 		}
-	} else {
-		cp = make([]byte, len(payload))
-		n.stats.AllocBytes += uint64(len(payload))
-		n.ctrAllocBytes.Add(uint64(len(payload)))
 	}
-	copy(cp, payload)
-	return cp
+	if cp == nil {
+		cp = make([]byte, 0, size)
+		n.stats.AllocBytes += uint64(size)
+		n.ctrAllocBytes.Add(uint64(size))
+	}
+	return append(cp[:0], payload...)
+}
+
+// reclaim puts a class-size buffer back on its free list unless the list
+// is full; caller holds n.mu. Anything else is left to the GC.
+func (n *Network) reclaim(p []byte) {
+	if c := class(cap(p)); c >= 0 && cap(p) == classCap[c] && len(n.pools[c]) < poolMax {
+		n.pools[c] = append(n.pools[c], p[:cap(p)])
+	}
 }
 
 // Recycle hands a received datagram's payload back to the buffer pool.
 // Receivers call it once the payload is fully consumed — the buffer will
 // back a future datagram, so keeping any slice of it is a bug. Only
-// pool-class buffers are kept; anything else is left to the GC.
+// class-size buffers are kept; anything else is left to the GC.
 func (n *Network) Recycle(p []byte) {
-	if cap(p) != poolBufCap {
+	if class(cap(p)) < 0 {
 		return
 	}
 	n.mu.Lock()
-	if len(n.pool) < poolMax {
-		n.pool = append(n.pool, p[:poolBufCap])
-	}
+	n.reclaim(p)
 	n.mu.Unlock()
 }
 
@@ -378,27 +409,26 @@ func (n *Network) deliver(nd, peer *Node, payload []byte) {
 // enqueue places one already-copied datagram into peer's inbox, applying
 // the Reorder knob and the inbox bound; caller holds n.mu.
 func (n *Network) enqueue(from string, peer *Node, seq uint64, cp []byte) {
-	if len(peer.inbox) >= DefaultQueueDepth {
+	queued := len(peer.inbox) - peer.head
+	if queued >= DefaultQueueDepth {
 		n.stats.Overflow++
 		peer.stats.Overflow++
 		n.ctrOverflow.Inc()
 		// The copy never reaches a receiver, so no one will Recycle it;
 		// reclaim it here.
-		if cap(cp) == poolBufCap && len(n.pool) < poolMax {
-			n.pool = append(n.pool, cp[:poolBufCap])
-		}
+		n.reclaim(cp)
 		return
 	}
 	d := Datagram{From: from, Payload: cp}
-	if n.Reorder != nil && len(peer.inbox) > 0 && n.Reorder(from, peer.name, seq) {
+	if n.Reorder != nil && queued > 0 && n.Reorder(from, peer.name, seq) {
 		// Overtake everything queued (counted only when something was
 		// actually overtaken).
-		peer.inbox = append([]Datagram{d}, peer.inbox...)
+		peer.pushFront(d)
 		n.stats.Reordered++
 		peer.stats.Reordered++
 		n.ctrReordered.Inc()
 	} else {
-		peer.inbox = append(peer.inbox, d)
+		peer.push(d)
 	}
 	peer.depth.Add(1)
 	n.inboxTotal.Add(1)
@@ -408,6 +438,30 @@ func (n *Network) enqueue(from string, peer *Node, seq uint64, cp []byte) {
 	peer.stats.BytesDelivered += uint64(len(cp))
 	n.ctrDelivered.Inc()
 	n.ctrBytesDeliv.Add(uint64(len(cp)))
+}
+
+// push appends d to the queue. When the array is full but Recv has
+// consumed its front, the queue moves down to the front instead of
+// growing, so a receiver that never drains cannot grow the array without
+// bound: it stays within about twice DefaultQueueDepth.
+func (nd *Node) push(d Datagram) {
+	if len(nd.inbox) == cap(nd.inbox) && nd.head > 0 {
+		k := copy(nd.inbox, nd.inbox[nd.head:])
+		clear(nd.inbox[k:])
+		nd.inbox, nd.head = nd.inbox[:k], 0
+	}
+	nd.inbox = append(nd.inbox, d)
+}
+
+// pushFront puts d ahead of everything queued, in the slot before the
+// head when Recv has freed one.
+func (nd *Node) pushFront(d Datagram) {
+	if nd.head > 0 {
+		nd.head--
+		nd.inbox[nd.head] = d
+		return
+	}
+	nd.inbox = slices.Insert(nd.inbox, 0, d)
 }
 
 // Advance ages every in-flight (delayed) datagram by one tick and enqueues
@@ -494,12 +548,14 @@ func (nd *Node) Recv() (Datagram, bool) {
 	n := nd.net
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if len(nd.inbox) == 0 {
+	if nd.head == len(nd.inbox) {
 		return Datagram{}, false
 	}
-	d := nd.inbox[0]
-	nd.inbox[0] = Datagram{}
-	nd.inbox = nd.inbox[1:]
+	d := nd.inbox[nd.head]
+	nd.inbox[nd.head] = Datagram{}
+	if nd.head++; nd.head == len(nd.inbox) {
+		nd.inbox, nd.head = nd.inbox[:0], 0
+	}
 	nd.depth.Add(-1)
 	n.inboxTotal.Add(-1)
 	return d, true
@@ -509,7 +565,7 @@ func (nd *Node) Recv() (Datagram, bool) {
 func (nd *Node) Pending() int {
 	nd.net.mu.Lock()
 	defer nd.net.mu.Unlock()
-	return len(nd.inbox)
+	return len(nd.inbox) - nd.head
 }
 
 // Detach removes the node from the network; further Broadcasts fail and

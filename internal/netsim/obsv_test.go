@@ -84,7 +84,7 @@ func TestObserveGoldenText(t *testing.T) {
 	got := r.Snapshot().Text()
 	want := strings.Join([]string{
 		"counters:",
-		"  netsim.alloc_bytes           65536",
+		"  netsim.alloc_bytes           4096",
 		"  netsim.bytes_delivered       8",
 		"  netsim.bytes_sent            10",
 		"  netsim.delayed               0",

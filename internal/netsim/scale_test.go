@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"hemlock/internal/obsv"
@@ -26,8 +27,8 @@ func TestBufferPoolReuse(t *testing.T) {
 		n.Recycle(d.Payload)
 	}
 	st := n.Stats()
-	if st.AllocBytes != poolBufCap {
-		t.Fatalf("alloc_bytes = %d after 50 recycled sends, want one buffer (%d)", st.AllocBytes, poolBufCap)
+	if st.AllocBytes != smallBufCap {
+		t.Fatalf("alloc_bytes = %d after 50 recycled sends, want one buffer (%d)", st.AllocBytes, smallBufCap)
 	}
 	if st.BytesSent != 50*100 || st.BytesDelivered != 50*100 {
 		t.Fatalf("bytes sent/delivered = %d/%d, want 5000/5000", st.BytesSent, st.BytesDelivered)
@@ -155,5 +156,77 @@ func TestSteadyStateTickAllocationLight(t *testing.T) {
 	}
 	if got := n.Stats().AllocBytes; got != warm {
 		t.Fatalf("steady-state ticks allocated %d fresh bytes, want 0", got-warm)
+	}
+}
+
+// TestReorderIntoFreedSlot: a datagram that overtakes a queue whose front
+// Recv has consumed takes the freed slot and still comes out first.
+func TestReorderIntoFreedSlot(t *testing.T) {
+	n := New()
+	a, b := n.Attach("a"), n.Attach("b")
+	for _, s := range []string{"1", "2", "3"} {
+		a.Send("b", []byte(s))
+	}
+	if d, _ := b.Recv(); string(d.Payload) != "1" {
+		t.Fatalf("first datagram %q", d.Payload)
+	}
+	n.Reorder = func(from, to string, seq uint64) bool { return true }
+	a.Send("b", []byte("x"))
+	var got []string
+	for _, d := range drain(b) {
+		got = append(got, string(d.Payload))
+	}
+	if strings.Join(got, "") != "x23" {
+		t.Fatalf("queue drained as %q, want x, 2, 3", got)
+	}
+}
+
+// TestInboxReusesItsArray: a receiver that never empties its inbox keeps
+// the queue's array within twice the depth bound, and steady sending and
+// receiving through the pool, overtaking included, allocates nothing.
+func TestInboxReusesItsArray(t *testing.T) {
+	n := New()
+	n.Reorder = func(from, to string, seq uint64) bool { return seq%3 == 0 }
+	a, b := n.Attach("a"), n.Attach("b")
+	a.Send("b", []byte{0}) // one datagram stays queued throughout
+	payload := make([]byte, 100)
+	allocs := testing.AllocsPerRun(10000, func() {
+		payload[0]++
+		a.Send("b", payload)
+		d, _ := b.Recv()
+		n.Recycle(d.Payload)
+	})
+	if allocs != 0 {
+		t.Errorf("%.2f allocations per send and receive, want 0", allocs)
+	}
+	if c := cap(b.inbox); c > 2*DefaultQueueDepth {
+		t.Errorf("inbox array grew to %d slots for a queue of 1 or 2", c)
+	}
+	if st := n.Stats(); st.Reordered == 0 {
+		t.Fatal("no datagram overtook the queue")
+	}
+}
+
+// TestBufferClasses: a payload draws from the smallest class it fits, is
+// charged to alloc_bytes at that class's size on a miss, and goes back to
+// that class's free list.
+func TestBufferClasses(t *testing.T) {
+	n := New()
+	a, b := n.Attach("a"), n.Attach("b")
+	send := func(size int) {
+		a.Send("b", make([]byte, size))
+		d, _ := b.Recv()
+		if len(d.Payload) != size {
+			t.Fatalf("sent %d bytes, received %d", size, len(d.Payload))
+		}
+		n.Recycle(d.Payload)
+	}
+	for round := 0; round < 2; round++ {
+		for _, size := range []int{1, smallBufCap, smallBufCap + 1, poolBufCap} {
+			send(size)
+		}
+	}
+	if got, want := n.Stats().AllocBytes, uint64(smallBufCap+poolBufCap); got != want {
+		t.Fatalf("alloc_bytes = %d, want one buffer of each class (%d)", got, want)
 	}
 }

@@ -1,7 +1,8 @@
 // Package wire is the one binary codec under Hemlock's non-text formats:
 // HEMO objects and HEMX images (objfile), netshm datagrams and transaction
-// payloads (netshm), and HSFS disk images (shmfs). Each format documents its own layout; this package supplies the
-// primitives they share, all big-endian like the simulated machine:
+// payloads (netshm), and HSFS disk images (shmfs). Each format documents
+// its own layout; this package supplies the primitives they share, all
+// big-endian like the simulated machine:
 //
 //	U8 U16 U32 U64    fixed-width integers
 //	Bool              one byte, 0 or 1
@@ -18,6 +19,12 @@
 // against the bytes left before the caller allocates. It keeps its first
 // error and returns zero values after it, and Finish rejects trailing
 // bytes.
+//
+// A Decoder reads its input in place, at an offset: the fixed-width reads
+// and Raw inline and allocate nothing, and Raw's slices alias the input.
+// Str and Blob copy. A format that must not allocate per input, such as
+// netshm's datagrams, reads strings and blobs with Raw behind U16 and U32
+// lengths and keeps those slices only as long as the input lives.
 package wire
 
 import (
@@ -108,15 +115,16 @@ func (e *Encoder) Count32(n int) {
 	e.U32(uint32(n))
 }
 
-// Decoder reads fields from a byte slice.
+// Decoder reads fields from a byte slice. It advances an offset rather
+// than re-slicing its input, so a read writes no pointer.
 type Decoder struct {
-	rest []byte // the bytes not yet read
-	size int    // len of the whole input, for error offsets
-	err  error
+	buf []byte // the whole input
+	off int    // bytes read so far; buf[off:] is unread
+	err error
 }
 
 // NewDecoder returns a Decoder reading b.
-func NewDecoder(b []byte) *Decoder { return &Decoder{rest: b, size: len(b)} }
+func NewDecoder(b []byte) *Decoder { return &Decoder{buf: b} }
 
 // Err returns the first error.
 func (d *Decoder) Err() error { return d.err }
@@ -132,8 +140,8 @@ func (d *Decoder) Fail(err error) {
 
 // Finish returns the first error, or an error if bytes remain unread.
 func (d *Decoder) Finish() error {
-	if d.err == nil && len(d.rest) != 0 {
-		d.err = fmt.Errorf("wire: %d trailing bytes", len(d.rest))
+	if d.err == nil && d.off != len(d.buf) {
+		d.err = fmt.Errorf("wire: %d trailing bytes", len(d.buf)-d.off)
 	}
 	return d.err
 }
@@ -141,50 +149,69 @@ func (d *Decoder) Finish() error {
 // Raw returns the next n bytes. The slice aliases the input: copy it to
 // keep it past the input's lifetime.
 func (d *Decoder) Raw(n int) []byte {
-	if d.err != nil || uint(n) > uint(len(d.rest)) {
-		d.truncated(n)
+	if !d.take(n) {
 		return nil
 	}
-	b := d.rest[:n:n]
-	d.rest = d.rest[n:]
+	b := d.buf[d.off : d.off+n : d.off+n]
+	d.off += n
 	return b
 }
 
-// truncated is Raw's cold path, kept out of line so Raw inlines.
-//
-//go:noinline
-func (d *Decoder) truncated(n int) {
-	if d.err == nil {
-		d.err = fmt.Errorf("wire: truncated: want %d bytes at offset %d of %d", n, d.size-len(d.rest), d.size)
+// take reports whether n more bytes can be read, recording a truncation
+// when they cannot and no earlier error is kept. Building the error here
+// instead of calling out keeps take, Raw and U8–U64 within the inlining
+// budget.
+func (d *Decoder) take(n int) bool {
+	if uint(n) <= uint(len(d.buf)-d.off) && d.err == nil {
+		return true
 	}
+	if d.err == nil {
+		d.err = &truncatedError{want: n, off: d.off, size: len(d.buf)}
+	}
+	return false
+}
+
+// truncatedError is a read past the end of the input.
+type truncatedError struct{ want, off, size int }
+
+func (e *truncatedError) Error() string {
+	return fmt.Sprintf("wire: truncated: want %d bytes at offset %d of %d", e.want, e.off, e.size)
 }
 
 func (d *Decoder) U8() uint8 {
-	if b := d.Raw(1); b != nil {
-		return b[0]
+	if !d.take(1) {
+		return 0
 	}
-	return 0
+	v := d.buf[d.off]
+	d.off++
+	return v
 }
 
 func (d *Decoder) U16() uint16 {
-	if b := d.Raw(2); b != nil {
-		return binary.BigEndian.Uint16(b)
+	if !d.take(2) {
+		return 0
 	}
-	return 0
+	v := binary.BigEndian.Uint16(d.buf[d.off:])
+	d.off += 2
+	return v
 }
 
 func (d *Decoder) U32() uint32 {
-	if b := d.Raw(4); b != nil {
-		return binary.BigEndian.Uint32(b)
+	if !d.take(4) {
+		return 0
 	}
-	return 0
+	v := binary.BigEndian.Uint32(d.buf[d.off:])
+	d.off += 4
+	return v
 }
 
 func (d *Decoder) U64() uint64 {
-	if b := d.Raw(8); b != nil {
-		return binary.BigEndian.Uint64(b)
+	if !d.take(8) {
+		return 0
 	}
-	return 0
+	v := binary.BigEndian.Uint64(d.buf[d.off:])
+	d.off += 8
+	return v
 }
 
 // Bool reads one byte that must be 0 or 1.
@@ -235,8 +262,8 @@ func (d *Decoder) count(n uint64, min int) int {
 	if d.err != nil {
 		return 0
 	}
-	if n*uint64(min) > uint64(len(d.rest)) {
-		d.Fail(fmt.Errorf("wire: %d elements of %d+ bytes overrun the %d bytes left", n, min, len(d.rest)))
+	if left := len(d.buf) - d.off; n*uint64(min) > uint64(left) {
+		d.Fail(fmt.Errorf("wire: %d elements of %d+ bytes overrun the %d bytes left", n, min, left))
 		return 0
 	}
 	return int(n)

@@ -13,7 +13,11 @@
 #   BENCH_<n>.json  the same rows parsed into {name, iterations, ns_per_op}
 #                   plus host metadata and go_loc (non-test Go lines outside
 #                   perfbench/, counted over the files git tracks), for
-#                   dashboards and CHANGES archaeology.
+#                   dashboards and CHANGES archaeology. A row also carries
+#                   "calibrated", its ns/op divided by the file's best
+#                   BenchmarkCalibrate sample, so rows of files taken on
+#                   hosts of different speed compare; and "allocs_per_op"
+#                   when its line reports allocations.
 #
 # Run from the repository root. Keep benchmark NAMES stable across PRs —
 # benchstat matches on name, so renaming a benchmark orphans its history.
@@ -50,22 +54,31 @@ go_loc=$(git ls-files '*.go' | grep -v -e '_test\.go$' -e '^perfbench/' | xargs 
   printf '  "benchtime": "%s",\n' "$benchtime"
   printf '  "go_loc": %s,\n' "$go_loc"
   printf '  "results": [\n'
-  awk '/^Benchmark/ {
+  # Two passes over the raw lines: the first finds the best calibration
+  # sample, the second writes the rows.
+  awk 'NR == FNR {
+    if ($1 ~ /^BenchmarkCalibrate(-[0-9]+)?$/ && (cal == "" || $3 + 0 < cal)) cal = $3 + 0
+    next
+  }
+  /^Benchmark/ {
     name=$1; iters=$2; ns=$3
     sub(/-[0-9]+$/, "", name)
-    # Custom metrics (ReportMetric) follow ns/op in value/unit pairs; keep
-    # the ones the netshm scaling curve and delta-efficiency gate read.
     extra=""
+    if (cal > 0) extra = sprintf(", \"calibrated\": %.6g", ns / cal)
+    # Custom metrics (ReportMetric) and ReportAllocs follow ns/op in
+    # value/unit pairs; keep the ones the netshm scaling curve, the
+    # delta-efficiency gate and the allocation gate read.
     for (i = 4; i < NF; i++) {
       if ($(i+1) == "bytes/write")      extra = extra sprintf(", \"bytes_per_write\": %s", $i)
       else if ($(i+1) == "ticks/write") extra = extra sprintf(", \"ticks_per_write\": %s", $i)
+      else if ($(i+1) == "allocs/op")   extra = extra sprintf(", \"allocs_per_op\": %s", $i)
     }
     # The simulated-fleet order the row was measured at, for dashboards.
     if (match(name, /fleet=[0-9]+/))
       extra = extra sprintf(", \"fleet\": %s", substr(name, RSTART+6, RLENGTH-6))
     if (seen++) printf ",\n"
     printf "    {\"name\": \"%s\", \"iterations\": %s, \"ns_per_op\": %s%s}", name, iters, ns, extra
-  } END { printf "\n" }' "$raw"
+  } END { printf "\n" }' "$raw" "$raw"
   printf '  ]\n'
   printf '}\n'
 } > "$out"

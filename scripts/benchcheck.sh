@@ -38,6 +38,13 @@
 #    between the two ranges, nearer the uncached one, because the cached
 #    ratio's spread is host noise (a hit costs ~0.5 us of a ~7 us launch).
 #
+# 3. Allocations: when both files carry allocs_per_op for
+#    BenchmarkNetShmScale/fleet=64 (one converged write on a 64-machine
+#    fleet), the candidate's best sample must not exceed the baseline's
+#    by more than threshold_pct. An allocation count does not move with
+#    host speed, so this gate compares raw counts. A file without the
+#    field (taken before bench.sh recorded it) skips the gate, saying so.
+#
 # Only the result rows are compared. go_loc, the non-test Go line count
 # bench.sh records, is printed from both files beside them, as
 # "go_loc: <base> -> <cand> (<delta>)" or naming a file without it; it
@@ -94,6 +101,12 @@ awk -v threshold="$threshold" -v basefile="$base" -v candfile="$cand" '
     if (file == 2 && match($0, /"bytes_per_write": [0-9.eE+-]+/)) {
       bw = substr($0, RSTART + 19, RLENGTH - 19) + 0
       if (!(name in cb) || bw < cb[name]) cb[name] = bw
+    }
+    # Allocations per op of both files, for the allocation gate (min).
+    if (match($0, /"allocs_per_op": [0-9.eE+-]+/)) {
+      al = substr($0, RSTART + 17, RLENGTH - 17) + 0
+      key = file SUBSEP name
+      if (!(key in allocs) || al < allocs[key]) allocs[key] = al
     }
   }
   END {
@@ -183,6 +196,19 @@ awk -v threshold="$threshold" -v basefile="$base" -v candfile="$cand" '
       if (r > 0.25) { mark = "  << DELTA ENCODING REGRESSION"; fail += 1 }
       printf "%-34s %12.2f / %10.2f  =%5.0f%% (max  25%%)%s\n", \
         "NetShmDeltaBytes delta/full", cb[dn], cb[fn], r * 100, mark
+    }
+
+    # Allocation gate: raw allocs/op, when both files carry them.
+    an = "BenchmarkNetShmScale/fleet=64"
+    printf "\nallocation gate (%s allocs/op)\n", an
+    if (!((1, an) in allocs) || !((2, an) in allocs)) {
+      printf "benchcheck: %s allocs_per_op not in both files; allocation gate skipped\n", an
+    } else {
+      ba = allocs[1, an]; ca = allocs[2, an]
+      mark = ""
+      if (ca > ba * (1 + threshold / 100)) { mark = "  << ALLOCATION REGRESSION"; fail += 1 }
+      delta = ba > 0 ? sprintf("%+7.1f%%", (ca - ba) / ba * 100) : "    new"
+      printf "%-34s %12g %12g %s (max +%d%%)%s\n", an, ba, ca, delta, threshold, mark
     }
 
     if (fail) { print "benchcheck: FAIL — gated benchmark regressed or missing"; exit 1 }
