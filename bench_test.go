@@ -18,9 +18,13 @@ package hemlock_test
 //	E-fs       BenchmarkShmfs*              linear vs indexed addr lookup, boot scan
 //	E-alloc    BenchmarkSegmentAlloc        per-segment heap allocator
 //	E-msg      BenchmarkIPC*                shared-memory vs message-passing handoff
+//	serve      BenchmarkServeCall           one daemon request, HTTP handler to reply
 
 import (
+	"bytes"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"testing"
 
 	"hemlock"
@@ -34,6 +38,7 @@ import (
 	"hemlock/internal/netsim"
 	"hemlock/internal/presto"
 	"hemlock/internal/rwho"
+	"hemlock/internal/server"
 	"hemlock/internal/shalloc"
 	"hemlock/internal/shmfs"
 	"hemlock/internal/svc"
@@ -1375,3 +1380,62 @@ func BenchmarkKVMessageRPC(b *testing.B) {
 	}
 	<-done
 }
+
+// ---- serve: one daemon request, from HTTP handler to reply -------------------------
+
+// BenchmarkServeCall sends one kv_get through the serve daemon's HTTP
+// handler, in-process: decode the body, take the world lock, call the
+// function, append the reply. The writer and the request are reused, so
+// what it allocates is the daemon's own.
+func BenchmarkServeCall(b *testing.B) {
+	sys := core.NewSystem()
+	if _, err := server.InstallDemo(sys); err != nil {
+		b.Fatal(err)
+	}
+	s := server.New(sys, server.Config{})
+	defer s.Close()
+	if _, err := s.Launch(&server.LaunchRequest{Name: "agent", Exe: server.DemoExe}, 0); err != nil {
+		b.Fatal(err)
+	}
+	h := s.Handler()
+	body := []byte(`{"program":"agent","fn":"kv_get","args":[7]}`)
+	w := &benchWriter{hdr: http.Header{}}
+	req := httptest.NewRequest(http.MethodPost, "/api/call", nil)
+	var rd benchBody
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rd.Reset(body)
+		req.Body = &rd
+		w.code, w.body = 0, w.body[:0]
+		h.ServeHTTP(w, req)
+		if w.code != http.StatusOK {
+			b.Fatalf("kv_get: %d %s", w.code, w.body)
+		}
+	}
+}
+
+// benchWriter is an http.ResponseWriter that keeps its header map and
+// body buffer across requests.
+type benchWriter struct {
+	hdr  http.Header
+	code int
+	body []byte
+}
+
+func (w *benchWriter) Header() http.Header { return w.hdr }
+func (w *benchWriter) WriteHeader(code int) {
+	if w.code == 0 {
+		w.code = code
+	}
+}
+
+func (w *benchWriter) Write(b []byte) (int, error) {
+	w.WriteHeader(http.StatusOK)
+	w.body = append(w.body, b...)
+	return len(b), nil
+}
+
+type benchBody struct{ bytes.Reader }
+
+func (*benchBody) Close() error { return nil }

@@ -15,6 +15,10 @@
 // goroutines, work-stealing run queues — see docs/SMP.md), so guest CPUs
 // burn on their own cores while the launching request waits for them.
 //
+// Request bodies and replies go through the package's own JSON codec
+// (codec.go), written for the API's types, and requests are routed by
+// exact path; every error answer is a JSON {"error": ...}.
+//
 // Every request is measured into the world's own obsv registry
 // ("server.*" counters and per-op latency histograms), which /metrics
 // exposes — the request-level scoreboard the perf work tracks.
@@ -22,11 +26,13 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
+	"math"
 	"net"
 	"net/http"
+	"net/url"
 	"os"
 	"runtime"
 	"sort"
@@ -50,6 +56,9 @@ var (
 	ErrNoProgram  = errors.New("server: no such program")
 	ErrNoFunction = errors.New("server: no such function")
 	ErrBadRequest = errors.New("server: bad request")
+
+	errMethod = errors.New("server: method not allowed") // 405
+	errNoPath = errors.New("server: no such path")       // 404
 )
 
 // maxBody bounds every request body; a larger one answers 413.
@@ -501,132 +510,157 @@ func (s *Server) Info(timeout time.Duration) (*InfoResponse, error) {
 
 // ---- HTTP plumbing -----------------------------------------------------------
 
-// Handler returns the daemon's HTTP API.
-func (s *Server) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/api/launch", s.handleLaunch)
-	mux.HandleFunc("/api/call", s.handleCall)
-	mux.HandleFunc("/api/var", s.handleVar)
-	mux.HandleFunc("/api/info", s.handleInfo)
-	mux.HandleFunc("/api/txn", s.handleTxn)
-	mux.HandleFunc("/metrics", s.handleMetrics)
-	mux.HandleFunc("/healthz", s.handleHealthz)
-	return mux
-}
+// Handler returns the daemon's HTTP API. It routes by exact path, with no
+// cleaning and no redirects: /api//call answers 404.
+func (s *Server) Handler() http.Handler { return http.HandlerFunc(s.serve) }
 
-// timeoutOf reads the per-request deadline override (?timeout_ms=).
-func (s *Server) timeoutOf(r *http.Request) time.Duration {
-	if ms := r.URL.Query().Get("timeout_ms"); ms != "" {
-		if n, err := strconv.Atoi(ms); err == nil && n > 0 {
-			return time.Duration(n) * time.Millisecond
-		}
+func (s *Server) serve(w http.ResponseWriter, r *http.Request) {
+	var q url.Values // parsed at most once, and only for a request with a query
+	if r.URL.RawQuery != "" {
+		q = r.URL.Query()
 	}
-	return s.cfg.DefaultTimeout
+	switch r.URL.Path {
+	case "/metrics":
+		s.handleMetrics(w, q)
+	case "/healthz":
+		s.handleHealthz(w)
+	default:
+		v, err := s.api(w, r, q)
+		s.reply(w, v, err)
+	}
 }
 
-func (s *Server) reply(w http.ResponseWriter, v any, err error) {
+// api runs one request under /api/ and returns its reply.
+func (s *Server) api(w http.ResponseWriter, r *http.Request, q url.Values) (replyBody, error) {
+	switch r.URL.Path {
+	case "/api/launch":
+		var req LaunchRequest
+		timeout, err := s.readRequest(w, r, q, &req, http.MethodPost)
+		if err != nil {
+			return nil, err
+		}
+		return s.Launch(&req, timeout)
+	case "/api/call":
+		var req CallRequest
+		timeout, err := s.readRequest(w, r, q, &req, http.MethodPost)
+		if err != nil {
+			return nil, err
+		}
+		return s.Call(&req, timeout)
+	case "/api/var":
+		return s.handleVar(w, r, q)
+	case "/api/txn":
+		return s.handleTxn(w, r, q)
+	case "/api/info":
+		timeout, err := s.timeoutOf(q)
+		if err != nil {
+			return nil, err
+		}
+		return s.Info(timeout)
+	}
+	return nil, fmt.Errorf("%w: %s", errNoPath, r.URL.Path)
+}
+
+// readRequest checks that r is a POST, reads its deadline, and decodes its
+// body, read whole through the maxBody limit, into v. allow lists the
+// methods r's path takes, for the Allow header of a 405.
+func (s *Server) readRequest(w http.ResponseWriter, r *http.Request, q url.Values, v any, allow string) (time.Duration, error) {
+	if r.Method != http.MethodPost {
+		w.Header().Set("Allow", allow)
+		return 0, fmt.Errorf("%w: %s %s takes %s", errMethod, r.Method, r.URL.Path, allow)
+	}
+	timeout, err := s.timeoutOf(q)
+	if err != nil {
+		return 0, err
+	}
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBody))
+	if err == nil {
+		err = decodeRequest(body, v)
+	}
+	if err != nil {
+		return 0, fmt.Errorf("%w: body: %w", ErrBadRequest, err)
+	}
+	return timeout, nil
+}
+
+// timeoutOf reads the request's deadline: ?timeout_ms=, a positive number
+// of milliseconds, else the daemon's default.
+func (s *Server) timeoutOf(q url.Values) (time.Duration, error) {
+	if !q.Has("timeout_ms") {
+		return s.cfg.DefaultTimeout, nil
+	}
+	ms := q.Get("timeout_ms")
+	n, err := strconv.ParseInt(ms, 10, 64)
+	if err != nil || n <= 0 || n > math.MaxInt64/int64(time.Millisecond) {
+		return 0, fmt.Errorf("%w: timeout_ms %q is not a positive number of milliseconds", ErrBadRequest, ms)
+	}
+	return time.Duration(n) * time.Millisecond, nil
+}
+
+// jsonContentType is the Content-Type of every reply that reply sends. It
+// is shared, which saves each reply an allocation: net/http replaces or
+// deletes header values but never writes into them.
+var jsonContentType = []string{"application/json"}
+
+// reply answers a request with v, or with err's status and a JSON error.
+// The body is appended into one buffer and sent with one Write.
+func (s *Server) reply(w http.ResponseWriter, v replyBody, err error) {
 	s.ctrReqs.Inc()
+	code := http.StatusOK
 	if err != nil {
 		s.ctrErrs.Inc()
-		code := http.StatusInternalServerError
+		code = http.StatusInternalServerError
 		var tooBig *http.MaxBytesError
 		switch {
 		case errors.As(err, &tooBig):
 			code = http.StatusRequestEntityTooLarge
 		case errors.Is(err, ErrBadRequest):
 			code = http.StatusBadRequest
+		case errors.Is(err, errMethod):
+			code = http.StatusMethodNotAllowed
 		case errors.Is(err, ErrTimeout):
 			code = http.StatusGatewayTimeout
 		case errors.Is(err, ErrClosed):
 			code = http.StatusServiceUnavailable
 		case errors.Is(err, ErrNoProgram), errors.Is(err, ErrNoFunction),
-			errors.Is(err, shmfs.ErrNotExist):
+			errors.Is(err, errNoPath), errors.Is(err, shmfs.ErrNotExist):
 			code = http.StatusNotFound
 		}
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(code)
-		json.NewEncoder(w).Encode(errResponse{Error: err.Error()})
-		return
+		v = &errResponse{Error: err.Error()}
 	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(v)
+	w.Header()["Content-Type"] = jsonContentType
+	w.WriteHeader(code)
+	w.Write(v.appendJSON(make([]byte, 0, 128))) // a failed write leaves no one to tell
 }
 
-// decode reads a JSON request body of at most maxBody bytes.
-func decode[T any](w http.ResponseWriter, r *http.Request) (*T, error) {
-	var v T
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBody)).Decode(&v); err != nil {
-		return nil, fmt.Errorf("%w: body: %w", ErrBadRequest, err)
-	}
-	return &v, nil
-}
-
-func (s *Server) handleLaunch(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST only", http.StatusMethodNotAllowed)
-		return
-	}
-	req, err := decode[LaunchRequest](w, r)
-	if err != nil {
-		s.reply(w, nil, err)
-		return
-	}
-	resp, err := s.Launch(req, s.timeoutOf(r))
-	s.reply(w, resp, err)
-}
-
-func (s *Server) handleCall(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST only", http.StatusMethodNotAllowed)
-		return
-	}
-	req, err := decode[CallRequest](w, r)
-	if err != nil {
-		s.reply(w, nil, err)
-		return
-	}
-	resp, err := s.Call(req, s.timeoutOf(r))
-	s.reply(w, resp, err)
-}
-
-func (s *Server) handleVar(w http.ResponseWriter, r *http.Request) {
-	switch r.Method {
-	case http.MethodGet:
-		q := r.URL.Query()
+func (s *Server) handleVar(w http.ResponseWriter, r *http.Request, q url.Values) (replyBody, error) {
+	if r.Method == http.MethodGet {
+		timeout, err := s.timeoutOf(q)
+		if err != nil {
+			return nil, err
+		}
 		var off uint64
 		if o := q.Get("off"); o != "" {
-			var err error
 			if off, err = strconv.ParseUint(o, 0, 32); err != nil {
-				s.reply(w, nil, fmt.Errorf("%w: off: %w", ErrBadRequest, err))
-				return
+				return nil, fmt.Errorf("%w: off: %w", ErrBadRequest, err)
 			}
 		}
-		resp, err := s.ReadVar(q.Get("program"), q.Get("name"), uint32(off), s.timeoutOf(r))
-		s.reply(w, resp, err)
-	case http.MethodPost:
-		req, err := decode[VarWriteRequest](w, r)
-		if err != nil {
-			s.reply(w, nil, err)
-			return
-		}
-		resp, err := s.WriteVar(req, s.timeoutOf(r))
-		s.reply(w, resp, err)
-	default:
-		http.Error(w, "GET or POST", http.StatusMethodNotAllowed)
+		return s.ReadVar(q.Get("program"), q.Get("name"), uint32(off), timeout)
 	}
-}
-
-func (s *Server) handleInfo(w http.ResponseWriter, r *http.Request) {
-	resp, err := s.Info(s.timeoutOf(r))
-	s.reply(w, resp, err)
+	var req VarWriteRequest
+	timeout, err := s.readRequest(w, r, q, &req, "GET, POST")
+	if err != nil {
+		return nil, err
+	}
+	return s.WriteVar(&req, timeout)
 }
 
 // handleMetrics dumps the world's obsv registry: JSON by default, the
 // sorted text rendering with ?format=text.
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleMetrics(w http.ResponseWriter, q url.Values) {
 	s.ctrReqs.Inc()
 	snap := s.sys.Obs().Registry().Snapshot()
-	if r.URL.Query().Get("format") == "text" {
+	if q.Get("format") == "text" {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		fmt.Fprint(w, snap.Text())
 		return
@@ -640,10 +674,10 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Write(b)
 }
 
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleHealthz(w http.ResponseWriter) {
 	select {
 	case <-s.quit:
-		http.Error(w, "shutting down", http.StatusServiceUnavailable)
+		s.reply(w, nil, ErrClosed)
 	default:
 		w.Write([]byte("ok\n"))
 	}

@@ -227,14 +227,19 @@ func TestServeEndpoints(t *testing.T) {
 	}
 }
 
-// TestClientMistakes: a request the client got wrong answers 400 (413 for
-// an oversized body) with a JSON error, and runs nothing.
+// TestClientMistakes: a request the client got wrong answers 400 (404 for
+// a path the API does not have, 405 for a method its path does not take,
+// 413 for an oversized body) with a JSON error, and runs nothing. The
+// table's other errors, a 500 and /healthz's 503, are JSON errors too.
 func TestClientMistakes(t *testing.T) {
 	s, agent := newDemoServer(t)
 	h := s.Handler()
 	if err := s.sys.FS.WriteFile("/bin/junk", []byte("not an image"), shmfs.DefaultFileMode, 0); err != nil {
 		t.Fatal(err)
 	}
+	closed := New(core.NewSystem(), Config{})
+	closed.Close()
+	put := `{"program":"` + agent + `","fn":"kv_put","args":[1,2]}`
 	big := `{"exe":"` + strings.Repeat("a", 2*maxBody) + `"}`
 	for _, tc := range []struct {
 		name, method, url, body string
@@ -249,13 +254,33 @@ func TestClientMistakes(t *testing.T) {
 		{"bad txid", "GET", "/api/txn?txid=x", "", http.StatusBadRequest},
 		{"oversized body", "POST", "/api/launch", big, http.StatusRequestEntityTooLarge},
 		{"exe that does not decode", "POST", "/api/launch", `{"exe":"/bin/junk","run":true}`, http.StatusInternalServerError},
+		{"trailing bytes", "POST", "/api/call", put + ` x`, http.StatusBadRequest},
+		{"complete object then over 1 MiB", "POST", "/api/call", put + strings.Repeat(" ", 2*maxBody), http.StatusRequestEntityTooLarge},
+		{"timeout_ms not a number", "POST", "/api/call?timeout_ms=abc", put, http.StatusBadRequest},
+		{"timeout_ms negative", "POST", "/api/call?timeout_ms=-5", put, http.StatusBadRequest},
+		{"timeout_ms empty", "GET", "/api/info?timeout_ms=", "", http.StatusBadRequest},
+		{"GET a POST path", "GET", "/api/call", "", http.StatusMethodNotAllowed},
+		{"DELETE a var", "DELETE", "/api/var", "", http.StatusMethodNotAllowed},
+		{"no such path", "POST", "/api/nope", put, http.StatusNotFound},
+		{"path not cleaned", "POST", "/api//call", put, http.StatusNotFound},
+		{"healthz after Close", "GET", "/healthz", "", http.StatusServiceUnavailable},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
+			h := h
+			if tc.url == "/healthz" { // it answers an error only once the daemon has closed
+				h = closed.Handler()
+			}
 			rr := httptest.NewRecorder()
 			h.ServeHTTP(rr, httptest.NewRequest(tc.method, tc.url, strings.NewReader(tc.body)))
 			var e errResponse
 			if rr.Code != tc.want || json.Unmarshal(rr.Body.Bytes(), &e) != nil || e.Error == "" {
 				t.Fatalf("%d %.200s, want %d with a JSON error", rr.Code, rr.Body.Bytes(), tc.want)
+			}
+			if ct := rr.Header().Get("Content-Type"); ct != "application/json" {
+				t.Fatalf("Content-Type %q, want application/json", ct)
+			}
+			if tc.want == http.StatusMethodNotAllowed && rr.Header().Get("Allow") == "" {
+				t.Fatal("405 without an Allow header")
 			}
 		})
 	}
@@ -428,6 +453,31 @@ func TestRequestTimeout(t *testing.T) {
 	}
 }
 
+// TestRequestTimeoutOverHTTP: ?timeout_ms= sets the deadline a request
+// must acquire the world by; past it the request answers 504, does not
+// run, and is counted.
+func TestRequestTimeoutOverHTTP(t *testing.T) {
+	s, agent := newDemoServer(t)
+	expired := s.sys.Obs().Registry().Counter("server.deadline_expired")
+	before := expired.Value()
+	block, holding := make(chan struct{}), make(chan struct{})
+	go s.do("slow", time.Second, func() error { close(holding); <-block; return nil })
+	<-holding
+	time.AfterFunc(200*time.Millisecond, func() { close(block) })
+	rr := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rr, httptest.NewRequest(http.MethodPost, "/api/call?timeout_ms=20",
+		strings.NewReader(`{"program":"`+agent+`","fn":"kv_bump"}`)))
+	if rr.Code != http.StatusGatewayTimeout {
+		t.Fatalf("%d %s, want 504", rr.Code, rr.Body)
+	}
+	if n := expired.Value() - before; n != 1 {
+		t.Fatalf("server.deadline_expired rose by %d, want 1", n)
+	}
+	if vr, err := s.ReadVar(agent, "kv_hits", 0, 0); err != nil || vr.Value != 0 {
+		t.Fatalf("kv_hits after the expired call: %+v, %v", vr, err)
+	}
+}
+
 // TestRequestRunningPastDeadlineKeepsResult: a request that acquired the
 // world before its deadline runs to completion and returns its own
 // result, however long it runs.
@@ -581,6 +631,39 @@ func TestConcurrentClientsStateHash(t *testing.T) {
 	}
 }
 
+// TestConcurrentHTTPClients: clients on many goroutines at once go through
+// the handler, its codec and its shared reply header, and each reads back
+// what it wrote (a workout for the race detector).
+func TestConcurrentHTTPClients(t *testing.T) {
+	s, agent := newDemoServer(t)
+	h := s.Handler()
+	var wg sync.WaitGroup
+	for c := 0; c < 8; c++ {
+		wg.Add(1)
+		go func(slot int) {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				rr := httptest.NewRecorder()
+				h.ServeHTTP(rr, httptest.NewRequest(http.MethodPost, "/api/call", strings.NewReader(
+					fmt.Sprintf(`{"program":%q,"fn":"kv_put","args":[%d,%d]}`, agent, slot, i))))
+				if rr.Code != http.StatusOK {
+					t.Errorf("kv_put: %d %s", rr.Code, rr.Body)
+					return
+				}
+				rr = httptest.NewRecorder()
+				h.ServeHTTP(rr, httptest.NewRequest(http.MethodGet,
+					fmt.Sprintf("/api/var?program=%s&name=kv_table&off=%d", agent, 4*slot), nil))
+				var vr VarResponse
+				if rr.Code != http.StatusOK || json.Unmarshal(rr.Body.Bytes(), &vr) != nil || vr.Value != uint32(i) {
+					t.Errorf("slot %d after writing %d: %d %s", slot, i, rr.Code, rr.Body)
+					return
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+}
+
 // TestLaunchRunsOnSchedulerCPU: a run-to-completion launch must execute
 // on the daemon's guest-CPU scheduler, not inline on the request's
 // goroutine — the scheduler's step counter is the receipt.
@@ -604,5 +687,53 @@ func TestLaunchRunsOnSchedulerCPU(t *testing.T) {
 	snap := sys.Obs().Registry().Snapshot()
 	if snap.Counters["kern.cpu_steps"] == 0 {
 		t.Fatal("kern.cpu_steps = 0: guest ran on the request's goroutine, not a scheduler CPU")
+	}
+}
+
+// respWriter is an http.ResponseWriter that keeps its header map and body
+// buffer across requests.
+type respWriter struct {
+	hdr  http.Header
+	code int
+	body []byte
+}
+
+func (w *respWriter) Header() http.Header { return w.hdr }
+func (w *respWriter) WriteHeader(code int) {
+	if w.code == 0 {
+		w.code = code
+	}
+}
+
+func (w *respWriter) Write(b []byte) (int, error) {
+	w.WriteHeader(http.StatusOK)
+	w.body = append(w.body, b...)
+	return len(b), nil
+}
+
+type bodyReader struct{ bytes.Reader }
+
+func (*bodyReader) Close() error { return nil }
+
+// TestServeCallAllocs: a kv_get through the handler allocates at most 8
+// times, writer and request reused.
+func TestServeCallAllocs(t *testing.T) {
+	s, agent := newDemoServer(t)
+	h := s.Handler()
+	body := []byte(`{"program":"` + agent + `","fn":"kv_get","args":[7]}`)
+	w := &respWriter{hdr: http.Header{}}
+	req := httptest.NewRequest(http.MethodPost, "/api/call", nil)
+	var rd bodyReader
+	allocs := testing.AllocsPerRun(200, func() {
+		rd.Reset(body)
+		req.Body = &rd
+		w.code, w.body = 0, w.body[:0]
+		h.ServeHTTP(w, req)
+	})
+	if w.code != http.StatusOK {
+		t.Fatalf("kv_get: %d %s", w.code, w.body)
+	}
+	if allocs > 8 {
+		t.Fatalf("%.1f allocations per kv_get, want at most 8", allocs)
 	}
 }

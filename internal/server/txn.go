@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"net/url"
 	"strconv"
 	"time"
 
@@ -103,25 +104,22 @@ func (s *Server) TxnStatus(txid uint64, timeout time.Duration) (*TxnResponse, er
 	return resp, err
 }
 
-func (s *Server) handleTxn(w http.ResponseWriter, r *http.Request) {
-	switch r.Method {
-	case http.MethodPost:
-		req, err := decode[TxnRequest](w, r)
+func (s *Server) handleTxn(w http.ResponseWriter, r *http.Request, q url.Values) (replyBody, error) {
+	if r.Method == http.MethodGet {
+		timeout, err := s.timeoutOf(q)
 		if err != nil {
-			s.reply(w, nil, err)
-			return
+			return nil, err
 		}
-		resp, err := s.Txn(req, s.timeoutOf(r))
-		s.reply(w, resp, err)
-	case http.MethodGet:
-		txid, err := strconv.ParseUint(r.URL.Query().Get("txid"), 0, 64)
+		txid, err := strconv.ParseUint(q.Get("txid"), 0, 64)
 		if err != nil {
-			s.reply(w, nil, fmt.Errorf("%w: txid: %w", ErrBadRequest, err))
-			return
+			return nil, fmt.Errorf("%w: txid: %w", ErrBadRequest, err)
 		}
-		resp, err := s.TxnStatus(txid, s.timeoutOf(r))
-		s.reply(w, resp, err)
-	default:
-		http.Error(w, "GET or POST", http.StatusMethodNotAllowed)
+		return s.TxnStatus(txid, timeout)
 	}
+	var req TxnRequest
+	timeout, err := s.readRequest(w, r, q, &req, "GET, POST")
+	if err != nil {
+		return nil, err
+	}
+	return s.Txn(&req, timeout)
 }
