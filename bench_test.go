@@ -18,7 +18,7 @@ package hemlock_test
 //	E-fs       BenchmarkShmfs*              linear vs indexed addr lookup, boot scan
 //	E-alloc    BenchmarkSegmentAlloc        per-segment heap allocator
 //	E-msg      BenchmarkIPC*                shared-memory vs message-passing handoff
-//	serve      BenchmarkServeCall           one daemon request, HTTP handler to reply
+//	serve      BenchmarkServe*              one daemon request, HTTP handler to reply
 
 import (
 	"bytes"
@@ -1385,9 +1385,22 @@ func BenchmarkKVMessageRPC(b *testing.B) {
 
 // BenchmarkServeCall sends one kv_get through the serve daemon's HTTP
 // handler, in-process: decode the body, take the world lock, call the
-// function, append the reply. The writer and the request are reused, so
-// what it allocates is the daemon's own.
+// function, append the reply.
 func BenchmarkServeCall(b *testing.B) {
+	benchServe(b, "/api/call", `{"program":"agent","fn":"kv_get","args":[7]}`)
+}
+
+// BenchmarkServeLaunch sends one run-to-completion launch of the demo
+// image through the same handler: load the image, clone its zygote, run
+// main to exit, and release the unnamed program.
+func BenchmarkServeLaunch(b *testing.B) {
+	benchServe(b, "/api/launch", `{"exe":"`+server.DemoExe+`","run":true}`)
+}
+
+// benchServe posts body to path on a daemon with the demo agent resident.
+// The writer and the request are reused, so what it allocates is the
+// daemon's own.
+func benchServe(b *testing.B, path, body string) {
 	sys := core.NewSystem()
 	if _, err := server.InstallDemo(sys); err != nil {
 		b.Fatal(err)
@@ -1398,19 +1411,19 @@ func BenchmarkServeCall(b *testing.B) {
 		b.Fatal(err)
 	}
 	h := s.Handler()
-	body := []byte(`{"program":"agent","fn":"kv_get","args":[7]}`)
+	data := []byte(body)
 	w := &benchWriter{hdr: http.Header{}}
-	req := httptest.NewRequest(http.MethodPost, "/api/call", nil)
+	req := httptest.NewRequest(http.MethodPost, path, nil)
 	var rd benchBody
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rd.Reset(body)
+		rd.Reset(data)
 		req.Body = &rd
 		w.code, w.body = 0, w.body[:0]
 		h.ServeHTTP(w, req)
 		if w.code != http.StatusOK {
-			b.Fatalf("kv_get: %d %s", w.code, w.body)
+			b.Fatalf("%s: %d %s", path, w.code, w.body)
 		}
 	}
 }

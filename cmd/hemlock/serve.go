@@ -27,14 +27,12 @@ func cmdServe(s *hemlock.System, args []string, out io.Writer) error {
 	agent := fs.String("agent", "agent", "name for the resident demo agent")
 	timeoutMS := fs.Int("timeout-ms", 0, "default per-request deadline (0 = server default)")
 	steps := fs.Uint64("steps", 0, "instruction budget per request (0 = server default)")
-	cpus := fs.Int("cpus", 0, "guest scheduler CPUs (0 = HEMLOCK_CPUS / host cores)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	cfg := server.Config{
 		DefaultTimeout: time.Duration(*timeoutMS) * time.Millisecond,
 		MaxSteps:       *steps,
-		CPUs:           *cpus,
 	}
 	if *demo {
 		if _, err := server.InstallDemo(s); err != nil {

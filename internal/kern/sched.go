@@ -3,9 +3,6 @@ package kern
 import (
 	"fmt"
 	"math/rand"
-	"os"
-	"runtime"
-	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -48,32 +45,9 @@ import (
 // DefaultQuantum is the preemption slice in retired instructions.
 const DefaultQuantum = 50_000
 
-// MaxCPUs caps the default CPU count, matching the paper's 8-CPU 4D/480.
-const MaxCPUs = 8
-
-// DefaultCPUs returns the guest CPU count: HEMLOCK_CPUS if set, else the
-// host's CPU count capped at MaxCPUs. The variable's users are CI's 4-CPU
-// race step and its differential matrix, which pin the count so a run
-// does not depend on the runner's core count.
-func DefaultCPUs() int {
-	if v := os.Getenv("HEMLOCK_CPUS"); v != "" {
-		if n, err := strconv.Atoi(v); err == nil && n >= 1 {
-			return n
-		}
-	}
-	n := runtime.NumCPU()
-	if n > MaxCPUs {
-		n = MaxCPUs
-	}
-	if n < 1 {
-		n = 1
-	}
-	return n
-}
-
 // SchedConfig configures a Scheduler.
 type SchedConfig struct {
-	CPUs    int    // guest CPUs; 0 means DefaultCPUs()
+	CPUs    int    // guest CPUs; below 1 runs one
 	Det     bool   // deterministic mode: seeded virtual interleaving on one goroutine
 	Seed    int64  // schedule seed (Det mode)
 	Quantum uint64 // preemption slice in steps; 0 means DefaultQuantum
@@ -134,12 +108,10 @@ type Scheduler struct {
 // the client goroutine, so no host-scheduler nondeterminism can reach the
 // schedule. Call Stop to shut it down.
 func NewScheduler(k *Kernel, cfg SchedConfig) *Scheduler {
+	// Below 1 runs one CPU, and one goroutine IS the deterministic mode.
 	n := cfg.CPUs
-	if n <= 0 {
-		n = DefaultCPUs()
-	}
-	if cfg.Det {
-		n = 1 // one goroutine IS the deterministic mode
+	if n < 1 || cfg.Det {
+		n = 1
 	}
 	q := cfg.Quantum
 	if q == 0 {
@@ -176,9 +148,6 @@ func NewScheduler(k *Kernel, cfg SchedConfig) *Scheduler {
 	return s
 }
 
-// CPUs returns the number of guest CPUs.
-func (s *Scheduler) CPUs() int { return s.ncpu }
-
 // Submit queues p to run for at most maxSteps retired instructions and
 // returns a Task to wait on. Each process may be on at most one task at a
 // time — a process is a single guest CPU's worth of architectural state.
@@ -197,12 +166,6 @@ func (s *Scheduler) Submit(p *Process, maxSteps uint64) *Task {
 	s.mu.Unlock()
 	s.cond.Broadcast()
 	return t
-}
-
-// Run submits p and waits: the synchronous form clients use in place of
-// Kernel.Run when a scheduler owns the CPUs.
-func (s *Scheduler) Run(p *Process, maxSteps uint64) (uint64, error) {
-	return s.Submit(p, maxSteps).Wait()
 }
 
 // RunAll submits every process and waits for all of them, returning the

@@ -2,6 +2,7 @@ package kern
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"hemlock/internal/shmfs"
@@ -75,6 +76,30 @@ func TestSchedulerStealAndPark(t *testing.T) {
 	}
 	if got := snap.Counters["kern.cpu_steps"]; got < 600_000 {
 		t.Fatalf("kern.cpu_steps = %d, want >= 600000", got)
+	}
+}
+
+// TestSchedulerCPUsAreTheCallers: the CPU count is what the caller
+// passes, and nothing else. A config that names none runs one CPU, even
+// with HEMLOCK_CPUS (the variable an earlier default read) set, and runs
+// its task to completion.
+func TestSchedulerCPUsAreTheCallers(t *testing.T) {
+	t.Setenv("HEMLOCK_CPUS", "3")
+	k := New()
+	s := NewScheduler(k, SchedConfig{})
+	defer s.Stop()
+	var cpus []string
+	for name := range k.Obs.R.Snapshot().Gauges {
+		if strings.HasPrefix(name, "kern.cpu") && strings.HasSuffix(name, "_steps") {
+			cpus = append(cpus, name)
+		}
+	}
+	if len(cpus) != 1 || cpus[0] != "kern.cpu0_steps" {
+		t.Fatalf("per-CPU gauges %v, want only kern.cpu0_steps", cpus)
+	}
+	p := spawnWith(t, k, countdownSrc(1000, 7))
+	if _, err := s.Submit(p, 100_000).Wait(); err != nil || !p.Exited || p.ExitCode != 7 {
+		t.Fatalf("task: exited=%v code=%d err=%v, want exit 7", p.Exited, p.ExitCode, err)
 	}
 }
 

@@ -122,7 +122,7 @@ path:   .asciiz "/counter"
 // at least once, so the version moves at least five times per iteration.
 // Were the four plain stores private, it would move at most four times:
 // once per add plus at most one failed CAS per add and other CPU. Under
-// -race (CI's SMP race step) a private store there is also a data race.
+// -race (CI's Race step) a private store there is also a data race.
 func TestSMPClonesPrivateStacksSharedCounter(t *testing.T) {
 	const workers = 4
 	iters := 400

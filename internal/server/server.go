@@ -10,10 +10,9 @@
 // with no server goroutine in between. Each request carries a deadline. A
 // request that acquires the world after its deadline does not run; one
 // that has acquired it runs to completion within its step budget; once
-// Close has taken the world, nothing runs. Guest execution of
-// run-to-completion launches goes to a kern.Scheduler (HEMLOCK_CPUS host
-// goroutines, work-stealing run queues — see docs/SMP.md), so guest CPUs
-// burn on their own cores while the launching request waits for them.
+// Close has taken the world, nothing runs. A run-to-completion launch
+// runs its guest through Kernel.Run on the request's goroutine too, so the
+// daemon starts no goroutine of its own until Run serves HTTP.
 //
 // Request bodies and replies go through the package's own JSON codec
 // (codec.go), written for the API's types, and requests are routed by
@@ -64,12 +63,17 @@ var (
 // maxBody bounds every request body; a larger one answers 413.
 const maxBody = 1 << 20
 
+// shutdownGrace is how long Run drains in-flight requests after a signal.
+const shutdownGrace = 10 * time.Second
+
 // Config tunes the daemon. The zero value selects the defaults.
 type Config struct {
 	DefaultTimeout time.Duration // per-request deadline to acquire the world (default 5s)
 	MaxSteps       uint64        // CPU step budget per launch/call (default 4M)
-	ShutdownGrace  time.Duration // drain window for in-flight requests (default 10s)
-	CPUs           int           // scheduler CPUs (default HEMLOCK_CPUS / host cores)
+
+	// Deprecated: ignored. The daemon runs every guest on the request's
+	// own goroutine, so it has no guest CPUs to size.
+	CPUs int
 }
 
 func (c Config) withDefaults() Config {
@@ -79,12 +83,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxSteps == 0 {
 		c.MaxSteps = 4_000_000
 	}
-	if c.ShutdownGrace == 0 {
-		c.ShutdownGrace = 10 * time.Second
-	}
-	if c.CPUs == 0 {
-		c.CPUs = kern.DefaultCPUs()
-	}
 	return c
 }
 
@@ -92,8 +90,7 @@ func (c Config) withDefaults() Config {
 type Server struct {
 	sys  *core.System
 	cfg  Config
-	sch  *kern.Scheduler // guest CPUs: run-to-completion launches run here
-	quit chan struct{}   // closed by Close
+	quit chan struct{} // closed by Close
 
 	// world is the world lock. It guards the kernel and every field below.
 	world    sync.Mutex
@@ -109,8 +106,8 @@ type Server struct {
 	gPrograms *obsv.Gauge
 }
 
-// New wraps sys in a daemon and starts its guest-CPU scheduler. The caller
-// must Close the server (Run does it on the way out).
+// New wraps sys in a daemon. The caller must Close the server (Run does it
+// on the way out).
 func New(sys *core.System, cfg Config) *Server {
 	s := &Server{
 		sys:      sys,
@@ -124,13 +121,8 @@ func New(sys *core.System, cfg Config) *Server {
 	s.ctrErrs = r.Counter("server.errors")
 	s.ctrExp = r.Counter("server.deadline_expired")
 	s.gPrograms = r.Gauge("server.programs")
-	s.sch = kern.NewScheduler(sys.K, kern.SchedConfig{CPUs: s.cfg.CPUs})
 	return s
 }
-
-// Scheduler exposes the daemon's guest-CPU scheduler (tests size their
-// expectations by its CPUs).
-func (s *Server) Scheduler() *kern.Scheduler { return s.sch }
 
 // Sys returns the served world (tests reach through it at quiesce).
 func (s *Server) Sys() *core.System { return s.sys }
@@ -179,8 +171,8 @@ func (s *Server) release() {
 	runtime.Gosched()
 }
 
-// Close takes the world, refuses every later request with ErrClosed, stops
-// the scheduler and flushes the trace sinks. Idempotent.
+// Close takes the world, refuses every later request with ErrClosed and
+// flushes the trace sinks. Idempotent.
 func (s *Server) Close() error {
 	s.world.Lock()
 	defer s.world.Unlock()
@@ -189,13 +181,12 @@ func (s *Server) Close() error {
 	}
 	s.closed = true
 	close(s.quit)
-	s.sch.Stop()
 	return s.sys.Obs().Tracer().Close()
 }
 
 // Run serves the HTTP API on ln until a signal arrives on sigs (or Close
 // is called), then shuts down gracefully: stop accepting, drain in-flight
-// requests for up to ShutdownGrace, flush sinks, return nil. Pass a
+// requests for up to shutdownGrace, flush sinks, return nil. Pass a
 // signal.Notify channel for real daemons, or a fake for tests.
 func (s *Server) Run(ln net.Listener, sigs <-chan os.Signal) error {
 	hs := &http.Server{Handler: s.Handler()}
@@ -212,7 +203,7 @@ func (s *Server) Run(ln net.Listener, sigs <-chan os.Signal) error {
 		s.Close()
 		return err
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), s.cfg.ShutdownGrace)
+	ctx, cancel := context.WithTimeout(context.Background(), shutdownGrace)
 	defer cancel()
 	if serr := hs.Shutdown(ctx); serr != nil && err == nil {
 		err = serr
@@ -361,9 +352,7 @@ func (s *Server) Launch(req *LaunchRequest, timeout time.Duration) (*LaunchRespo
 			if steps == 0 {
 				steps = s.cfg.MaxSteps
 			}
-			// Run on a scheduler CPU: this goroutine submits and waits
-			// like any other scheduler client.
-			if _, err := s.sch.Run(pg.P, steps); err != nil {
+			if err := pg.Run(steps); err != nil {
 				// The failed program gets no handle, so nothing could
 				// reach or reap its process later: reap it now.
 				pg.P.Exit(-1)
@@ -641,7 +630,7 @@ func (s *Server) handleVar(w http.ResponseWriter, r *http.Request, q url.Values)
 		}
 		var off uint64
 		if o := q.Get("off"); o != "" {
-			if off, err = strconv.ParseUint(o, 0, 32); err != nil {
+			if off, err = strconv.ParseUint(o, 10, 32); err != nil {
 				return nil, fmt.Errorf("%w: off: %w", ErrBadRequest, err)
 			}
 		}

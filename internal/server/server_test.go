@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"runtime"
 	"strings"
 	"sync"
 	"syscall"
@@ -251,7 +252,10 @@ func TestClientMistakes(t *testing.T) {
 		{"no exe or modules", "POST", "/api/launch", `{"run":true}`, http.StatusBadRequest},
 		{"name taken", "POST", "/api/launch", `{"name":"` + agent + `","exe":"` + DemoExe + `","run":true}`, http.StatusBadRequest},
 		{"bad off", "GET", "/api/var?program=" + agent + "&name=kv_hits&off=x", "", http.StatusBadRequest},
+		{"off in hex", "GET", "/api/var?program=" + agent + "&name=kv_table&off=0x8", "", http.StatusBadRequest},
+		{"off with an underscore", "GET", "/api/var?program=" + agent + "&name=kv_table&off=1_6", "", http.StatusBadRequest},
 		{"bad txid", "GET", "/api/txn?txid=x", "", http.StatusBadRequest},
+		{"txid in hex", "GET", "/api/txn?txid=0x1", "", http.StatusBadRequest},
 		{"oversized body", "POST", "/api/launch", big, http.StatusRequestEntityTooLarge},
 		{"exe that does not decode", "POST", "/api/launch", `{"exe":"/bin/junk","run":true}`, http.StatusInternalServerError},
 		{"trailing bytes", "POST", "/api/call", put + ` x`, http.StatusBadRequest},
@@ -664,19 +668,22 @@ func TestConcurrentHTTPClients(t *testing.T) {
 	wg.Wait()
 }
 
-// TestLaunchRunsOnSchedulerCPU: a run-to-completion launch must execute
-// on the daemon's guest-CPU scheduler, not inline on the request's
-// goroutine — the scheduler's step counter is the receipt.
-func TestLaunchRunsOnSchedulerCPU(t *testing.T) {
+// TestRunLaunchRunsOnRequestGoroutine: the daemon starts no goroutine of
+// its own, and a run-to-completion launch runs its guest through
+// Kernel.Run on the request's goroutine: kern.steps grows by every step
+// the launch retired, and no scheduler counter exists.
+func TestRunLaunchRunsOnRequestGoroutine(t *testing.T) {
 	sys := core.NewSystem()
 	if _, err := InstallDemo(sys); err != nil {
 		t.Fatal(err)
 	}
-	s := New(sys, Config{CPUs: 2})
+	before := runtime.NumGoroutine()
+	s := New(sys, Config{})
 	t.Cleanup(func() { s.Close() })
-	if got := s.Scheduler().CPUs(); got != 2 {
-		t.Fatalf("scheduler CPUs = %d, want 2", got)
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("New started %d goroutines", after-before)
 	}
+	start := sys.Obs().Registry().Snapshot().Counters["kern.steps"]
 	resp, err := s.Launch(&LaunchRequest{Name: "runner", Exe: DemoExe, Run: true}, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -685,8 +692,11 @@ func TestLaunchRunsOnSchedulerCPU(t *testing.T) {
 		t.Fatalf("run launch did not exit: %+v", resp)
 	}
 	snap := sys.Obs().Registry().Snapshot()
-	if snap.Counters["kern.cpu_steps"] == 0 {
-		t.Fatal("kern.cpu_steps = 0: guest ran on the request's goroutine, not a scheduler CPU")
+	if got, want := snap.Counters["kern.steps"]-start, s.programs["runner"].P.CPU.Steps; got != want || got == 0 {
+		t.Fatalf("kern.steps grew by %d, want the launch's %d steps", got, want)
+	}
+	if n, ok := snap.Counters["kern.cpu_steps"]; ok {
+		t.Fatalf("kern.cpu_steps = %d: a scheduler ran the launch", n)
 	}
 }
 

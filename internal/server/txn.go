@@ -110,7 +110,7 @@ func (s *Server) handleTxn(w http.ResponseWriter, r *http.Request, q url.Values)
 		if err != nil {
 			return nil, err
 		}
-		txid, err := strconv.ParseUint(q.Get("txid"), 0, 64)
+		txid, err := strconv.ParseUint(q.Get("txid"), 10, 64)
 		if err != nil {
 			return nil, fmt.Errorf("%w: txid: %w", ErrBadRequest, err)
 		}

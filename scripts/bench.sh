@@ -33,11 +33,12 @@ out=BENCH_"$n".json
 
 # Dispatch microbenchmark (internal/vm) with the host calibration
 # benchmark beside it (scripts/benchcheck.sh divides by it), and the
-# paper's macro benchmarks and one serve daemon request (repo root). -count=3 gives benchstat enough
-# samples for a variance estimate without making CI runs painful.
+# paper's macro benchmarks and the serve daemon's call and run-launch
+# requests (repo root). -count=3 gives benchstat enough samples for a
+# variance estimate without making CI runs painful.
 {
   go test -run=NONE -bench='BenchmarkDispatch|BenchmarkCalibrate' -benchtime="$benchtime" -count=3 ./internal/vm/
-  go test -run=NONE -bench='Table1|CallNear|CallFar|PointerChase|LaunchByPath|PrestoParallel|NetShmScale|NetShmDeltaBytes|ServeCall' -benchtime="$benchtime" -count=3 .
+  go test -run=NONE -bench='Table1|CallNear|CallFar|PointerChase|LaunchByPath|PrestoParallel|NetShmScale|NetShmDeltaBytes|Serve' -benchtime="$benchtime" -count=3 .
 } | tee "$raw"
 
 # Tracked files only, so build output such as .bench_build/ never counts.
